@@ -1,9 +1,10 @@
 //! Micro-benchmarks of the spectral machinery: CasLaplacian construction,
-//! exact λ_max vs. the ≈2 shortcut (the Table V cost trade-off), and
-//! Chebyshev basis expansion as K grows (the Table V "bigger K costs more"
-//! claim).
+//! exact λ_max vs. the ≈2 shortcut (the Table V cost trade-off), Chebyshev
+//! basis expansion as K grows (the Table V "bigger K costs more" claim),
+//! and the whole directed operator build — sparse φ, λ_max and CSR rows —
+//! beside the dense pipeline it replaced.
 
-use cascn_graph::{laplacian, DiGraph};
+use cascn_graph::{laplacian, DiGraph, SpectralBasis};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -58,5 +59,31 @@ fn bench_chebyshev(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_cas_laplacian, bench_lambda_max, bench_chebyshev);
+/// `SpectralBasis::directed` (what every cold request and training sample
+/// pays) against the dense oracle for the same constants: transition
+/// matrix, power-iteration φ, CasLaplacian and dense λ_max.
+fn bench_spectral_basis_directed(c: &mut Criterion) {
+    let mut group = c.benchmark_group("spectral_basis_directed");
+    for &n in &[30usize, 100] {
+        let g = random_cascade(n, 17);
+        group.bench_with_input(BenchmarkId::new("sparse", n), &g, |b, g| {
+            b.iter(|| SpectralBasis::directed(std::hint::black_box(g), 0.85, None, 2))
+        });
+        group.bench_with_input(BenchmarkId::new("dense_oracle", n), &g, |b, g| {
+            b.iter(|| {
+                let lap = laplacian::cas_laplacian(std::hint::black_box(g), 0.85);
+                laplacian::largest_eigenvalue(&lap)
+            })
+        });
+    }
+    group.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_cas_laplacian,
+    bench_lambda_max,
+    bench_chebyshev,
+    bench_spectral_basis_directed
+);
 criterion_main!(benches);

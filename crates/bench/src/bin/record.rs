@@ -6,16 +6,17 @@
 //! throughput, one-epoch training time, forward-pass p50/p99 under the
 //! default sparse Chebyshev kernel — plus the dense-kernel comparison
 //! (speedup and max prediction delta) and the microscopic next-user
-//! scores (Hit@10 / MAP after a short deterministic train), and writes
-//! the result to `BENCH_train.json` at the invocation directory.
+//! scores (Hit@10 / MAP after a short deterministic train), plus the
+//! number of corpus cascades whose directed φ solve did not converge, and
+//! writes the result to `BENCH_train.json` at the invocation directory.
 //!
 //! `--check` additionally gates the run against the checked-in
 //! `bench-baseline.json` (the perf analogue of the `lint-baseline.json`
-//! ratchet): hard machine-independent gates on `sparse_speedup` and
-//! `accuracy_delta`, and generous ratio bands on the wall-clock numbers so
-//! only catastrophic regressions (a kernel silently falling back to the
-//! dense path, preprocessing re-materializing bases) trip CI rather than
-//! scheduler noise.
+//! ratchet): hard machine-independent gates on `sparse_speedup`,
+//! `accuracy_delta`, `next_user_hit10` and `phi_unconverged`, and generous
+//! ratio bands on the wall-clock numbers so only catastrophic regressions
+//! (a kernel silently falling back to the dense path, preprocessing
+//! re-materializing bases) trip CI rather than scheduler noise.
 
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -26,6 +27,7 @@ use cascn::{
 use cascn_autograd::Tape;
 use cascn_cascades::synth::{WeiboConfig, WeiboGenerator};
 use cascn_cascades::{Cascade, Dataset, Split};
+use cascn_graph::laplacian;
 use cascn_nn::{metrics, ChebOperands};
 use cascn_tensor::Matrix;
 
@@ -139,6 +141,7 @@ struct Record {
     accuracy_delta: f64,
     next_user_hit10: f64,
     next_user_map: f64,
+    phi_unconverged: usize,
 }
 
 fn measure() -> Record {
@@ -260,6 +263,17 @@ fn measure() -> Record {
     let next_user_hit10 = f64::from(metrics::hit_at_k(&ranks, 10));
     let next_user_map = f64::from(metrics::mean_average_precision(&ranks));
 
+    // Machine-independent: every cascade's observed graph is forward
+    // ordered, so the exact sparse φ solve must converge on all of them.
+    let alpha = sparse_cfg.alpha;
+    let phi_unconverged = data
+        .cascades
+        .iter()
+        .filter(|c| {
+            !laplacian::stationary_distribution_sparse(&c.observe(WINDOW).graph(), alpha).converged
+        })
+        .count();
+
     Record {
         preprocess_cascades_per_s,
         epoch_seconds,
@@ -272,6 +286,7 @@ fn measure() -> Record {
         accuracy_delta,
         next_user_hit10,
         next_user_map,
+        phi_unconverged,
     }
 }
 
@@ -301,7 +316,8 @@ fn to_json(r: &Record) -> String {
     let _ = writeln!(out, "  \"sparse_speedup\": {:.2},", r.sparse_speedup);
     let _ = writeln!(out, "  \"accuracy_delta\": {:e},", r.accuracy_delta);
     let _ = writeln!(out, "  \"next_user_hit10\": {:.4},", r.next_user_hit10);
-    let _ = writeln!(out, "  \"next_user_map\": {:.4}", r.next_user_map);
+    let _ = writeln!(out, "  \"next_user_map\": {:.4},", r.next_user_map);
+    let _ = writeln!(out, "  \"phi_unconverged\": {}", r.phi_unconverged);
     let _ = writeln!(out, "}}");
     out
 }
@@ -347,6 +363,13 @@ fn check(r: &Record, baseline_path: &str) -> Result<(), String> {
         failures.push(format!(
             "next_user_hit10 {:.4} < required {min_hit10:.4} (masked ranking head regressed)",
             r.next_user_hit10
+        ));
+    }
+    let max_unconverged = num("max_phi_unconverged")?;
+    if r.phi_unconverged as f64 > max_unconverged {
+        failures.push(format!(
+            "phi_unconverged {} > allowed {max_unconverged} (directed φ solve stopped at its sweep cap)",
+            r.phi_unconverged
         ));
     }
 

@@ -47,35 +47,49 @@ pub fn transition_matrix(g: &DiGraph, alpha: f32) -> Matrix {
     p
 }
 
-/// Iteration cap of the stationary-distribution power iteration.
-pub(crate) const STATIONARY_MAX_ITERS: usize = 10_000;
+/// Iteration cap of the dense stationary-distribution power iteration.
+const STATIONARY_MAX_ITERS: usize = 10_000;
 
-/// What the stationary-distribution power iteration actually did — callers
-/// on the preprocessing hot path need to distinguish a converged φ from a
+/// What a stationary-distribution solve actually did — callers on the
+/// preprocessing hot path need to distinguish a converged φ from a
 /// best-effort iterate or a degeneracy fallback.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StationaryOutcome {
     /// The distribution: converged φ, the last iterate, or uniform when
     /// `fallback` is set. Always finite with entries summing to ~1.
     pub phi: Vec<f32>,
-    /// Whether the iteration reached the `1e-10` max-norm tolerance.
+    /// Whether the solve met its tolerance: a `1e-10` max-norm step for
+    /// the dense power iteration, a `1e-6` ℓ1 sweep change for the sparse
+    /// Gauss–Seidel solve.
     pub converged: bool,
     /// Whether a non-finite `P` or a degenerate (NaN/Inf/zero/negative)
     /// normalizer forced the uniform-distribution fallback.
     pub fallback: bool,
-    /// Power-iteration rounds performed before returning.
+    /// Power-iteration rounds (dense) or Gauss–Seidel sweeps (sparse)
+    /// performed before returning.
     pub iterations: usize,
 }
 
-/// Solves `φᵀ P = φᵀ` with `φᵀe = 1` by power iteration (step 3 of
-/// Algorithm 1), reporting convergence and degeneracy explicitly.
+impl StationaryOutcome {
+    fn uniform_fallback(n: usize, iterations: usize) -> Self {
+        Self { phi: vec![1.0 / n as f32; n], converged: false, fallback: true, iterations }
+    }
+}
+
+/// Solves `φᵀ P = φᵀ` with `φᵀe = 1` by power iteration on the dense `P`
+/// (step 3 of Algorithm 1 as the paper states it), reporting convergence
+/// and degeneracy explicitly. The directed operator path uses the exact
+/// sparse solve ([`stationary_distribution_sparse`]); this dense loop is
+/// its test oracle.
 ///
 /// `P` should be row-stochastic and irreducible (which Eq. 7 guarantees);
-/// convergence is then geometric. Inputs that violate that contract — a
-/// NaN-poisoned `P`, or one whose iterate normalizer becomes non-finite or
-/// non-positive — do **not** poison the result: the uniform distribution is
-/// returned with `fallback` set, so `cas_laplacian` and every Chebyshev
-/// basis built from it stay finite.
+/// convergence is then geometric, though the `1e-10` tolerance sits below
+/// f32 resolution for entries near `1/n`, so larger cascades can exhaust
+/// the round cap. Inputs that violate the contract — a NaN-poisoned `P`,
+/// or one whose iterate normalizer becomes non-finite or non-positive — do
+/// **not** poison the result: the uniform distribution is returned with
+/// `fallback` set, so `cas_laplacian` and every Chebyshev basis built from
+/// it stay finite.
 ///
 /// # Panics
 /// Panics if `p` is not square or empty.
@@ -83,32 +97,12 @@ pub fn stationary_distribution_checked(p: &Matrix) -> StationaryOutcome {
     assert_eq!(p.rows(), p.cols(), "stationary_distribution: non-square P");
     assert!(p.rows() > 0, "stationary_distribution: empty P");
     let n = p.rows();
-    let uniform = vec![1.0 / n as f32; n];
     if !p.all_finite() {
-        return StationaryOutcome {
-            phi: uniform,
-            converged: false,
-            fallback: true,
-            iterations: 0,
-        };
+        return StationaryOutcome::uniform_fallback(n, 0);
     }
-    // Route the iteration through the shared CSR kernel: `φᵀP` is
-    // `Pᵀ·φ`, and `spmv_transpose` scatters in the same ascending-(r, c)
-    // order (with the same exact-zero φ-entry skip) as the hand-rolled loop
-    // this replaces, so results are bit-identical. Eq. 7 matrices are fully
-    // dense (positive teleport everywhere), but sparse callers get the
-    // nnz-proportional cost for free.
+    // `φᵀP` is `Pᵀ·φ`; `spmv_transpose` scatters in ascending-(r, c) order.
     let pt = Csr::from_dense(p);
-    power_iterate(&pt, uniform.clone(), &uniform)
-}
-
-/// The shared power-iteration loop behind the cold and warm stationary
-/// paths: iterate `φ ← normalize(Pᵀφ)` from `start` until the max-norm
-/// delta drops below `1e-10`, falling back to `uniform` on a degenerate
-/// normalizer. The cold path passes `start = uniform`, keeping its results
-/// bit-identical to the pre-refactor loop.
-fn power_iterate(pt: &Csr, start: Vec<f32>, uniform: &[f32]) -> StationaryOutcome {
-    let mut phi = start;
+    let mut phi = vec![1.0 / n as f32; n];
     let mut converged = false;
     let mut iterations = 0;
     for it in 0..STATIONARY_MAX_ITERS {
@@ -119,12 +113,7 @@ fn power_iterate(pt: &Csr, start: Vec<f32>, uniform: &[f32]) -> StationaryOutcom
             // Overflow/underflow mid-iteration: normalizing by this sum
             // would spread NaN/Inf into φ and from there into the
             // CasLaplacian. Give up on this P instead.
-            return StationaryOutcome {
-                phi: uniform.to_vec(),
-                converged: false,
-                fallback: true,
-                iterations,
-            };
+            return StationaryOutcome::uniform_fallback(n, iterations);
         }
         for x in &mut next {
             *x /= sum;
@@ -146,78 +135,6 @@ fn power_iterate(pt: &Csr, start: Vec<f32>, uniform: &[f32]) -> StationaryOutcom
         fallback: false,
         iterations,
     }
-}
-
-/// Mixing weight pulling a warm-start seed off the probability-simplex
-/// boundary: `seed' = (1 − ε)·seed/Σseed + ε·uniform`.
-///
-/// A seed with exact-zero entries is a trap for the power iteration:
-/// `spmv_transpose` skips zero input entries, so coordinates a previous φ
-/// left at zero can never receive mass from themselves, and on reducible or
-/// periodic `P` the iterate sticks to (or oscillates on) the simplex
-/// boundary instead of converging to the cold path's answer. The ε-mix
-/// keeps every coordinate strictly positive.
-const WARM_SEED_MIX: f32 = 1e-3;
-
-/// [`stationary_distribution_checked`] warm-started from a previous
-/// stationary distribution — the single-event update path of the streaming
-/// spectral layer, where the new φ is one rank-1 perturbation away from the
-/// seed and typically converges in a handful of rounds.
-///
-/// The seed is sanitized before use (non-finite and non-positive entries
-/// are zeroed, then the vector is renormalized and ε-mixed with the uniform
-/// distribution — see [`WARM_SEED_MIX`]); an unusable seed degrades to the
-/// uniform start. If the warm iteration fails to converge, the result is
-/// discarded and the cold path ([`stationary_distribution_checked`]) is
-/// returned instead, so a bad seed can slow this function down but never
-/// change what it converges to.
-///
-/// # Panics
-/// Panics if `p` is not square or empty, or `seed.len() != p.rows()`.
-pub fn stationary_distribution_warm(p: &Matrix, seed: &[f32]) -> StationaryOutcome {
-    assert_eq!(p.rows(), p.cols(), "stationary_distribution: non-square P");
-    assert!(p.rows() > 0, "stationary_distribution: empty P");
-    assert_eq!(seed.len(), p.rows(), "stationary_distribution_warm: seed length mismatch");
-    let n = p.rows();
-    let uniform = vec![1.0 / n as f32; n];
-    if !p.all_finite() {
-        return StationaryOutcome {
-            phi: uniform,
-            converged: false,
-            fallback: true,
-            iterations: 0,
-        };
-    }
-    let pt = Csr::from_dense(p);
-    let warm = power_iterate(&pt, sanitize_warm_seed(seed, n), &uniform);
-    if warm.converged {
-        return warm;
-    }
-    // Checked fallback: the warm iterate went nowhere (periodic or
-    // reducible P can cycle forever from a boundary-adjacent seed), so pay
-    // for the cold start rather than return a seed-dependent answer.
-    let mut cold = stationary_distribution_checked(p);
-    cold.iterations += warm.iterations;
-    cold
-}
-
-/// Clamps, renormalizes, and ε-mixes a warm-start seed (see
-/// [`WARM_SEED_MIX`]); returns the uniform distribution when nothing
-/// usable survives sanitization.
-pub(crate) fn sanitize_warm_seed(seed: &[f32], n: usize) -> Vec<f32> {
-    let mut s: Vec<f32> = seed
-        .iter()
-        .map(|&x| if x.is_finite() && x > 0.0 { x } else { 0.0 })
-        .collect();
-    let sum: f32 = s.iter().sum();
-    if !sum.is_finite() || sum <= 0.0 {
-        return vec![1.0 / n as f32; n];
-    }
-    let mix = WARM_SEED_MIX / n as f32;
-    for x in &mut s {
-        *x = (1.0 - WARM_SEED_MIX) * (*x / sum) + mix;
-    }
-    s
 }
 
 /// [`stationary_distribution_checked`] collapsed to the distribution alone,
@@ -260,13 +177,6 @@ pub fn stationary_distribution(p: &Matrix) -> Vec<f32> {
 pub fn cas_laplacian(g: &DiGraph, alpha: f32) -> Matrix {
     let p = transition_matrix(g, alpha);
     let phi = stationary_distribution(&p);
-    cas_laplacian_from(&p, &phi)
-}
-
-/// [`cas_laplacian`] from an already-computed transition matrix and
-/// stationary distribution (the operator builder shares both with the dense
-/// path, so λ_max estimation sees the identical matrix).
-fn cas_laplacian_from(p: &Matrix, phi: &[f32]) -> Matrix {
     let n = p.rows();
     let mut lap = Matrix::zeros(n, n);
     for r in 0..n {
@@ -400,6 +310,310 @@ pub fn scale_laplacian(lap: &Matrix, lambda_max: f32) -> Matrix {
     out
 }
 
+/// Sweep cap of the sparse stationary solve. Forward-ordered cascades
+/// finish in two sweeps; any other graph contracts by at least `α` per
+/// sweep, so the cap only bounds pathological inputs.
+const PHI_MAX_SWEEPS: usize = 500;
+
+/// ℓ1 change of one Gauss–Seidel sweep at or below which the sparse φ
+/// counts as converged: a few f32 ulps of a distribution summing to 1.
+const PHI_SWEEP_TOL: f32 = 1e-6;
+
+/// Out-adjacency of a cascade graph in the form the sparse directed
+/// pipeline runs on: `rows[r]` holds `(child, weight)` with strictly
+/// ascending children, parallel edges summed in insertion order and exact
+/// zeros dropped — the sparse image of [`DiGraph::adjacency`].
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct Adjacency {
+    rows: Vec<Vec<(usize, f32)>>,
+}
+
+impl Adjacency {
+    pub(crate) fn from_graph(g: &DiGraph) -> Self {
+        let mut rows: Vec<Vec<(usize, f32)>> = vec![Vec::new(); g.node_count()];
+        for (u, v, w) in g.edges() {
+            rows[u].push((v, w));
+        }
+        for row in &mut rows {
+            // Stable sort: parallel edges keep insertion order, so they sum
+            // in the same order as the dense adjacency accumulates them.
+            row.sort_by_key(|&(c, _)| c);
+            row.dedup_by(|next, kept| {
+                let same = next.0 == kept.0;
+                if same {
+                    kept.1 += next.1;
+                }
+                same
+            });
+            // lint: allow(float-eq) — exact-zero sparsity test: only true zeros leave the adjacency
+            row.retain(|&(_, w)| w != 0.0);
+        }
+        Self { rows }
+    }
+
+    /// Appends a new node as a unit-weight child of `parent`. The new index
+    /// exceeds every existing one, so the parent's row stays ascending.
+    pub(crate) fn push_child(&mut self, parent: usize) {
+        let new = self.rows.len();
+        self.rows[parent].push((new, 1.0));
+        self.rows.push(Vec::new());
+    }
+
+    pub(crate) fn node_count(&self) -> usize {
+        self.rows.len()
+    }
+
+    pub(crate) fn approx_bytes(&self) -> usize {
+        self.rows.iter().map(|r| r.len() * std::mem::size_of::<(usize, f32)>()).sum()
+    }
+}
+
+/// The sparse part `α·D⁻¹W` of Eq. 7's `P_c` over the self-loop-patched
+/// adjacency, one ascending row per node, and what the directed spectral
+/// pipeline derives from it: φ and the CasLaplacian's sparse core.
+struct Transition {
+    teleport: f32,
+    rows: Vec<Vec<(usize, f32)>>,
+}
+
+impl Transition {
+    /// # Panics
+    /// Panics if the graph is empty or `alpha` is outside `(0, 1)` (the
+    /// [`transition_matrix`] contract).
+    fn new(adj: &Adjacency, alpha: f32) -> Self {
+        let n = adj.node_count();
+        assert!(n > 0, "transition_matrix: empty graph");
+        assert!(
+            alpha > 0.0 && alpha < 1.0,
+            "transition_matrix: alpha must be in (0,1), got {alpha}"
+        );
+        let rows = adj
+            .rows
+            .iter()
+            .enumerate()
+            .map(|(r, row)| {
+                let mut row = row.clone();
+                let out: f32 = row.iter().map(|&(_, w)| w).sum();
+                // lint: allow(float-eq) — dangling nodes have an exactly-zero out-degree by construction
+                if out == 0.0 {
+                    // Self-loop for dangling nodes, as in `transition_matrix`.
+                    match row.binary_search_by_key(&r, |&(c, _)| c) {
+                        Ok(i) => row[i].1 = 1.0,
+                        Err(i) => row.insert(i, (r, 1.0)),
+                    }
+                }
+                let row_sum: f32 = row.iter().map(|&(_, w)| w).sum();
+                row.into_iter().map(|(c, w)| (c, alpha * w / row_sum)).collect()
+            })
+            .collect();
+        Self { teleport: (1.0 - alpha) / n as f32, rows }
+    }
+
+    /// Solves `φ = α·Aᵀφ + (1−α)/n` by Gauss–Seidel sweeps over in-edges
+    /// in node order (self-loops solved for on the diagonal), then
+    /// normalizes. When every edge goes from a lower to a higher index — a
+    /// validated cascade, where a parent always precedes its child — the
+    /// first sweep is exact forward substitution and the second changes
+    /// nothing bit for bit. Other graphs converge geometrically (rate ≤ α)
+    /// under [`PHI_MAX_SWEEPS`]. Degeneracy handling matches
+    /// [`stationary_distribution_checked`].
+    fn stationary(&self) -> StationaryOutcome {
+        let n = self.rows.len();
+        if !self.rows.iter().flatten().all(|&(_, a)| a.is_finite()) {
+            return StationaryOutcome::uniform_fallback(n, 0);
+        }
+        let mut into: Vec<Vec<(usize, f32)>> = vec![Vec::new(); n];
+        let mut diag = vec![0.0f32; n];
+        for (r, row) in self.rows.iter().enumerate() {
+            for &(c, a) in row {
+                if c == r {
+                    diag[c] = a;
+                } else {
+                    into[c].push((r, a));
+                }
+            }
+        }
+        let mut phi = vec![1.0 / n as f32; n];
+        let mut converged = false;
+        let mut sweeps = 0;
+        while !converged && sweeps < PHI_MAX_SWEEPS {
+            sweeps += 1;
+            let mut change = 0.0f32;
+            for c in 0..n {
+                let inflow = into[c].iter().fold(self.teleport, |acc, &(r, a)| acc + a * phi[r]);
+                let next = inflow / (1.0 - diag[c]);
+                change += (next - phi[c]).abs();
+                phi[c] = next;
+            }
+            if !change.is_finite() {
+                break;
+            }
+            converged = change <= PHI_SWEEP_TOL;
+        }
+        let sum: f32 = phi.iter().sum();
+        if !sum.is_finite() || sum <= 0.0 {
+            return StationaryOutcome::uniform_fallback(n, sweeps);
+        }
+        for x in &mut phi {
+            *x /= sum;
+        }
+        StationaryOutcome { phi, converged, fallback: false, iterations: sweeps }
+    }
+
+    /// The sparse core `Φ^{1/2}(I − α·D⁻¹W)Φ^{-1/2}` of the unscaled
+    /// CasLaplacian (`s = φ^{1/2}`): `Δ_c` without its rank-1 teleport
+    /// term `−teleport·s·(1/s)ᵀ`. Every row stores its identity diagonal,
+    /// even when it ends up exactly zero after scaling (λ_max pinned to 2),
+    /// so the operator's row structure — and the persisted text form — is
+    /// independent of the pin.
+    fn laplacian_core(&self, s: &[f32]) -> Csr {
+        let rows: Vec<Vec<(usize, f32)>> = self
+            .rows
+            .iter()
+            .enumerate()
+            .map(|(r, row)| {
+                let mut entries: Vec<(usize, f32)> = row
+                    .iter()
+                    .map(|&(c, a)| (c, if c == r { 1.0 - a } else { -(s[r] * a / s[c]) }))
+                    .collect();
+                if let Err(pos) = entries.binary_search_by_key(&r, |&(c, _)| c) {
+                    entries.insert(pos, (r, 1.0));
+                }
+                entries
+            })
+            .collect();
+        Csr::from_rows(self.rows.len(), &rows)
+    }
+}
+
+/// Sparse counterpart of [`largest_eigenvalue`] for `Δ_c = core −
+/// teleport·s·(1/s)ᵀ` (see [`Transition::laplacian_core`]): power
+/// iteration on the positively shifted symmetric part, `O(nnz + n)` per
+/// round. The Gershgorin shift is computed exactly from `Δ_c`'s sign
+/// structure (positive diagonal, negative off-diagonals), so no dense
+/// matrix is formed.
+fn largest_eigenvalue_sparse(core: &Csr, s: &[f32], teleport: f32) -> f32 {
+    let n = core.rows();
+    let inv_s: Vec<f32> = s.iter().map(|&x| 1.0 / x).collect();
+    let sum_s: f32 = s.iter().sum();
+    let sum_inv: f32 = inv_s.iter().sum();
+    // y = ½(Δ_c + Δ_cᵀ)·x, the teleport term folded in on both sides.
+    let sym = |x: &[f32]| -> Vec<f32> {
+        let fwd = core.spmv(x);
+        let bwd = core.spmv_transpose(x);
+        let fold_fwd: f32 = inv_s.iter().zip(x).map(|(&v, &xi)| v * xi).sum();
+        let fold_bwd: f32 = s.iter().zip(x).map(|(&u, &xi)| u * xi).sum();
+        (0..n)
+            .map(|i| {
+                let f = fwd[i] - teleport * s[i] * fold_fwd;
+                let b = bwd[i] - teleport * inv_s[i] * fold_bwd;
+                0.5 * (f + b)
+            })
+            .collect()
+    };
+    if n == 1 {
+        let d = sym(&[1.0])[0];
+        return if d.abs() > 1e-6 { d.abs() } else { 2.0 };
+    }
+    // Gershgorin bound on the symmetric part via sign structure:
+    // Σ_c |sym_rc| = 2·Δ_rr − ½·(rowΣ_r(Δ) + colΣ_r(Δ)).
+    let mut row_sum = vec![0.0f32; n];
+    let mut col_sum = vec![0.0f32; n];
+    let mut diag = vec![0.0f32; n];
+    for r in 0..n {
+        for &(c, v) in core.row(r) {
+            row_sum[r] += v;
+            col_sum[c] += v;
+            if c == r {
+                diag[r] += v;
+            }
+        }
+    }
+    let mut shift = 0.0f32;
+    for r in 0..n {
+        let row_t = row_sum[r] - teleport * s[r] * sum_inv;
+        let col_t = col_sum[r] - teleport * inv_s[r] * sum_s;
+        let d = diag[r] - teleport * (s[r] * inv_s[r]);
+        shift = shift.max(2.0 * d - 0.5 * (row_t + col_t));
+    }
+    shift = shift.max(0.0);
+
+    let shifted = |x: &[f32]| -> Vec<f32> {
+        sym(x).iter().zip(x).map(|(&y, &xi)| y + shift * xi).collect()
+    };
+    let mut x = vec![1.0f32; n];
+    let mut lambda = 0.0f32;
+    for _ in 0..200 {
+        let y = shifted(&x);
+        let norm = y.iter().map(|v| v * v).sum::<f32>().sqrt();
+        if norm < 1e-20 {
+            return 2.0;
+        }
+        let xn: Vec<f32> = y.iter().map(|v| v / norm).collect();
+        let new_lambda = dot(&shifted(&xn), &xn);
+        let done = (new_lambda - lambda).abs() < 1e-7 * new_lambda.abs().max(1.0);
+        lambda = new_lambda;
+        x = xn;
+        if done {
+            break;
+        }
+    }
+    let result = lambda - shift;
+    if result.is_finite() && result > 1e-3 {
+        result
+    } else {
+        2.0
+    }
+}
+
+/// Stationary distribution of Eq. 7's `P_c` by the exact sparse solve the
+/// directed operator uses — `O(nnz)` per sweep and two sweeps on any
+/// cascade — reported like [`stationary_distribution_checked`], whose
+/// dense power iteration is its test oracle.
+///
+/// # Panics
+/// Panics if the graph is empty or `alpha` is outside `(0, 1)`.
+pub fn stationary_distribution_sparse(g: &DiGraph, alpha: f32) -> StationaryOutcome {
+    Transition::new(&Adjacency::from_graph(g), alpha).stationary()
+}
+
+/// The one directed spectral pipeline: φ, λ_max (unless pinned) and the
+/// scaled operator from a cascade adjacency, all in `O(nnz)` per step with
+/// no `n×n` matrix. Shared by [`SpectralBasis::directed`] and
+/// [`crate::IncrementalSpectral`], so the two agree bit for bit.
+pub(crate) fn directed_operator(
+    adj: &Adjacency,
+    alpha: f32,
+    lambda_max: Option<f32>,
+    k: usize,
+) -> (SpectralBasis, StationaryOutcome) {
+    let t = Transition::new(adj, alpha);
+    let stationary = t.stationary();
+    let s: Vec<f32> = stationary.phi.iter().map(|&x| x.max(1e-12).sqrt()).collect();
+    let core = t.laplacian_core(&s);
+    let lambda_max =
+        lambda_max.unwrap_or_else(|| largest_eigenvalue_sparse(&core, &s, t.teleport));
+    assert!(
+        lambda_max > 0.0,
+        "directed operator: lambda_max must be positive, got {lambda_max}"
+    );
+    // Δ̃ = (2/λ)·Δ_c − I on the core; the teleport term scales into coeff.
+    let two_over = 2.0 / lambda_max;
+    let rows: Vec<Vec<(usize, f32)>> = (0..core.rows())
+        .map(|r| {
+            let scale = |&(c, v): &(usize, f32)| {
+                (c, if c == r { two_over * v - 1.0 } else { two_over * v })
+            };
+            core.row(r).iter().map(scale).collect()
+        })
+        .collect();
+    let csr = Csr::from_rows(core.cols(), &rows);
+    let v: Vec<f32> = s.iter().map(|&x| 1.0 / x).collect();
+    let coeff = -(two_over * t.teleport);
+    let op = Arc::new(SparseOp::new(csr, Some((coeff, s, v))));
+    (SpectralBasis { lambda_max, k, op }, stationary)
+}
+
 /// The spectral quantity CasCN derives from one cascade Laplacian: the
 /// scaled operator `Δ̃` in sparse-plus-rank-1 form, ready to drive the
 /// operator-form Chebyshev recurrence — bundled into a single cacheable
@@ -454,7 +668,7 @@ impl SpectralBasis {
     }
 
     /// Builds the scaled **directed** CasLaplacian operator straight from
-    /// the cascade graph, without subtracting dense matrices:
+    /// the cascade graph, without forming any `n×n` matrix:
     ///
     /// `Δ̃ = S + coeff·u·vᵀ` where `S` carries the adjacency-supported part
     /// (`S_rr = (2/λ)·(1 − a_rr) − 1`, `S_rc = −(2/λ)·s_r·a_rc/s_c` with
@@ -462,72 +676,18 @@ impl SpectralBasis {
     /// `s = φ^{1/2}`), and the rank-1 term is the PageRank teleport mass:
     /// `coeff = −(2/λ)·(1−α)/n`, `u = s`, `v = 1/s`.
     ///
-    /// `φ` and (when `lambda_max` is `None`) `λ_max` are computed by the
-    /// *identical* dense pipeline as [`cas_laplacian`] +
-    /// [`largest_eigenvalue`], so the spectral constants match the legacy
-    /// path exactly; only the `O(n²)`-entry storage and the per-application
-    /// cost change.
+    /// `φ` comes from the exact sparse solve
+    /// ([`stationary_distribution_sparse`]) and, when `lambda_max` is
+    /// `None`, `λ_max` from the sparse estimator of the same quantity as
+    /// [`largest_eigenvalue`]; the dense [`cas_laplacian`] pipeline agrees
+    /// to within f32 noise and serves as the test oracle.
     ///
     /// # Panics
     /// Panics if the graph is empty or `alpha` is outside `(0, 1)` (the
     /// [`transition_matrix`] contract), or a pinned `lambda_max` is not
     /// positive.
     pub fn directed(g: &DiGraph, alpha: f32, lambda_max: Option<f32>, k: usize) -> Self {
-        let p = transition_matrix(g, alpha);
-        let phi = stationary_distribution(&p);
-        let lambda_max =
-            lambda_max.unwrap_or_else(|| largest_eigenvalue(&cas_laplacian_from(&p, &phi)));
-        assert!(
-            lambda_max > 0.0,
-            "directed operator: lambda_max must be positive, got {lambda_max}"
-        );
-        let n = g.node_count();
-        let two_over = 2.0 / lambda_max;
-        let teleport = (1.0 - alpha) / n as f32;
-        let s: Vec<f32> = phi.iter().map(|&x| x.max(1e-12).sqrt()).collect();
-        // Self-loop-patched adjacency, exactly as `transition_matrix` builds
-        // its normalizer.
-        let mut w = g.adjacency();
-        for (i, &d) in g.weighted_out_degrees().iter().enumerate() {
-            // lint: allow(float-eq) — dangling nodes have an exactly-zero out-degree by construction
-            if d == 0.0 {
-                w[(i, i)] = 1.0;
-            }
-        }
-        let mut rows: Vec<Vec<(usize, f32)>> = Vec::with_capacity(n);
-        for r in 0..n {
-            let row_sum: f32 = w.row(r).iter().sum();
-            let mut entries: Vec<(usize, f32)> = Vec::new();
-            let mut has_diag = false;
-            for (c, &wv) in w.row(r).iter().enumerate() {
-                // lint: allow(float-eq) — exact-zero sparsity test: only true zeros are dropped from S
-                if wv == 0.0 {
-                    continue;
-                }
-                let a_rc = alpha * wv / row_sum;
-                let val = if r == c {
-                    has_diag = true;
-                    two_over * (1.0 - a_rc) - 1.0
-                } else {
-                    -(two_over * s[r] * a_rc / s[c])
-                };
-                entries.push((c, val));
-            }
-            if !has_diag {
-                // The identity contribution `(2/λ)·δ_rc − δ_rc` for rows
-                // without a stored self-loop. Kept even when it is exactly
-                // zero (λ_max pinned to 2) so the row structure — and the
-                // persisted text form — is independent of the pin.
-                let pos = entries.partition_point(|&(c, _)| c < r);
-                entries.insert(pos, (r, two_over - 1.0));
-            }
-            rows.push(entries);
-        }
-        let csr = Csr::from_rows(n, &rows);
-        let v: Vec<f32> = s.iter().map(|&x| 1.0 / x).collect();
-        let coeff = -(two_over * teleport);
-        let op = Arc::new(SparseOp::new(csr, Some((coeff, s, v))));
-        Self { lambda_max, k, op }
+        directed_operator(&Adjacency::from_graph(g), alpha, lambda_max, k).0
     }
 
     /// Rebuilds a handle from persisted parts (the snapshot loader).
@@ -669,67 +829,43 @@ mod tests {
     }
 
     #[test]
-    fn warm_start_converges_to_cold_answer_fast() {
-        let p = transition_matrix(&fig1(), 0.85);
-        let cold = stationary_distribution_checked(&p);
-        let warm = stationary_distribution_warm(&p, &cold.phi);
-        assert!(warm.converged && !warm.fallback);
-        // The ε-mix perturbs the seed off the fixed point, so the warm
-        // restart re-contracts that perturbation — it must never take
-        // *longer* than the cold start.
-        assert!(
-            warm.iterations <= cold.iterations,
-            "warm restart from the answer took {} rounds vs cold {}",
-            warm.iterations,
-            cold.iterations
-        );
-        for (a, b) in warm.phi.iter().zip(&cold.phi) {
-            assert!((a - b).abs() < 1e-5, "warm {a} vs cold {b}");
+    fn sparse_stationary_is_exact_in_two_sweeps_on_a_cascade() {
+        let g = fig1();
+        let sparse = stationary_distribution_sparse(&g, 0.85);
+        assert!(sparse.converged && !sparse.fallback);
+        assert_eq!(sparse.iterations, 2, "forward substitution, then a no-op sweep");
+        assert!((sparse.phi.iter().sum::<f32>() - 1.0).abs() < 1e-6);
+        let dense = stationary_distribution_checked(&transition_matrix(&g, 0.85));
+        for (a, b) in sparse.phi.iter().zip(&dense.phi) {
+            assert!((a - b).abs() < 1e-6, "sparse {a} vs dense {b}");
         }
     }
 
     #[test]
-    fn warm_start_zero_entry_seed_matches_cold() {
-        // Regression (streaming warm-start degeneracy): `spmv_transpose`
-        // skips exact-zero input entries, so an all-zero warm seed produced
-        // a zero iterate and the uniform *fallback* outcome — while the cold
-        // path on the same healthy P converges normally. Sanitization must
-        // make the two paths agree.
-        let p = transition_matrix(&fig1(), 0.85);
-        let cold = stationary_distribution_checked(&p);
-        assert!(cold.converged && !cold.fallback);
-        let warm = stationary_distribution_warm(&p, &vec![0.0; p.rows()]);
-        assert!(!warm.fallback, "an all-zero seed must not poison a healthy P");
-        assert!(warm.converged);
-        assert_eq!(warm.phi, cold.phi, "sanitized all-zero seed degrades to the uniform start");
-        // Non-finite and negative seeds degrade the same way.
-        for bad in [f32::NAN, f32::INFINITY, -1.0] {
-            let out = stationary_distribution_warm(&p, &vec![bad; p.rows()]);
-            assert_eq!(out.phi, cold.phi);
+    fn sparse_stationary_converges_on_cycles_and_self_loops() {
+        // Back edges and a self-loop: Gauss–Seidel needs more than two
+        // sweeps but still lands on the dense answer.
+        let mut g = fig1();
+        g.add_edge(5, 0, 1.0);
+        g.add_edge(4, 1, 2.0);
+        g.add_edge(2, 2, 0.5);
+        g.add_edge(2, 3, 1.0);
+        let sparse = stationary_distribution_sparse(&g, 0.85);
+        assert!(sparse.converged && !sparse.fallback);
+        assert!(sparse.iterations > 2 && sparse.iterations < 100, "{} sweeps", sparse.iterations);
+        let dense = stationary_distribution_checked(&transition_matrix(&g, 0.85));
+        for (a, b) in sparse.phi.iter().zip(&dense.phi) {
+            assert!((a - b).abs() < 1e-5, "sparse {a} vs dense {b}");
         }
     }
 
     #[test]
-    fn warm_start_boundary_seed_falls_back_to_cold_on_periodic_p() {
-        // P = [[0,1],[1,0]] is periodic: from the simplex boundary seed
-        // (1, 0) the raw iterate oscillates forever between the two corners
-        // and never converges — before the fix, the warm path returned a
-        // seed-dependent corner while the cold path (uniform start) lands
-        // exactly on the stationary (0.5, 0.5) in one round. The checked
-        // fallback must hand back the cold answer.
-        let mut p = Matrix::zeros(2, 2);
-        p[(0, 1)] = 1.0;
-        p[(1, 0)] = 1.0;
-        let cold = stationary_distribution_checked(&p);
-        assert!(cold.converged);
-        assert_eq!(cold.phi, vec![0.5, 0.5]);
-        let warm = stationary_distribution_warm(&p, &[1.0, 0.0]);
-        assert!(warm.converged, "fallback must report the cold outcome");
-        assert_eq!(warm.phi, cold.phi, "seed corner must not leak into the result");
-        assert!(
-            warm.iterations > cold.iterations,
-            "the failed warm attempt is charged to the iteration count"
-        );
+    fn sparse_stationary_falls_back_to_uniform_on_nan_weight() {
+        let mut g = fig1();
+        g.add_edge(2, 3, f32::NAN);
+        let out = stationary_distribution_sparse(&g, 0.85);
+        assert!(out.fallback && !out.converged);
+        assert_eq!(out.phi, vec![1.0 / 6.0; 6]);
     }
 
     #[test]
@@ -888,10 +1024,11 @@ mod tests {
         let g = fig1();
         let handle = SpectralBasis::directed(&g, 0.85, None, 2);
         let dense_lmax = largest_eigenvalue(&cas_laplacian(&g, 0.85));
-        assert_eq!(
-            handle.lambda_max.to_bits(),
-            dense_lmax.to_bits(),
-            "operator path must reuse the exact dense λ_max pipeline"
+        let rel = (handle.lambda_max - dense_lmax).abs() / dense_lmax;
+        assert!(
+            rel < 1e-3,
+            "sparse λ {} vs dense oracle {dense_lmax} (rel {rel})",
+            handle.lambda_max
         );
     }
 

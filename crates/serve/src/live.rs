@@ -108,7 +108,7 @@ pub struct LiveStats {
     pub evictions: u64,
     /// Total adoption events held across resident cascades.
     pub events: usize,
-    /// Cold restarts taken by warm φ iterations across resident cascades.
+    /// φ solves that stopped at the sweep cap across resident cascades.
     pub warm_fallbacks: u64,
     /// Approximate resident bytes (operators + adjacency + events).
     pub approx_bytes: usize,

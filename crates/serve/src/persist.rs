@@ -42,11 +42,12 @@ pub const SNAPSHOT_HEADER: &str = "# cascn spectral cache snapshot v3";
 const CHECKSUM_PREFIX: &str = "# checksum fnv1a64 ";
 
 /// Version of the spectral *compute kernel* whose outputs populate the
-/// cache. Bumped whenever the kernel changes numerics (e.g. the move from
-/// materialized dense bases to the sparse operator recurrence), so a
+/// cache. Bumped whenever the kernel changes numerics (v2: materialized
+/// dense bases → sparse operator recurrence; v3: dense power-iteration φ
+/// and dense λ_max → exact sparse φ solve and sparse λ_max), so a
 /// restarted replica can never mix bases produced by a different kernel
 /// generation — the fingerprint folds this in.
-pub const SPECTRAL_KERNEL_VERSION: u32 = 2;
+pub const SPECTRAL_KERNEL_VERSION: u32 = 3;
 
 /// One restored cache entry: the cascade, its window, and the basis.
 pub type SnapshotEntry = (Cascade, f64, SpectralBasis);
@@ -100,8 +101,12 @@ impl fmt::Display for SnapshotError {
 /// same bases for the same cascade — model *parameters* are deliberately
 /// excluded (the basis is parameter-independent and survives hot reloads).
 pub fn basis_fingerprint(cfg: &CascnConfig) -> u64 {
+    kernel_fingerprint(SPECTRAL_KERNEL_VERSION, cfg)
+}
+
+fn kernel_fingerprint(kernel_version: u32, cfg: &CascnConfig) -> u64 {
     let mut bytes = Vec::with_capacity(40);
-    bytes.extend_from_slice(&SPECTRAL_KERNEL_VERSION.to_le_bytes());
+    bytes.extend_from_slice(&kernel_version.to_le_bytes());
     bytes.extend_from_slice(&(cfg.k as u64).to_le_bytes());
     bytes.extend_from_slice(&(cfg.max_nodes as u64).to_le_bytes());
     bytes.extend_from_slice(&cfg.alpha.to_bits().to_le_bytes());
@@ -648,6 +653,22 @@ mod tests {
         assert_eq!(
             snapshot_from_text(&text, other).expect_err("fingerprint mismatch rejected"),
             SnapshotError::FingerprintMismatch { found: fp, expected: other }
+        );
+    }
+
+    #[test]
+    fn snapshot_from_the_previous_spectral_kernel_is_refused() {
+        // A v2-kernel replica wrote its bases with the dense φ / λ_max
+        // pipeline; serving them beside v3 bases would mix numerics, so
+        // the file must cold-start instead.
+        let (cache, _) = warmed_cache();
+        let v2 = kernel_fingerprint(2, &cfg());
+        let text = snapshot_to_text(&cache.export(), &[], v2);
+        let fp = basis_fingerprint(&cfg());
+        assert_ne!(v2, fp);
+        assert_eq!(
+            snapshot_from_text(&text, fp).expect_err("previous kernel refused"),
+            SnapshotError::FingerprintMismatch { found: v2, expected: fp }
         );
     }
 
