@@ -1,5 +1,6 @@
 //! Parameter persistence: a line-based text format for [`ParamStore`]
-//! checkpoints, so trained models survive process restarts.
+//! values — the encoding of the params sections inside a train checkpoint —
+//! plus the atomic file write and checksum checkpoints are saved with.
 //!
 //! ```text
 //! # cascn params v1
@@ -83,18 +84,6 @@ impl ParamStore {
             store.register(name, Matrix::from_vec(rows, cols, data));
         }
         Ok(store)
-    }
-
-    /// Writes the checkpoint to `path` atomically (temp file + rename), so
-    /// a crash mid-write can never leave a truncated checkpoint behind.
-    pub fn save(&self, path: impl AsRef<Path>) -> io::Result<()> {
-        atomic_write(path.as_ref(), self.to_text().as_bytes())
-    }
-
-    /// Reads a checkpoint from `path`.
-    pub fn load(path: impl AsRef<Path>) -> io::Result<ParamStore> {
-        let text = std::fs::read_to_string(path)?;
-        Self::from_text(&text).map_err(io::Error::other)
     }
 
     /// Copies values from `other` into this store by parameter *name*.
@@ -189,9 +178,12 @@ mod tests {
         let dir = std::env::temp_dir().join("cascn_params_test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("model.params");
-        s.save(&path).unwrap();
-        let back = ParamStore::load(&path).unwrap();
+        atomic_write(&path, s.to_text().as_bytes()).unwrap();
+        let back = ParamStore::from_text(&std::fs::read_to_string(&path).unwrap()).unwrap();
         assert_eq!(back.len(), s.len());
+        for (a, b) in s.ids().zip(back.ids()) {
+            assert_eq!(s.value(a).as_slice(), back.value(b).as_slice(), "bit-exact");
+        }
         std::fs::remove_file(path).ok();
     }
 

@@ -4,7 +4,7 @@
 //! instead of a flat sequence. The original predicts node activations; as
 //! in the paper, the classifier head is replaced by a size regressor.
 
-use cascn::{trainer, SizePredictor, TrainOpts};
+use cascn::{trainer, CascnError, SizePredictor, TrainOpts};
 use cascn_autograd::{ParamStore, Tape, Var};
 use cascn_cascades::Cascade;
 use cascn_nn::train::History;
@@ -235,29 +235,40 @@ impl TopoLstm {
         self.head().loss(tape, store, rep, &s.mask, s.target_row)
     }
 
-    /// Trains the next-user variant with next-event cross-entropy via the
-    /// shared ranked trainer (ordered gradient merge, thread-invariant).
+    /// Trains the next-user variant with next-event cross-entropy on the
+    /// shared training loop (ordered gradient merge, thread-invariant,
+    /// anomaly-guarded).
+    ///
+    /// # Errors
+    /// [`CascnError::Config`] when no cascade in `train` yields a trainable
+    /// next-user example.
     pub fn fit_next_user(
         &mut self,
         train: &[Cascade],
         val: &[Cascade],
         window: f64,
         opts: &TrainOpts,
-    ) -> History {
+    ) -> Result<History, CascnError> {
         let collect = |cs: &[Cascade]| -> Vec<TopoNextSample> {
             cs.iter().filter_map(|c| self.next_sample(c, window)).collect()
         };
         let train_samples = collect(train);
         let val_samples = collect(val);
-        assert!(
-            !train_samples.is_empty(),
-            "fit_next_user: no trainable next-user example in the training split"
-        );
         let model = self.clone();
         let loss = move |tape: &mut Tape, store: &ParamStore, s: &TopoNextSample| {
             model.next_loss(tape, store, s)
         };
-        trainer::train_loop_ranked(&mut self.store, &loss, &train_samples, &val_samples, opts)
+        trainer::run(
+            &mut self.store,
+            &trainer::Objective::Ranked { loss: &loss },
+            &train_samples,
+            &val_samples,
+            opts,
+            None,
+            None,
+            &mut |_, _| {},
+            trainer::TrainHooks::default(),
+        )
     }
 
     /// 0-based rank of the true next adopter among uninfected vocabulary
@@ -387,12 +398,9 @@ mod tests {
             epochs: 1,
             ..TrainOpts::default()
         };
-        let hist = model.fit_next_user(
-            d.split(Split::Train),
-            d.split(Split::Validation),
-            3600.0,
-            &opts,
-        );
+        let hist = model
+            .fit_next_user(d.split(Split::Train), d.split(Split::Validation), 3600.0, &opts)
+            .unwrap();
         assert!(hist.records()[0].val_loss.is_finite());
         let ranks = model.next_user_ranks(d.split(Split::Test), 3600.0);
         assert!(!ranks.is_empty());

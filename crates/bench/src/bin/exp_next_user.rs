@@ -77,7 +77,9 @@ fn main() -> std::io::Result<()> {
             ..scale.cascn
         };
         let mut cascn = CascnModel::new(cfg);
-        cascn.fit_next_user(&train, &val, setting.window, &opts);
+        cascn
+            .fit_next_user(&train, &val, setting.window, &opts)
+            .map_err(std::io::Error::other)?;
         let cascn_scores = score(&cascn.next_user_ranks(&test, setting.window));
         eprintln!(
             "  [CasCN @ {}] hit@10 {:.4} map {:.4} in {:.1}s",
@@ -89,7 +91,8 @@ fn main() -> std::io::Result<()> {
 
         let t0 = Instant::now();
         let mut topo = TopoLstm::new_next_user(&train, setting.window, scale.hidden, 7);
-        topo.fit_next_user(&train, &val, setting.window, &opts);
+        topo.fit_next_user(&train, &val, setting.window, &opts)
+            .map_err(std::io::Error::other)?;
         let topo_ranks: Vec<usize> = test
             .iter()
             .filter_map(|c: &Cascade| topo.next_user_rank(c, setting.window))

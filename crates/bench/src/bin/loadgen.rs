@@ -37,6 +37,7 @@ use std::net::TcpStream;
 use std::process::exit;
 use std::time::{Duration, Instant};
 
+use cascn_bench::percentile;
 use cascn_cascades::synth::{WeiboConfig, WeiboGenerator};
 use cascn_cascades::Cascade;
 
@@ -88,15 +89,6 @@ impl WorkerReport {
             next_us: Vec::new(),
         }
     }
-}
-
-/// `q`-th percentile of an ascending-sorted latency list (0 when empty).
-fn percentile(sorted: &[u64], q: f64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let rank = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
-    sorted[rank - 1]
 }
 
 fn run(args: &[String]) -> Result<(), String> {

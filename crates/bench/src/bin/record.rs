@@ -25,6 +25,7 @@ use cascn::{
     preprocess, CascnConfig, CascnModel, ChebKernel, PreprocessedCascade, TaskKind, TrainOpts,
 };
 use cascn_autograd::Tape;
+use cascn_bench::percentile;
 use cascn_cascades::synth::{WeiboConfig, WeiboGenerator};
 use cascn_cascades::{Cascade, Dataset, Split};
 use cascn_graph::laplacian;
@@ -73,15 +74,6 @@ fn workload() -> Dataset {
     })
     .generate()
     .filter_observed_size(WINDOW, 5, 80)
-}
-
-/// `q`-th percentile of an ascending-sorted list of µs samples.
-fn percentile(sorted: &[u64], q: f64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let rank = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
-    sorted[rank - 1]
 }
 
 /// Per-call forward latencies (µs, sorted ascending) over preprocessed
@@ -144,7 +136,7 @@ struct Record {
     phi_unconverged: usize,
 }
 
-fn measure() -> Record {
+fn measure() -> Result<Record, String> {
     let data = workload();
     let train: Vec<Cascade> = data.split(Split::Train).to_vec();
     let val: Vec<Cascade> = data.split(Split::Validation).to_vec();
@@ -258,7 +250,9 @@ fn measure() -> Record {
     let next_train: Vec<Cascade> = next_data.split(Split::Train).to_vec();
     let next_val: Vec<Cascade> = next_data.split(Split::Validation).to_vec();
     let mut next_model = CascnModel::new(next_cfg);
-    next_model.fit_next_user(&next_train, &next_val, WINDOW, &next_opts);
+    next_model
+        .fit_next_user(&next_train, &next_val, WINDOW, &next_opts)
+        .map_err(|e| format!("next-user fit: {e}"))?;
     let ranks = next_model.next_user_ranks(&next_data.cascades, WINDOW);
     let next_user_hit10 = f64::from(metrics::hit_at_k(&ranks, 10));
     let next_user_map = f64::from(metrics::mean_average_precision(&ranks));
@@ -274,7 +268,7 @@ fn measure() -> Record {
         })
         .count();
 
-    Record {
+    Ok(Record {
         preprocess_cascades_per_s,
         epoch_seconds,
         forward_p50_us,
@@ -287,7 +281,7 @@ fn measure() -> Record {
         next_user_hit10,
         next_user_map,
         phi_unconverged,
-    }
+    })
 }
 
 fn to_json(r: &Record) -> String {
@@ -419,7 +413,13 @@ fn main() {
     let out_path = flag_value(&args, "--out", "BENCH_train.json");
     let baseline_path = flag_value(&args, "--baseline", "bench-baseline.json");
 
-    let record = measure();
+    let record = match measure() {
+        Ok(record) => record,
+        Err(e) => {
+            eprintln!("record: {e}");
+            std::process::exit(1);
+        }
+    };
     let json = to_json(&record);
     if let Err(e) = std::fs::write(&out_path, &json) {
         eprintln!("cannot write {out_path}: {e}");

@@ -3,8 +3,8 @@
 //! ```text
 //! cascn generate --dataset weibo --n 2000 --seed 7 --out weibo.cascades
 //! cascn stats weibo.cascades --window 3600
-//! cascn train --data weibo.cascades --window 3600 --epochs 10 --out model.params
-//! cascn predict --data weibo.cascades --window 3600 --model model.params
+//! cascn train --data weibo.cascades --window 3600 --epochs 10 --out model.ckpt
+//! cascn predict --data weibo.cascades --window 3600 --model model.ckpt
 //! ```
 //!
 //! Dataset files use the line-based format of `cascn_cascades::io`; files in
@@ -259,7 +259,7 @@ fn cmd_train(flags: &Flags) -> Result<(), String> {
     if let Some(summary) = quarantine {
         eprintln!("warning: {summary}");
     }
-    let (mut cfg, opts) = train_config(flags)?;
+    let (mut cfg, mut opts) = train_config(flags)?;
     // Derive the vocabulary from the *unfiltered* dataset so `predict` and
     // `serve` (which apply no size filter) resolve the same table shape.
     resolve_vocab(&mut cfg, &dataset);
@@ -271,10 +271,6 @@ fn cmd_train(flags: &Flags) -> Result<(), String> {
             dataset.cascades.len()
         ));
     }
-    if cfg.task == TaskKind::NextUser {
-        return train_next_user(flags, cfg, &opts, &dataset, window);
-    }
-    let mut opts = opts;
     let resume = match flags.get("resume") {
         Some(p) => Some(TrainCheckpoint::load(p).map_err(|e| e.to_string())?),
         None => None,
@@ -291,16 +287,25 @@ fn cmd_train(flags: &Flags) -> Result<(), String> {
         }),
         None => None,
     };
+    let task = cfg.task;
+    let (what, vocab, loss) = match task {
+        TaskKind::SizeRegression => ("CasCN", String::new(), ""),
+        TaskKind::NextUser => (
+            "CasCN next-user head",
+            format!(", vocab {}", cfg.vocab_users),
+            " CE",
+        ),
+    };
     let mut model = CascnModel::new(cfg);
     let threads = cascn::resolve_threads(opts.threads);
     match &resume {
         Some(ckpt) => println!(
-            "resuming CasCN training from epoch {} ({} parameters, {threads} threads)…",
+            "resuming {what} training from epoch {} ({} parameters{vocab}, {threads} threads)…",
             ckpt.epoch,
             model.num_parameters()
         ),
         None => println!(
-            "training CasCN ({} parameters) on {} cascades, {threads} threads…",
+            "training {what} ({} parameters{vocab}) on {} cascades, {threads} threads…",
             model.num_parameters(),
             dataset.split(Split::Train).len()
         ),
@@ -317,7 +322,7 @@ fn cmd_train(flags: &Flags) -> Result<(), String> {
         .map_err(|e| e.to_string())?;
     for r in history.records() {
         println!(
-            "epoch {:>3}: train {:.4}  val {:.4}",
+            "epoch {:>3}: train{loss} {:.4}  val{loss} {:.4}",
             r.epoch, r.train_loss, r.val_loss
         );
     }
@@ -328,69 +333,35 @@ fn cmd_train(flags: &Flags) -> Result<(), String> {
             history.rollbacks()
         );
     }
-    match cascn::try_evaluate(&model, dataset.split(Split::Test), window, opts.threads) {
-        Ok(msle) => println!("test MSLE: {msle:.4}"),
-        Err(e) => eprintln!("warning: skipping test metric — {e}"),
-    }
-    if let Some(out) = flags.get("out") {
-        model.save(out).map_err(|e| e.to_string())?;
-        println!("saved model to {out}");
-    }
-    Ok(())
-}
-
-/// The microscopic training path: next-event cross-entropy on the shared
-/// recurrent stack plus the masked softmax head, scored with Hit@k / MAP,
-/// saved as a v2 train checkpoint `cascn-serve` can load directly.
-fn train_next_user(
-    flags: &Flags,
-    cfg: CascnConfig,
-    opts: &TrainOpts,
-    dataset: &Dataset,
-    window: f64,
-) -> Result<(), String> {
-    if flags.get("resume").is_some() || flags.get("checkpoint").is_some() {
-        return Err("--resume/--checkpoint are not supported with --task next-user".into());
-    }
-    let vocab = cfg.vocab_users;
-    let mut model = CascnModel::new(cfg);
-    let threads = cascn::resolve_threads(opts.threads);
-    println!(
-        "training CasCN next-user head ({} parameters, vocab {vocab}) on {} cascades, {threads} threads…",
-        model.num_parameters(),
-        dataset.split(Split::Train).len()
-    );
-    let history = model.fit_next_user(
-        dataset.split(Split::Train),
-        dataset.split(Split::Validation),
-        window,
-        opts,
-    );
-    for r in history.records() {
-        println!(
-            "epoch {:>3}: train CE {:.4}  val CE {:.4}",
-            r.epoch, r.train_loss, r.val_loss
-        );
-    }
-    let ranks = model.next_user_ranks(dataset.split(Split::Test), window);
-    if ranks.is_empty() {
-        eprintln!("warning: no test cascade has a next-user target — skipping metrics");
-    } else {
-        println!(
-            "test ({} prefixes): Hit@1 {:.4}  Hit@5 {:.4}  Hit@10 {:.4}  MAP {:.4}",
-            ranks.len(),
-            metrics::hit_at_k(&ranks, 1),
-            metrics::hit_at_k(&ranks, 5),
-            metrics::hit_at_k(&ranks, 10),
-            metrics::mean_average_precision(&ranks)
-        );
+    match task {
+        TaskKind::SizeRegression => {
+            match cascn::try_evaluate(&model, dataset.split(Split::Test), window, opts.threads) {
+                Ok(msle) => println!("test MSLE: {msle:.4}"),
+                Err(e) => eprintln!("warning: skipping test metric — {e}"),
+            }
+        }
+        TaskKind::NextUser => {
+            let ranks = model.next_user_ranks(dataset.split(Split::Test), window);
+            if ranks.is_empty() {
+                eprintln!("warning: no test cascade has a next-user target — skipping metrics");
+            } else {
+                println!(
+                    "test ({} prefixes): Hit@1 {:.4}  Hit@5 {:.4}  Hit@10 {:.4}  MAP {:.4}",
+                    ranks.len(),
+                    metrics::hit_at_k(&ranks, 1),
+                    metrics::hit_at_k(&ranks, 5),
+                    metrics::hit_at_k(&ranks, 10),
+                    metrics::mean_average_precision(&ranks)
+                );
+            }
+        }
     }
     if let Some(out) = flags.get("out") {
         model
             .export_checkpoint()
             .save(out)
             .map_err(|e| e.to_string())?;
-        println!("saved next-user checkpoint to {out}");
+        println!("saved model to {out}");
     }
     Ok(())
 }

@@ -37,6 +37,9 @@ use crate::error::CascnError;
 
 /// First line of every v2 checkpoint.
 pub const V2_HEADER: &str = "# cascn train checkpoint v2";
+/// First line of the retired standalone params file, which no loader
+/// accepts any more (its text survives only inside the params sections).
+const V1_PARAMS_HEADER: &str = "# cascn params v1";
 const CHECKSUM_PREFIX: &str = "# checksum fnv1a64 ";
 
 /// Early-stopping state snapshot (mirrors `EarlyStopping`'s fields).
@@ -80,7 +83,7 @@ pub struct TrainCheckpoint {
 }
 
 impl TrainCheckpoint {
-    /// Whether `text` looks like a v2 train checkpoint (vs a v1 params file).
+    /// Whether `text` starts with the v2 train checkpoint header.
     pub fn is_v2(text: &str) -> bool {
         text.lines()
             .find(|l| !l.trim().is_empty())
@@ -132,11 +135,16 @@ impl TrainCheckpoint {
     /// Parses and integrity-checks a checkpoint produced by
     /// [`TrainCheckpoint::to_text`].
     pub fn from_text(text: &str) -> Result<Self, CascnError> {
+        if text.lines().next().is_some_and(|l| l.trim() == V1_PARAMS_HEADER) {
+            return Err(CascnError::Checkpoint(format!(
+                "`{V1_PARAMS_HEADER}` files are no longer supported — \
+                 retrain with `cascn train --out` to write a `{V2_HEADER}` file"
+            )));
+        }
         let body = verify_checksum(text)?;
         if !Self::is_v2(body) {
             return Err(CascnError::Checkpoint(format!(
-                "unrecognized header (expected `{V2_HEADER}`) — \
-                 is this a v1 params file? pass it to `predict --model` instead"
+                "unrecognized header (expected `{V2_HEADER}`)"
             )));
         }
 

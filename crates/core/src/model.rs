@@ -14,8 +14,7 @@ use crate::error::CascnError;
 use crate::input::{preprocess, PreprocessedCascade};
 use crate::parallel::parallel_map;
 use crate::trainer::{
-    predict_with, train_loop, train_loop_ranked, train_loop_resumable, CheckpointPolicy,
-    TrainHooks, TrainOpts,
+    self, expect_trained, predict_with, CheckpointPolicy, Objective, TrainHooks, TrainOpts,
 };
 
 
@@ -243,8 +242,13 @@ impl CascnModel {
         })
     }
 
-    /// Trains on `train`, early-stopping on `val` (Algorithm 2). Returns the
-    /// loss history; the model keeps the best-validation parameters.
+    /// Trains the task `cfg.task` selects on `train`, early-stopping on
+    /// `val` (Algorithm 2). Returns the loss history; the model keeps the
+    /// best-validation parameters.
+    ///
+    /// # Panics
+    /// Panics when `train` yields no trainable example;
+    /// [`CascnModel::fit_resumable`] reports that as an error instead.
     pub fn fit(
         &mut self,
         train: &[Cascade],
@@ -252,30 +256,18 @@ impl CascnModel {
         window: f64,
         opts: &TrainOpts,
     ) -> History {
-        let train_samples = self.preprocess_all(train, window);
-        let train_labels: Vec<f32> = train_samples.iter().map(|s| s.label_log).collect();
-        let val_samples = self.preprocess_all(val, window);
-        let val_increments: Vec<usize> = val_samples.iter().map(|s| s.increment).collect();
-
-        let model = self.clone(); // immutable view for the forward closure
-        let forward = move |tape: &mut Tape, store: &ParamStore, s: &PreprocessedCascade| {
-            model.forward(tape, store, s)
-        };
-        train_loop(
-            &mut self.store,
-            &forward,
-            &train_samples,
-            &train_labels,
-            &val_samples,
-            &val_increments,
-            opts,
-        )
+        self.fit_observed(train, val, window, opts, &mut |_, _| {})
     }
 
     /// [`CascnModel::fit`] with fault tolerance: optionally resumes from a
     /// [`TrainCheckpoint`] and/or writes periodic checkpoints per the
     /// [`CheckpointPolicy`]. An interrupted run resumed from its checkpoint
-    /// finishes bit-identically to an uninterrupted one.
+    /// finishes bit-identically to an uninterrupted one, for either task.
+    ///
+    /// # Errors
+    /// [`CascnError::Config`] when `train` yields no trainable example,
+    /// [`CascnError::Architecture`] when `resume` was written by a model of
+    /// another architecture or task, and checkpoint write failures.
     pub fn fit_resumable(
         &mut self,
         train: &[Cascade],
@@ -285,32 +277,15 @@ impl CascnModel {
         resume: Option<&TrainCheckpoint>,
         checkpoint: Option<&CheckpointPolicy>,
     ) -> Result<History, CascnError> {
-        let train_samples = self.preprocess_all(train, window);
-        let train_labels: Vec<f32> = train_samples.iter().map(|s| s.label_log).collect();
-        let val_samples = self.preprocess_all(val, window);
-        let val_increments: Vec<usize> = val_samples.iter().map(|s| s.increment).collect();
-        let model = self.clone();
-        let forward = move |tape: &mut Tape, store: &ParamStore, s: &PreprocessedCascade| {
-            model.forward(tape, store, s)
-        };
-        train_loop_resumable(
-            &mut self.store,
-            &forward,
-            &train_samples,
-            &train_labels,
-            &val_samples,
-            &val_increments,
-            opts,
-            resume,
-            checkpoint,
-            &mut |_, _| {},
-            TrainHooks::default(),
-        )
+        self.train(train, val, window, opts, resume, checkpoint, &mut |_, _| {})
     }
 
     /// [`CascnModel::fit`] with a per-epoch observer receiving the epoch
     /// index and the current parameters (used to trace metrics on
     /// sub-populations during training, as in Fig. 8).
+    ///
+    /// # Panics
+    /// Panics when `train` yields no trainable example.
     pub fn fit_observed(
         &mut self,
         train: &[Cascade],
@@ -319,24 +294,103 @@ impl CascnModel {
         opts: &TrainOpts,
         observer: &mut dyn FnMut(usize, &ParamStore),
     ) -> History {
-        let train_samples = self.preprocess_all(train, window);
-        let train_labels: Vec<f32> = train_samples.iter().map(|s| s.label_log).collect();
-        let val_samples = self.preprocess_all(val, window);
-        let val_increments: Vec<usize> = val_samples.iter().map(|s| s.increment).collect();
-        let model = self.clone();
-        let forward = move |tape: &mut Tape, store: &ParamStore, s: &PreprocessedCascade| {
-            model.forward(tape, store, s)
-        };
-        crate::trainer::train_loop_observed(
-            &mut self.store,
-            &forward,
-            &train_samples,
-            &train_labels,
-            &val_samples,
-            &val_increments,
-            opts,
-            observer,
-        )
+        expect_trained(self.train(train, val, window, opts, None, None, observer))
+    }
+
+    /// Trains the next-user head (and the shared recurrent stack) with
+    /// next-event cross-entropy: [`CascnModel::fit_resumable`] without
+    /// checkpointing, on a model built for [`TaskKind::NextUser`].
+    ///
+    /// # Errors
+    /// [`CascnError::Config`] when the model was built for another task or
+    /// no cascade in `train` yields a trainable next-user example.
+    pub fn fit_next_user(
+        &mut self,
+        train: &[Cascade],
+        val: &[Cascade],
+        window: f64,
+        opts: &TrainOpts,
+    ) -> Result<History, CascnError> {
+        if self.cfg.task != TaskKind::NextUser {
+            return Err(CascnError::Config(
+                "fit_next_user requires a model built with task next-user".into(),
+            ));
+        }
+        self.fit_resumable(train, val, window, opts, None, None)
+    }
+
+    /// The one training path behind every `fit*` method: builds the samples
+    /// `cfg.task` trains on and runs the shared loop. Size regression fits
+    /// the log-increment of every preprocessed cascade; next-user fits the
+    /// next-event cross-entropy of every prefix with an in-vocabulary
+    /// target. Gradients are merged in example order, so the result is
+    /// bit-identical for any thread count.
+    #[allow(clippy::too_many_arguments)]
+    fn train(
+        &mut self,
+        train: &[Cascade],
+        val: &[Cascade],
+        window: f64,
+        opts: &TrainOpts,
+        resume: Option<&TrainCheckpoint>,
+        checkpoint: Option<&CheckpointPolicy>,
+        observer: &mut dyn FnMut(usize, &ParamStore),
+    ) -> Result<History, CascnError> {
+        match self.cfg.task {
+            TaskKind::SizeRegression => {
+                let train_samples = self.preprocess_all(train, window);
+                let train_labels: Vec<f32> = train_samples.iter().map(|s| s.label_log).collect();
+                let val_samples = self.preprocess_all(val, window);
+                let val_increments: Vec<usize> = val_samples.iter().map(|s| s.increment).collect();
+                let model = self.clone(); // immutable view for the forward closure
+                let forward = move |tape: &mut Tape, store: &ParamStore, s: &PreprocessedCascade| {
+                    model.forward(tape, store, s)
+                };
+                let objective = Objective::Regression {
+                    forward: &forward,
+                    train_labels: &train_labels,
+                    val_increments: &val_increments,
+                };
+                trainer::run(
+                    &mut self.store,
+                    &objective,
+                    &train_samples,
+                    &val_samples,
+                    opts,
+                    resume,
+                    checkpoint,
+                    observer,
+                    TrainHooks::default(),
+                )
+            }
+            TaskKind::NextUser => {
+                let collect = |cascades: &[Cascade]| -> Vec<NextUserSample> {
+                    parallel_map(self.cfg.threads, cascades, |_, c| {
+                        self.next_sample(c, window)
+                    })
+                    .into_iter()
+                    .flatten()
+                    .collect()
+                };
+                let train_samples = collect(train);
+                let val_samples = collect(val);
+                let model = self.clone(); // immutable view for the loss closure
+                let loss = move |tape: &mut Tape, store: &ParamStore, s: &NextUserSample| {
+                    model.next_loss(tape, store, s)
+                };
+                trainer::run(
+                    &mut self.store,
+                    &Objective::Ranked { loss: &loss },
+                    &train_samples,
+                    &val_samples,
+                    opts,
+                    resume,
+                    checkpoint,
+                    observer,
+                    TrainHooks::default(),
+                )
+            }
+        }
     }
 
     /// Predicted log-increment `ln(1 + ΔS)` for a cascade.
@@ -436,39 +490,6 @@ impl CascnModel {
             .loss(tape, store, rep, &sample.mask, sample.target_row)
     }
 
-    /// Trains the next-user head (and the shared recurrent stack) with
-    /// next-event cross-entropy. Gradients are merged in example order by
-    /// the shared trainer, so the result is bit-identical for any
-    /// `cfg.threads`. Returns the loss history; the model keeps the
-    /// best-validation parameters.
-    pub fn fit_next_user(
-        &mut self,
-        train: &[Cascade],
-        val: &[Cascade],
-        window: f64,
-        opts: &TrainOpts,
-    ) -> History {
-        let collect = |cascades: &[Cascade]| -> Vec<NextUserSample> {
-            parallel_map(self.cfg.threads, cascades, |_, c| {
-                self.next_sample(c, window)
-            })
-            .into_iter()
-            .flatten()
-            .collect()
-        };
-        let train_samples = collect(train);
-        let val_samples = collect(val);
-        assert!(
-            !train_samples.is_empty(),
-            "fit_next_user: no trainable next-user example in the training split"
-        );
-        let model = self.clone();
-        let loss = move |tape: &mut Tape, store: &ParamStore, s: &NextUserSample| {
-            model.next_loss(tape, store, s)
-        };
-        train_loop_ranked(&mut self.store, &loss, &train_samples, &val_samples, opts)
-    }
-
     /// Masked next-user probabilities over the head's table for an
     /// already-preprocessed prefix. Rows of users in `observed` (and UNK)
     /// have probability exactly `0.0`.
@@ -545,9 +566,9 @@ impl CascnModel {
     }
 
     /// Wraps the current parameters in a v2 [`TrainCheckpoint`] with empty
-    /// optimizer state — the format [`CascnModel::load`] and the serving
-    /// registry consume. Lets a freshly trained next-user model be exported
-    /// for `cascn-serve` without going through the resumable trainer.
+    /// optimizer state — the one model file: what `cascn train --out`
+    /// writes, and what [`CascnModel::load`] and the serving registry
+    /// consume.
     pub fn export_checkpoint(&self) -> TrainCheckpoint {
         TrainCheckpoint {
             epoch: 0,
@@ -573,28 +594,18 @@ impl CascnModel {
         }
     }
 
-    /// Saves the trained parameters to a text checkpoint.
-    pub fn save(&self, path: impl AsRef<std::path::Path>) -> std::io::Result<()> {
-        self.store.save(path)
-    }
-
-    /// Loads parameters from a checkpoint written by [`CascnModel::save`]
-    /// (v1 params file) or from a v2 train checkpoint (preferring the best
-    /// validation-epoch parameters) into a freshly built model with the same
-    /// configuration.
+    /// Loads a model file — the v2 train checkpoint `cascn train --out` and
+    /// [`CascnModel::export_checkpoint`] write — into a freshly built model
+    /// of configuration `cfg`, preferring the best validation-epoch
+    /// parameters.
     ///
     /// # Errors
-    /// Fails on I/O or parse errors, or when the checkpoint does not cover
+    /// Fails on I/O errors, a corrupt or non-v2 file (including the retired
+    /// `# cascn params v1` format), or when the checkpoint does not cover
     /// every parameter of this architecture.
     pub fn load(cfg: CascnConfig, path: impl AsRef<std::path::Path>) -> std::io::Result<Self> {
-        let text = std::fs::read_to_string(path)?;
-        if TrainCheckpoint::is_v2(&text) {
-            let ckpt = TrainCheckpoint::from_text(&text).map_err(std::io::Error::other)?;
-            Self::from_checkpoint(cfg, &ckpt).map_err(std::io::Error::other)
-        } else {
-            let params = ParamStore::from_text(&text).map_err(std::io::Error::other)?;
-            Self::with_params(cfg, &params).map_err(std::io::Error::other)
-        }
+        let ckpt = TrainCheckpoint::load(path).map_err(std::io::Error::other)?;
+        Self::from_checkpoint(cfg, &ckpt).map_err(std::io::Error::other)
     }
 
     /// Builds an inference-ready model of configuration `cfg` from an
@@ -720,8 +731,8 @@ mod tests {
         model.store.value_mut(id).as_mut_slice()[0] = 0.777;
         let dir = std::env::temp_dir().join("cascn_model_ckpt");
         std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("m.params");
-        model.save(&path).unwrap();
+        let path = dir.join("m.ckpt");
+        model.export_checkpoint().save(&path).unwrap();
         let loaded = CascnModel::load(tiny_cfg(), &path).unwrap();
         let a = model.predict_log(&data.cascades[0], 3600.0);
         let b = loaded.predict_log(&data.cascades[0], 3600.0);
@@ -734,14 +745,27 @@ mod tests {
         let model = CascnModel::new(tiny_cfg());
         let dir = std::env::temp_dir().join("cascn_model_ckpt2");
         std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("m.params");
-        model.save(&path).unwrap();
+        let path = dir.join("m.ckpt");
+        model.export_checkpoint().save(&path).unwrap();
         let bigger = CascnConfig {
             hidden: 8,
             ..tiny_cfg()
         };
         let err = CascnModel::load(bigger, &path);
         assert!(err.is_err(), "differing hidden size must be rejected");
+        std::fs::remove_file(path).ok();
+    }
+
+    #[test]
+    fn load_rejects_v1_params_files_by_name() {
+        let model = CascnModel::new(tiny_cfg());
+        let dir = std::env::temp_dir().join("cascn_model_v1");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("m.params");
+        std::fs::write(&path, model.params().to_text()).unwrap();
+        let err = CascnModel::load(tiny_cfg(), &path).unwrap_err().to_string();
+        assert!(err.contains("# cascn params v1"), "error must name the format: {err}");
+        assert!(err.contains("no longer supported"), "{err}");
         std::fs::remove_file(path).ok();
     }
 
@@ -955,12 +979,14 @@ mod tests {
                 threads,
                 ..next_cfg()
             });
-            let hist = model.fit_next_user(
-                &data.split(Split::Train)[..30],
-                &data.split(Split::Validation)[..10],
-                window,
-                &TrainOpts { threads, ..opts },
-            );
+            let hist = model
+                .fit_next_user(
+                    &data.split(Split::Train)[..30],
+                    &data.split(Split::Validation)[..10],
+                    window,
+                    &TrainOpts { threads, ..opts },
+                )
+                .unwrap();
             (model, hist)
         };
         let (m1, h1) = run(1);
@@ -984,6 +1010,105 @@ mod tests {
                 assert_eq!(a.1.to_bits(), b.1.to_bits());
             }
         }
+    }
+
+    #[test]
+    fn next_user_fit_rolls_back_injected_non_finite_gradients() {
+        use cascn_nn::train::AnomalyKind;
+        let data = tiny_data();
+        let window = 3600.0;
+        let mut model = CascnModel::new(next_cfg());
+        let samples: Vec<NextUserSample> = data.split(Split::Train)[..24]
+            .iter()
+            .filter_map(|c| model.next_sample(c, window))
+            .collect();
+        assert!(samples.len() >= 12, "only {} next-user samples", samples.len());
+        let view = model.clone();
+        let loss = move |tape: &mut Tape, store: &ParamStore, s: &NextUserSample| {
+            view.next_loss(tape, store, s)
+        };
+        let opts = TrainOpts {
+            epochs: 3,
+            patience: 3,
+            batch_size: 4,
+            guard: crate::trainer::GuardOpts {
+                rollback_after: 2,
+                ..Default::default()
+            },
+            ..TrainOpts::default()
+        };
+        // Poison every gradient of epoch 2: two bad batches in a row must
+        // roll the model back to the epoch-1 snapshot.
+        let mut inject = |epoch: usize, _batch: usize, s: &mut ParamStore| {
+            if epoch == 2 {
+                let id = s.ids().next().unwrap();
+                let mut g = s.grad(id).clone();
+                g.as_mut_slice()[0] = f32::NAN;
+                s.zero_grads();
+                s.accumulate_grad(id, &g);
+            }
+        };
+        let hist = trainer::run(
+            &mut model.store,
+            &Objective::Ranked { loss: &loss },
+            &samples,
+            &[],
+            &opts,
+            None,
+            None,
+            &mut |_, _| {},
+            TrainHooks {
+                post_grad: Some(&mut inject),
+            },
+        )
+        .unwrap();
+        assert!(
+            hist.anomalies().iter().any(|a| a.kind == AnomalyKind::Rollback),
+            "expected a rollback: {:?}",
+            hist.anomalies()
+        );
+        assert!(!model.store.values_non_finite(), "parameters must end finite");
+    }
+
+    #[test]
+    fn resuming_a_size_checkpoint_as_next_user_is_an_architecture_error() {
+        let data = tiny_data();
+        let window = 3600.0;
+        let dir = std::env::temp_dir().join("cascn_model_cross_task");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("size.ckpt");
+        let opts = TrainOpts {
+            epochs: 1,
+            ..TrainOpts::default()
+        };
+        let policy = CheckpointPolicy {
+            path: path.clone(),
+            every: 1,
+        };
+        let train = &data.split(Split::Train)[..20];
+        CascnModel::new(tiny_cfg())
+            .fit_resumable(train, &[], window, &opts, None, Some(&policy))
+            .unwrap();
+        let ckpt = TrainCheckpoint::load(&path).unwrap();
+        let err = CascnModel::new(next_cfg())
+            .fit_resumable(train, &[], window, &opts, Some(&ckpt), None)
+            .unwrap_err();
+        assert!(matches!(err, CascnError::Architecture(_)), "{err}");
+        std::fs::remove_file(path).ok();
+    }
+
+    #[test]
+    fn fit_next_user_rejects_an_untrainable_split() {
+        let data = tiny_data();
+        // An observation window past every event leaves no next adopter.
+        let err = CascnModel::new(next_cfg())
+            .fit_next_user(&data.cascades[..20], &[], 1e12, &TrainOpts::default())
+            .unwrap_err();
+        assert!(matches!(err, CascnError::Config(_)), "{err}");
+        let err = CascnModel::new(tiny_cfg())
+            .fit_next_user(&data.cascades[..20], &[], 3600.0, &TrainOpts::default())
+            .unwrap_err();
+        assert!(matches!(err, CascnError::Config(_)), "{err}");
     }
 
     #[test]

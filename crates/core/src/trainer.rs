@@ -1,6 +1,8 @@
-//! The Algorithm 2 training loop, shared by CasCN, its variants, and the
-//! deep baselines — hardened with an anomaly guard, periodic resumable
-//! checkpoints, and deterministic fault-injection hooks.
+//! The Algorithm 2 training loop, shared by CasCN (size regression and the
+//! next-user head), its variants, and the deep baselines — hardened with an
+//! anomaly guard, periodic resumable checkpoints, and deterministic
+//! fault-injection hooks. [`run`] is the one loop; an [`Objective`] supplies
+//! its per-sample loss and validation score.
 
 use std::path::PathBuf;
 
@@ -106,23 +108,87 @@ pub struct TrainHooks<'a> {
     pub post_grad: Option<PostGradHook<'a>>,
 }
 
-/// Runs the generic train loop over preprocessed samples.
+/// A forward closure: builds one sample's computation on `tape` against a
+/// read-only parameter view and returns its `1x1` output.
+pub type Forward<'a, S> = dyn Fn(&mut Tape, &ParamStore, &S) -> Var + Sync + 'a;
+
+/// What one training run minimizes and how it scores validation.
+pub enum Objective<'a, S> {
+    /// Size regression: the forward pass predicts the log-increment, training
+    /// minimizes its squared error to `train_labels` (Eq. 19), and validation
+    /// is scored by MSLE (Eq. 20) against `val_increments`.
+    Regression {
+        /// Per-sample prediction.
+        forward: &'a Forward<'a, S>,
+        /// `ln(1 + ΔS)` target of every training sample.
+        train_labels: &'a [f32],
+        /// True increment `ΔS` of every validation sample.
+        val_increments: &'a [usize],
+    },
+    /// A ranking task whose per-sample loss is built inside the closure —
+    /// the next-user head's masked cross-entropy, where the loss depends on
+    /// per-sample structure (target row, infected mask) rather than a scalar
+    /// label. Validation is scored by the mean of the same loss.
+    Ranked {
+        /// Per-sample `1x1` loss.
+        loss: &'a Forward<'a, S>,
+    },
+}
+
+impl<S: Sync> Objective<'_, S> {
+    /// Builds the training loss of `train[i]` on `tape`.
+    fn loss(&self, tape: &mut Tape, store: &ParamStore, train: &[S], i: usize) -> Var {
+        match self {
+            Objective::Regression {
+                forward,
+                train_labels,
+                ..
+            } => {
+                let pred = forward(tape, store, &train[i]);
+                tape.squared_error(pred, train_labels[i])
+            }
+            Objective::Ranked { loss } => loss(tape, store, &train[i]),
+        }
+    }
+
+    /// Validation score of the current parameters (lower is better), with
+    /// the per-sample passes fanned out across `threads` workers.
+    fn score(&self, store: &ParamStore, val: &[S], threads: usize) -> f32 {
+        match self {
+            Objective::Regression {
+                forward,
+                val_increments,
+                ..
+            } => {
+                let preds = parallel_map(threads, val, |_, s| predict_with(store, *forward, s));
+                metrics::msle(&preds, val_increments)
+            }
+            Objective::Ranked { loss } => {
+                let losses = parallel_map(threads, val, |_, s| predict_with(store, *loss, s));
+                losses.iter().sum::<f32>() / losses.len() as f32
+            }
+        }
+    }
+}
+
+/// Size-regression training without checkpointing: [`run`] with an
+/// [`Objective::Regression`] objective. After every epoch the validation
+/// MSLE (Eq. 20) is recorded, and the parameters of the best validation
+/// epoch are restored before returning.
 ///
-/// `forward` builds the model's forward pass for one sample and returns the
-/// `1x1` predicted log-increment. Training minimizes the squared error to
-/// `train_labels` (Eq. 19); after every epoch the validation MSLE (Eq. 20)
-/// is recorded, and the parameters of the best validation epoch are restored
-/// before returning.
+/// # Panics
+/// Panics on an empty training set — the only error a run without
+/// checkpointing can produce.
 pub fn train_loop<S: Sync>(
     store: &mut ParamStore,
-    forward: &(dyn Fn(&mut Tape, &ParamStore, &S) -> Var + Sync),
+    forward: &Forward<'_, S>,
     train: &[S],
     train_labels: &[f32],
     val: &[S],
     val_increments: &[usize],
     opts: &TrainOpts,
 ) -> History {
-    train_loop_observed(
+    expect_trained(train_loop_resumable(
         store,
         forward,
         train,
@@ -130,43 +196,52 @@ pub fn train_loop<S: Sync>(
         val,
         val_increments,
         opts,
+        None,
+        None,
         &mut |_, _| {},
-    )
+        TrainHooks::default(),
+    ))
 }
 
-/// [`train_loop`] with a per-epoch observer: after every epoch the observer
-/// receives the (1-based) epoch index and the current parameters — used by
-/// the Fig. 8 experiment to trace MSLE on sub-populations during training.
+/// Unwraps the result of a run without resume or checkpointing, whose only
+/// error is an empty training set — the documented panic of the infallible
+/// entry points ([`train_loop`], `CascnModel::fit`).
+pub(crate) fn expect_trained(result: Result<History, CascnError>) -> History {
+    // lint: allow(no-panic) — documented panic of the infallible entry points: without resume/checkpoint the only Err is an empty training set
+    result.expect("training without checkpointing fails only on an empty training set")
+}
+
+/// [`run`] for size regression, taking the objective's parts directly.
 #[allow(clippy::too_many_arguments)]
-pub fn train_loop_observed<S: Sync>(
+pub fn train_loop_resumable<S: Sync>(
     store: &mut ParamStore,
-    forward: &(dyn Fn(&mut Tape, &ParamStore, &S) -> Var + Sync),
+    forward: &Forward<'_, S>,
     train: &[S],
     train_labels: &[f32],
     val: &[S],
     val_increments: &[usize],
     opts: &TrainOpts,
+    resume: Option<&TrainCheckpoint>,
+    checkpoint: Option<&CheckpointPolicy>,
     observer: &mut dyn FnMut(usize, &ParamStore),
-) -> History {
-    train_loop_resumable(
-        store,
+    hooks: TrainHooks<'_>,
+) -> Result<History, CascnError> {
+    assert_eq!(train.len(), train_labels.len(), "train labels mismatch");
+    assert_eq!(val.len(), val_increments.len(), "val labels mismatch");
+    let objective = Objective::Regression {
         forward,
-        train,
         train_labels,
-        val,
         val_increments,
-        opts,
-        None,
-        None,
-        observer,
-        TrainHooks::default(),
-    )
-    // lint: allow(no-panic) — infallible here: every Err path in train_loop_resumable requires checkpoint/resume, and both are None
-    .expect("train_loop without checkpointing cannot fail")
+    };
+    run(store, &objective, train, val, opts, resume, checkpoint, observer, hooks)
 }
 
-/// The full-fat training loop: [`train_loop_observed`] plus resumable
-/// checkpointing and fault-injection hooks.
+/// The Algorithm 2 training loop: batched Adam on `objective` with early
+/// stopping, resumable checkpointing and fault-injection hooks. After every
+/// epoch the objective's validation score is recorded (falling back to the
+/// train loss when `val` is empty), the observer receives the (1-based)
+/// epoch index and the current parameters, and the parameters of the best
+/// validation epoch are restored before returning.
 ///
 /// * `resume` — continue a run from a [`TrainCheckpoint`]: parameters, Adam
 ///   moments, early-stopping state, loss history, effective learning rate
@@ -181,23 +256,31 @@ pub fn train_loop_observed<S: Sync>(
 /// consecutive bad batches — or a non-finite *parameter* after a step —
 /// roll the model and optimizer back to the last healthy epoch snapshot.
 /// Every event lands in the returned [`History`]'s anomaly log.
+///
+/// Per-example tapes run on `opts.threads` workers, but gradients are merged
+/// in example-index order, so any thread count is bit-identical.
+///
+/// # Errors
+/// [`CascnError::Config`] on an empty training set or a resume shuffle-seed
+/// mismatch, [`CascnError::Architecture`] when `resume` does not fit
+/// `store`, and checkpoint write failures.
 #[allow(clippy::too_many_arguments)]
-pub fn train_loop_resumable<S: Sync>(
+pub fn run<S: Sync>(
     store: &mut ParamStore,
-    forward: &(dyn Fn(&mut Tape, &ParamStore, &S) -> Var + Sync),
+    objective: &Objective<'_, S>,
     train: &[S],
-    train_labels: &[f32],
     val: &[S],
-    val_increments: &[usize],
     opts: &TrainOpts,
     resume: Option<&TrainCheckpoint>,
     checkpoint: Option<&CheckpointPolicy>,
     observer: &mut dyn FnMut(usize, &ParamStore),
     mut hooks: TrainHooks<'_>,
 ) -> Result<History, CascnError> {
-    assert_eq!(train.len(), train_labels.len(), "train labels mismatch");
-    assert_eq!(val.len(), val_increments.len(), "val labels mismatch");
-    assert!(!train.is_empty(), "train_loop: empty training set");
+    if train.is_empty() {
+        return Err(CascnError::Config(
+            "empty training set: no trainable example in the training split".into(),
+        ));
+    }
 
     let guard = opts.guard;
     let mut opt = Adam::with_lr(opts.lr);
@@ -268,8 +351,7 @@ pub fn train_loop_resumable<S: Sync>(
             let store_view: &ParamStore = store;
             let per_example = parallel_map(opts.threads, &batch, |_, &i| {
                 let mut tape = Tape::new();
-                let pred = forward(&mut tape, store_view, &train[i]);
-                let loss = tape.squared_error(pred, train_labels[i]);
+                let loss = objective.loss(&mut tape, store_view, train, i);
                 let loss_val = tape.scalar(loss) as f64;
                 tape.backward(loss);
                 (loss_val, tape.param_grads())
@@ -337,11 +419,7 @@ pub fn train_loop_resumable<S: Sync>(
         let val_loss = if val.is_empty() {
             train_loss
         } else {
-            let store_view: &ParamStore = store;
-            let preds = parallel_map(opts.threads, val, |_, s| {
-                predict_with(store_view, forward, s)
-            });
-            metrics::msle(&preds, val_increments)
+            objective.score(store, val, opts.threads)
         };
         history.push(train_loss, val_loss);
         observer(epoch + 1, store);
@@ -384,112 +462,6 @@ pub fn train_loop_resumable<S: Sync>(
         *store = best;
     }
     Ok(history)
-}
-
-/// The training loop for tasks whose loss is built *inside* the forward
-/// closure — the next-user head's masked cross-entropy, where the loss
-/// depends on per-sample structure (target index, infected mask) rather
-/// than a scalar label.
-///
-/// `loss_forward` returns the per-example `1x1` loss variable directly.
-/// Validation records the mean of the same loss over `val` (falling back
-/// to the train loss when `val` is empty); early stopping and
-/// best-parameter restoration follow [`train_loop`].
-///
-/// Thread parity is preserved exactly as in [`train_loop`]: per-example
-/// tapes run in parallel but gradients are merged in example-index order
-/// via `merge_grads`, so any `opts.threads` produces bit-identical
-/// parameters. The anomaly guard degrades gracefully here — non-finite
-/// batches are skipped with a learning-rate backoff, without the epoch
-/// rollback machinery (ranked training has no resumable-checkpoint path).
-pub fn train_loop_ranked<S: Sync>(
-    store: &mut ParamStore,
-    loss_forward: &(dyn Fn(&mut Tape, &ParamStore, &S) -> Var + Sync),
-    train: &[S],
-    val: &[S],
-    opts: &TrainOpts,
-) -> History {
-    assert!(!train.is_empty(), "train_loop_ranked: empty training set");
-
-    let guard = opts.guard;
-    let mut opt = Adam::with_lr(opts.lr);
-    let mut rng = StdRng::seed_from_u64(opts.shuffle_seed);
-    let mut stopper = EarlyStopping::new(opts.patience);
-    let mut history = History::new();
-    let mut best_params: Option<ParamStore> = None;
-    let mut eff_lr = opts.lr;
-
-    for epoch in 0..opts.epochs {
-        let mut train_loss = 0.0f64;
-        let mut counted = 0usize;
-        for (batch_idx, batch) in shuffled_batches(train.len(), opts.batch_size, &mut rng)
-            .into_iter()
-            .enumerate()
-        {
-            store.zero_grads();
-            let store_view: &ParamStore = store;
-            let per_example = parallel_map(opts.threads, &batch, |_, &i| {
-                let mut tape = Tape::new();
-                let loss = loss_forward(&mut tape, store_view, &train[i]);
-                let loss_val = tape.scalar(loss) as f64;
-                tape.backward(loss);
-                (loss_val, tape.param_grads())
-            });
-            let mut batch_loss = 0.0f64;
-            for (loss_val, grads) in &per_example {
-                batch_loss += loss_val;
-                store.merge_grads(grads);
-            }
-            store.scale_grads(1.0 / batch.len() as f32);
-            if opts.grad_clip > 0.0 {
-                store.clip_grad_norm(opts.grad_clip);
-            }
-
-            if guard.enabled && (!batch_loss.is_finite() || store.grads_non_finite()) {
-                let kind = if batch_loss.is_finite() {
-                    AnomalyKind::NonFiniteGrad
-                } else {
-                    AnomalyKind::NonFiniteLoss
-                };
-                history.log_anomaly(epoch + 1, batch_idx, kind);
-                eff_lr *= guard.lr_backoff;
-                continue; // discard this step
-            }
-
-            opt.set_lr(eff_lr);
-            opt.step(store);
-            eff_lr = (eff_lr * guard.lr_recovery).min(opts.lr);
-            train_loss += batch_loss;
-            counted += batch.len();
-        }
-        let train_loss = if counted == 0 {
-            f32::NAN
-        } else {
-            (train_loss / counted as f64) as f32
-        };
-
-        let val_loss = if val.is_empty() {
-            train_loss
-        } else {
-            let store_view: &ParamStore = store;
-            let losses = parallel_map(opts.threads, val, |_, s| {
-                predict_with(store_view, loss_forward, s)
-            });
-            losses.iter().sum::<f32>() / losses.len() as f32
-        };
-        history.push(train_loss, val_loss);
-        let improved = val_loss <= stopper.best();
-        if improved || best_params.is_none() {
-            best_params = Some(store.clone());
-        }
-        if stopper.observe(val_loss) {
-            break;
-        }
-    }
-    if let Some(best) = best_params {
-        *store = best;
-    }
-    history
 }
 
 /// Restores `store`'s values from `saved`, requiring full name/shape
@@ -559,11 +531,7 @@ fn roll_back(
 
 /// Runs `forward` for one sample on a fresh tape and returns the scalar
 /// prediction.
-pub fn predict_with<S>(
-    store: &ParamStore,
-    forward: &(dyn Fn(&mut Tape, &ParamStore, &S) -> Var + Sync),
-    sample: &S,
-) -> f32 {
+pub fn predict_with<S>(store: &ParamStore, forward: &Forward<'_, S>, sample: &S) -> f32 {
     let mut tape = Tape::new();
     let pred = forward(&mut tape, store, sample);
     tape.scalar(pred)
@@ -573,6 +541,20 @@ pub fn predict_with<S>(
 mod tests {
     use super::*;
     use cascn_tensor::Matrix;
+
+    /// [`run`] with a ranked (per-sample loss) objective and no
+    /// checkpointing.
+    fn run_ranked<S: Sync>(
+        store: &mut ParamStore,
+        loss: &Forward<'_, S>,
+        train: &[S],
+        val: &[S],
+        opts: &TrainOpts,
+        hooks: TrainHooks<'_>,
+    ) -> Result<History, CascnError> {
+        let objective = Objective::Ranked { loss };
+        run(store, &objective, train, val, opts, None, None, &mut |_, _| {}, hooks)
+    }
 
     /// Fits y = log-label through a single weight: the loop must drive the
     /// weight toward the mean label.
@@ -654,7 +636,8 @@ mod tests {
             lr: 0.1,
             ..TrainOpts::default()
         };
-        let hist = train_loop_ranked(&mut store, &loss_forward, &train, &val, &opts);
+        let hist = run_ranked(&mut store, &loss_forward, &train, &val, &opts, TrainHooks::default())
+            .unwrap();
         let first = hist.records()[0].val_loss;
         let last = hist.records().last().unwrap().val_loss;
         assert!(last < first * 0.2, "cross-entropy should shrink: {first} → {last}");
@@ -684,7 +667,8 @@ mod tests {
                 threads,
                 ..TrainOpts::default()
             };
-            let _ = train_loop_ranked(&mut store, &loss_forward, &train, &[], &opts);
+            run_ranked(&mut store, &loss_forward, &train, &[], &opts, TrainHooks::default())
+                .unwrap();
             store
                 .value(w)
                 .as_slice()

@@ -288,7 +288,7 @@ fn cli_resume_and_error_paths() {
     ];
 
     // Control run: 4 epochs, save final model.
-    let control_model = dir.join("control.params");
+    let control_model = dir.join("control.ckpt");
     let mut args = vec!["train"];
     args.extend_from_slice(&common);
     args.extend_from_slice(&["--epochs", "4", "--out", control_model.to_str().unwrap()]);
@@ -304,7 +304,7 @@ fn cli_resume_and_error_paths() {
     assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
 
     // …resumed to 4 epochs.
-    let resumed_model = dir.join("resumed.params");
+    let resumed_model = dir.join("resumed.ckpt");
     let mut args = vec!["train"];
     args.extend_from_slice(&common);
     args.extend_from_slice(&[
@@ -360,6 +360,19 @@ fn cli_resume_and_error_paths() {
         "stderr: {stderr}"
     );
     assert_eq!(stderr.trim().lines().count(), 1, "stderr: {stderr}");
+
+    // A next-user run whose window swallows every event has no next
+    // adopter to train on: a clean error exit, not a panic.
+    let mut args = vec!["train"];
+    args.extend_from_slice(&common);
+    let at = args.iter().position(|a| *a == "3600").unwrap();
+    args[at] = "1000000000";
+    args.extend_from_slice(&["--task", "next-user", "--epochs", "1"]);
+    let out = run(&args);
+    assert_eq!(out.status.code(), Some(1), "must exit 1, not panic (101)");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!stderr.contains("panicked"), "stderr: {stderr}");
+    assert!(stderr.contains("empty training set"), "stderr: {stderr}");
 
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -138,90 +138,6 @@ impl Csr {
         &self.entries[self.row_ptr[r]..self.row_ptr[r + 1]]
     }
 
-    /// Widens the column space to `n_cols` (existing entries keep their
-    /// coordinates). Used when a streaming operator grows by one node: the
-    /// new column exists before the new row's entries reference it.
-    ///
-    /// # Panics
-    /// Panics if `n_cols` would shrink the matrix.
-    pub fn grow_cols(&mut self, n_cols: usize) {
-        assert!(
-            n_cols >= self.n_cols,
-            "grow_cols: cannot shrink {} cols to {n_cols}",
-            self.n_cols
-        );
-        self.n_cols = n_cols;
-    }
-
-    /// Appends one row of `(column, value)` pairs with strictly ascending
-    /// columns — the `O(row nnz)` growth step behind incremental spectral
-    /// updates (a cascade gaining one adopter gains one operator row).
-    ///
-    /// # Panics
-    /// Panics if any column is out of range or not strictly ascending.
-    pub fn push_row(&mut self, row: &[(usize, f32)]) {
-        let r = self.n_rows;
-        let mut prev: Option<usize> = None;
-        for &(c, _) in row {
-            assert!(c < self.n_cols, "entry ({r},{c}) out of range for {} cols", self.n_cols);
-            assert!(
-                prev.is_none_or(|p| p < c),
-                "row {r} columns not strictly ascending at {c}"
-            );
-            prev = Some(c);
-        }
-        self.entries.extend_from_slice(row);
-        self.row_ptr.push(self.entries.len());
-        self.n_rows += 1;
-    }
-
-    /// Replaces row `r` with new `(column, value)` pairs (strictly ascending
-    /// columns). When the new row has the same number of entries the values
-    /// are written in place; otherwise the entry store is spliced and later
-    /// row pointers shifted — `O(nnz after row r)`, still far below a full
-    /// rebuild. This is the structural edit an edge insertion needs: only
-    /// the parent's row changes shape.
-    ///
-    /// # Panics
-    /// Panics if `r` or any column is out of range, or columns are not
-    /// strictly ascending.
-    pub fn set_row(&mut self, r: usize, row: &[(usize, f32)]) {
-        assert!(r < self.n_rows, "row {r} out of range");
-        let mut prev: Option<usize> = None;
-        for &(c, _) in row {
-            assert!(c < self.n_cols, "entry ({r},{c}) out of range for {} cols", self.n_cols);
-            assert!(
-                prev.is_none_or(|p| p < c),
-                "row {r} columns not strictly ascending at {c}"
-            );
-            prev = Some(c);
-        }
-        let (start, end) = (self.row_ptr[r], self.row_ptr[r + 1]);
-        if row.len() == end - start {
-            self.entries[start..end].copy_from_slice(row);
-            return;
-        }
-        let shift = row.len() as isize - (end - start) as isize;
-        self.entries.splice(start..end, row.iter().copied());
-        for p in &mut self.row_ptr[r + 1..] {
-            *p = p.wrapping_add_signed(shift);
-        }
-    }
-
-    /// In-place value refresh for row `r`: yields `(column, &mut value)` for
-    /// each stored entry, leaving the structure untouched. A global scaling
-    /// change (the stationary distribution moved under every entry) rewrites
-    /// all values in `O(nnz)` without reallocating.
-    ///
-    /// # Panics
-    /// Panics if `r` is out of range.
-    pub fn row_values_mut(&mut self, r: usize) -> impl Iterator<Item = (usize, &mut f32)> + '_ {
-        assert!(r < self.n_rows, "row {r} out of range");
-        self.entries[self.row_ptr[r]..self.row_ptr[r + 1]]
-            .iter_mut()
-            .map(|(c, v)| (*c, v))
-    }
-
     /// Dense conversion (duplicates sum).
     pub fn to_dense(&self) -> Matrix {
         let mut m = Matrix::zeros(self.n_rows, self.n_cols);
@@ -610,64 +526,6 @@ mod tests {
     #[should_panic(expected = "spmm")]
     fn spmm_rejects_mismatched_shapes() {
         let _ = sample().spmm(&Matrix::zeros(2, 2));
-    }
-
-    #[test]
-    fn push_row_and_grow_cols_extend_incrementally() {
-        let mut c = sample();
-        c.grow_cols(4);
-        c.push_row(&[(0, 5.0), (3, -1.0)]);
-        assert_eq!((c.rows(), c.cols(), c.nnz()), (4, 4, 6));
-        assert_eq!(c.row(3), &[(0, 5.0), (3, -1.0)]);
-        // Incremental construction matches batch construction exactly.
-        let rows: Vec<Vec<(usize, f32)>> = (0..c.rows()).map(|r| c.row(r).to_vec()).collect();
-        assert_eq!(Csr::from_rows(c.cols(), &rows), c);
-    }
-
-    #[test]
-    fn set_row_splices_structure_and_preserves_neighbors() {
-        let mut c = sample();
-        let before_r1 = c.row(1).to_vec();
-        // Same-arity replacement: in-place.
-        c.set_row(0, &[(0, 9.0), (1, 8.0)]);
-        assert_eq!(c.row(0), &[(0, 9.0), (1, 8.0)]);
-        assert_eq!(c.row(1), &before_r1[..]);
-        // Grow row 0 by one entry: later rows must shift intact.
-        c.set_row(0, &[(0, 1.0), (1, 2.0), (2, 3.0)]);
-        assert_eq!(c.nnz(), 5);
-        assert_eq!(c.row(1), &before_r1[..]);
-        assert_eq!(c.row(2), &[(0, 4.0)]);
-        // Shrink to empty.
-        c.set_row(0, &[]);
-        assert_eq!(c.row(0), &[]);
-        assert_eq!(c.row(2), &[(0, 4.0)]);
-    }
-
-    #[test]
-    fn row_values_mut_rewrites_without_structural_change() {
-        let mut c = sample();
-        let dense_before = c.to_dense();
-        for r in 0..c.rows() {
-            for (_, v) in c.row_values_mut(r) {
-                *v *= 2.0;
-            }
-        }
-        let mut expect = dense_before;
-        expect.as_mut_slice().iter_mut().for_each(|x| *x *= 2.0);
-        assert_eq!(c.to_dense().as_slice(), expect.as_slice());
-    }
-
-    #[test]
-    #[should_panic(expected = "cannot shrink")]
-    fn grow_cols_rejects_shrinking() {
-        sample().grow_cols(2);
-    }
-
-    #[test]
-    #[should_panic(expected = "strictly ascending")]
-    fn push_row_rejects_unsorted_columns() {
-        let mut c = sample();
-        c.push_row(&[(2, 1.0), (1, 2.0)]);
     }
 
     fn sample_op() -> SparseOp {

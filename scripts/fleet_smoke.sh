@@ -82,11 +82,11 @@ metric() { # NAME FILE — value of an exact-name metric line
     sed -n "s/^$esc //p" "$2" | head -n 1
 }
 
-# 1. Train a tiny checkpoint (architecture must match the replica flags).
+# 1. Train a tiny model (architecture must match the replica flags).
 "$CASCN" generate --dataset weibo --n 200 --seed 9 --out "$TMP/d.cascades" > /dev/null
 "$CASCN" train --data "$TMP/d.cascades" --window 3600 --hidden 4 --max-nodes 10 \
-    --max-steps 5 --min-size 3 --epochs 2 --checkpoint "$TMP/model.ckpt" > /dev/null
-[ -s "$TMP/model.ckpt" ] || fail "training wrote no checkpoint"
+    --max-steps 5 --min-size 3 --epochs 2 --out "$TMP/model.ckpt" > /dev/null
+[ -s "$TMP/model.ckpt" ] || fail "training wrote no model file"
 
 # 2. Start the router supervising 3 replicas, each with its own snapshot
 #    file ({i} is substituted per replica).

@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Serving smoke test: trains a tiny checkpoint, starts cascn-serve on an
+# Serving smoke test: trains a tiny size model, starts cascn-serve on an
 # ephemeral port, drives it with the loadgen client (a payload pool small
 # enough that the run revisits cascades and must hit the spectral cache),
 # then asserts from GET /metrics that the cache hit counter is nonzero and
@@ -22,12 +22,13 @@ cleanup() {
 }
 trap cleanup EXIT
 
-# 1. Train a tiny checkpoint (architecture must match the serve flags).
+# 1. Train a tiny size model; its `--out` file is what the server loads
+#    (architecture must match the serve flags).
 "$CASCN" generate --dataset weibo --n 200 --seed 9 --out "$TMP/d.cascades" > /dev/null
 "$CASCN" train --data "$TMP/d.cascades" --window 3600 --hidden 4 --max-nodes 10 \
-    --max-steps 5 --min-size 3 --epochs 2 --checkpoint "$TMP/model.ckpt" > /dev/null
+    --max-steps 5 --min-size 3 --epochs 2 --out "$TMP/model.ckpt" > /dev/null
 if [ ! -s "$TMP/model.ckpt" ]; then
-    echo "serve smoke FAILED: training wrote no checkpoint" >&2
+    echo "serve smoke FAILED: training wrote no model file" >&2
     exit 1
 fi
 
