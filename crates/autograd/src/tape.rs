@@ -2,7 +2,7 @@
 
 use std::sync::Arc;
 
-use cascn_tensor::{Matrix, SparseOp};
+use cascn_tensor::{Csr, Matrix, SparseOp};
 
 use crate::params::{ParamId, ParamStore};
 
@@ -39,11 +39,16 @@ enum Op {
     SoftmaxCol(Var),
     LogSoftmaxRow(Var),
     SliceRows(Var, usize),
+    SliceCols(Var, usize),
     PickEntry(Var, usize, usize),
     /// Application of a fixed (non-differentiable) sparse operator to a
     /// feature block: `Y = M·X`. The `Arc` keeps the tape cheap to record —
     /// the Chebyshev recurrence applies the same operator K times per gate.
     SparseApply(Arc<SparseOp>, Var),
+    /// A fixed (non-differentiable) rectangular sparse matrix times a
+    /// feature block: `Y = A·X`. Feeds the sparse snapshot signals into the
+    /// input convolution without a dense `n × d_in` block.
+    Spmm(Arc<Csr>, Var),
 }
 
 struct Node {
@@ -97,6 +102,12 @@ impl Tape {
     /// The forward value of `v`.
     pub fn value(&self, v: Var) -> &Matrix {
         &self.nodes[v.0].value
+    }
+
+    /// Every recorded value, in recording order (for inspecting what a
+    /// model puts on the tape).
+    pub fn values(&self) -> impl Iterator<Item = &Matrix> {
+        self.nodes.iter().map(|node| &node.value)
     }
 
     /// The forward value of a `1x1` variable as a scalar.
@@ -345,6 +356,25 @@ impl Tape {
         self.push(Op::SliceRows(a, start), value, rg)
     }
 
+    /// Extracts `len` consecutive columns starting at `start` (the per-gate
+    /// split of a column-concatenated pre-activation).
+    pub fn slice_cols(&mut self, a: Var, start: usize, len: usize) -> Var {
+        let v = self.value(a);
+        assert!(
+            start + len <= v.cols(),
+            "slice_cols: {start}+{len} exceeds {} cols",
+            v.cols()
+        );
+        let mut value = Matrix::zeros(v.rows(), len);
+        for r in 0..v.rows() {
+            value
+                .row_mut(r)
+                .copy_from_slice(&v.row(r)[start..start + len]);
+        }
+        let rg = self.requires(a);
+        self.push(Op::SliceCols(a, start), value, rg)
+    }
+
     /// Extracts the single entry at `(r, c)` as a `1x1` variable; the
     /// backward pass scatters the incoming gradient back into that entry.
     pub fn pick(&mut self, a: Var, r: usize, c: usize) -> Var {
@@ -373,6 +403,20 @@ impl Tape {
         self.push(Op::SparseApply(op, x), value, rg)
     }
 
+    /// Multiplies a fixed rectangular sparse matrix into `x`: `y = a·x`.
+    ///
+    /// Like [`Tape::sparse_apply`], `a` is data (a cascade snapshot), not a
+    /// parameter: gradients flow through `x` only, with `∂x = aᵀ·∂y` via
+    /// [`Csr::spmm_transpose`].
+    ///
+    /// # Panics
+    /// Panics if `x.rows() != a.cols()`.
+    pub fn spmm(&mut self, a: Arc<Csr>, x: Var) -> Var {
+        let value = a.spmm(self.value(x));
+        let rg = self.requires(x);
+        self.push(Op::Spmm(a, x), value, rg)
+    }
+
     // ---- composite helpers --------------------------------------------------
 
     /// `x · w + bias` — the ubiquitous affine layer.
@@ -393,9 +437,11 @@ impl Tape {
 
     /// Runs reverse-mode differentiation from the `1x1` variable `loss`.
     ///
-    /// Gradients for every `requires_grad` node are retained and can be read
-    /// with [`Tape::grad`] or routed to parameters with
-    /// [`Tape::accumulate_param_grads`].
+    /// Gradients of leaves (parameters and [`Tape::leaf`] inputs) are
+    /// retained and can be read with [`Tape::grad`] or routed to parameters
+    /// with [`Tape::accumulate_param_grads`]. An intermediate node's gradient
+    /// is freed as soon as it has been propagated to its inputs, so backward
+    /// holds only the gradients still in flight.
     ///
     /// # Panics
     /// Panics if `loss` is not `1x1`.
@@ -412,13 +458,14 @@ impl Tape {
             if !self.nodes[i].requires_grad {
                 continue;
             }
+            if matches!(self.nodes[i].op, Op::Leaf) {
+                continue;
+            }
             let Some(g) = self.grads[i].take() else {
                 continue;
             };
-            // Re-insert: callers may want to inspect intermediate grads.
             let op = self.nodes[i].op.clone();
-            self.apply_backward(&op, i, &g);
-            self.grads[i] = Some(g);
+            self.apply_backward(&op, i, g);
         }
     }
 
@@ -432,26 +479,34 @@ impl Tape {
         }
     }
 
-    fn apply_backward(&mut self, op: &Op, node: usize, g: &Matrix) {
+    /// Routes the gradient `g` of `node` to the node's inputs, handing `g`
+    /// itself to the last input that needs an unchanged or in-place-scaled
+    /// copy.
+    fn apply_backward(&mut self, op: &Op, node: usize, mut g: Matrix) {
         match op {
             Op::Leaf => {}
             Op::MatMul(a, b) => {
                 if self.requires(*a) {
-                    let da = g.matmul_a_bt(self.value(*b));
+                    // `g·bᵀ` through the row-axpy matmul kernel on an explicit
+                    // transpose: `b` is the small operand (a weight block),
+                    // and the axpy kernel vectorizes where the dot-product
+                    // form of `matmul_a_bt` runs latency-bound.
+                    let da = g.matmul(&self.value(*b).transpose());
                     self.add_grad(*a, da);
                 }
                 if self.requires(*b) {
-                    let db = self.value(*a).matmul_at_b(g);
+                    let db = self.value(*a).matmul_at_b(&g);
                     self.add_grad(*b, db);
                 }
             }
             Op::Add(a, b) => {
                 self.add_grad(*a, g.clone());
-                self.add_grad(*b, g.clone());
+                self.add_grad(*b, g);
             }
             Op::Sub(a, b) => {
                 self.add_grad(*a, g.clone());
-                self.add_grad(*b, g.scale(-1.0));
+                g.scale_in_place(-1.0);
+                self.add_grad(*b, g);
             }
             Op::Hadamard(a, b) => {
                 if self.requires(*a) {
@@ -464,52 +519,35 @@ impl Tape {
                 }
             }
             Op::AddBias(a, bias) => {
-                self.add_grad(*a, g.clone());
                 if self.requires(*bias) {
                     self.add_grad(*bias, g.sum_rows());
                 }
+                self.add_grad(*a, g);
             }
             Op::Sigmoid(a) => {
                 let y = &self.nodes[node].value;
-                let da = Matrix::from_vec(
-                    y.rows(),
-                    y.cols(),
-                    y.as_slice()
-                        .iter()
-                        .zip(g.as_slice())
-                        .map(|(&s, &gv)| gv * s * (1.0 - s))
-                        .collect(),
-                );
-                self.add_grad(*a, da);
+                for (gv, &s) in g.as_mut_slice().iter_mut().zip(y.as_slice()) {
+                    *gv = *gv * s * (1.0 - s);
+                }
+                self.add_grad(*a, g);
             }
             Op::Tanh(a) => {
                 let y = &self.nodes[node].value;
-                let da = Matrix::from_vec(
-                    y.rows(),
-                    y.cols(),
-                    y.as_slice()
-                        .iter()
-                        .zip(g.as_slice())
-                        .map(|(&t, &gv)| gv * (1.0 - t * t))
-                        .collect(),
-                );
-                self.add_grad(*a, da);
+                for (gv, &t) in g.as_mut_slice().iter_mut().zip(y.as_slice()) {
+                    *gv *= 1.0 - t * t;
+                }
+                self.add_grad(*a, g);
             }
             Op::Relu(a) => {
                 let x = self.value(*a);
-                let da = Matrix::from_vec(
-                    x.rows(),
-                    x.cols(),
-                    x.as_slice()
-                        .iter()
-                        .zip(g.as_slice())
-                        .map(|(&xv, &gv)| if xv > 0.0 { gv } else { 0.0 })
-                        .collect(),
-                );
-                self.add_grad(*a, da);
+                for (gv, &xv) in g.as_mut_slice().iter_mut().zip(x.as_slice()) {
+                    *gv = if xv > 0.0 { *gv } else { 0.0 };
+                }
+                self.add_grad(*a, g);
             }
             Op::Scale(a, s) => {
-                self.add_grad(*a, g.scale(*s));
+                g.scale_in_place(*s);
+                self.add_grad(*a, g);
             }
             Op::ScalarMul(s, a) => {
                 let sv = self.value(*s)[(0, 0)];
@@ -547,16 +585,10 @@ impl Tape {
             }
             Op::Sqr(a) => {
                 let x = self.value(*a);
-                let da = Matrix::from_vec(
-                    x.rows(),
-                    x.cols(),
-                    x.as_slice()
-                        .iter()
-                        .zip(g.as_slice())
-                        .map(|(&xv, &gv)| 2.0 * xv * gv)
-                        .collect(),
-                );
-                self.add_grad(*a, da);
+                for (gv, &xv) in g.as_mut_slice().iter_mut().zip(x.as_slice()) {
+                    *gv *= 2.0 * xv;
+                }
+                self.add_grad(*a, g);
             }
             Op::Gather(table, rows) => {
                 if self.requires(*table) {
@@ -649,8 +681,24 @@ impl Tape {
             }
             Op::SparseApply(op, x) => {
                 if self.requires(*x) {
-                    let dx = op.apply_transpose(g);
+                    let dx = op.apply_transpose(&g);
                     self.add_grad(*x, dx);
+                }
+            }
+            Op::Spmm(a, x) => {
+                if self.requires(*x) {
+                    let dx = a.spmm_transpose(&g);
+                    self.add_grad(*x, dx);
+                }
+            }
+            Op::SliceCols(a, start) => {
+                if self.requires(*a) {
+                    let v = self.value(*a);
+                    let mut da = Matrix::zeros(v.rows(), v.cols());
+                    for r in 0..g.rows() {
+                        da.row_mut(r)[*start..*start + g.cols()].copy_from_slice(g.row(r));
+                    }
+                    self.add_grad(*a, da);
                 }
             }
             Op::SliceRows(a, start) => {
@@ -865,6 +913,50 @@ mod tests {
 
         assert_eq!(ts.value(ys).as_slice(), td.value(yd).as_slice(), "forward diverged");
         assert_matrix_eq(ts.grad(xs).unwrap(), td.grad(xd).unwrap(), 1e-6);
+    }
+
+    #[test]
+    fn spmm_matches_dense_matmul_forward_and_backward() {
+        // A rectangular 3 x 4 signal with an empty row.
+        let a = Csr::from_triplets(3, 4, [(0, 0, 1.0), (0, 3, -2.0), (2, 1, 0.5)]);
+        let w0 = Matrix::from_fn(4, 2, |r, c| (r * 2 + c) as f32 * 0.25 - 0.5);
+
+        let mut ts = Tape::new();
+        let ws = ts.leaf(w0.clone());
+        let ys = ts.spmm(Arc::new(a.clone()), ws);
+        let sq = ts.sqr(ys);
+        let ls = ts.sum_all(sq);
+        ts.backward(ls);
+
+        let mut td = Tape::new();
+        let av = td.constant(a.to_dense());
+        let wd = td.leaf(w0);
+        let yd = td.matmul(av, wd);
+        let sq = td.sqr(yd);
+        let ld = td.sum_all(sq);
+        td.backward(ld);
+
+        assert_eq!(ts.value(ys).shape(), (3, 2));
+        assert_eq!(
+            ts.value(ys).as_slice(),
+            td.value(yd).as_slice(),
+            "forward diverged"
+        );
+        assert_matrix_eq(ts.grad(ws).unwrap(), td.grad(wd).unwrap(), 1e-6);
+    }
+
+    #[test]
+    fn slice_cols_extracts_and_scatters() {
+        let mut t = Tape::new();
+        let x = t.leaf(Matrix::from_rows(&[&[1.0, 2.0, 3.0], &[4.0, 5.0, 6.0]]));
+        let s = t.slice_cols(x, 1, 2);
+        assert_eq!(t.value(s).as_slice(), &[2.0, 3.0, 5.0, 6.0]);
+        let loss = t.sum_all(s);
+        t.backward(loss);
+        assert_eq!(
+            t.grad(x).unwrap().as_slice(),
+            &[0.0, 1.0, 1.0, 0.0, 1.0, 1.0]
+        );
     }
 
     #[test]

@@ -4,8 +4,10 @@
 //! random small matrices, run forward+backward, and compare analytic
 //! gradients to central differences. Tolerances reflect `f32` precision.
 
+use std::sync::Arc;
+
 use cascn_autograd::{assert_gradients_close, ParamStore, Tape, Var};
-use cascn_tensor::Matrix;
+use cascn_tensor::{Csr, Matrix};
 use proptest::prelude::*;
 
 /// Strategy: a rows x cols matrix with entries in [-1, 1].
@@ -145,6 +147,48 @@ proptest! {
         gradcheck_model(vec![("a", a), ("b", b)], |t, v| {
             let c = t.concat_cols(v[0], v[1]);
             let th = t.tanh(c);
+            let sq = t.sqr(th);
+            t.sum_all(sq)
+        });
+    }
+
+    #[test]
+    fn slice_cols_gradcheck(a in matrix(3, 5)) {
+        gradcheck_model(vec![("a", a)], |t, v| {
+            let left = t.slice_cols(v[0], 0, 2);
+            let right = t.slice_cols(v[0], 1, 4);
+            let th = t.tanh(right);
+            let sq = t.sqr(left);
+            let l = t.sum_all(sq);
+            let r = t.sum_all(th);
+            t.add(l, r)
+        });
+    }
+
+    /// A constant rectangular sparse matrix (4 x 5, row 2 empty, arbitrary
+    /// real values — a general snapshot signal, not a 0/1 adjacency) times
+    /// a differentiable block.
+    #[test]
+    fn spmm_rectangular_gradcheck(
+        w in matrix(5, 3),
+        vals in matrix(1, 6),
+    ) {
+        let vals: [f32; 6] = vals.as_slice().try_into().expect("six values");
+        gradcheck_model(vec![("w", w)], move |t, v| {
+            let a = Csr::from_triplets(
+                4,
+                5,
+                [
+                    (0, 0, vals[0]),
+                    (0, 3, vals[1]),
+                    (1, 4, vals[2]),
+                    (1, 0, vals[3]),
+                    (3, 1, vals[4]),
+                    (3, 2, vals[5]),
+                ],
+            );
+            let y = t.spmm(Arc::new(a), v[0]);
+            let th = t.tanh(y);
             let sq = t.sqr(th);
             t.sum_all(sq)
         });

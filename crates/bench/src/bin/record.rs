@@ -97,7 +97,7 @@ fn forward_latencies(model: &CascnModel, samples: &[PreprocessedCascade]) -> Vec
     out
 }
 
-/// p50 latency (µs) of one Chebyshev conv-stack application on an `n×d`
+/// p50 latency (ns) of one Chebyshev conv-stack application on an `n×d`
 /// feature block — the per-gate unit of work the sparse kernel optimizes.
 /// Basis materialization / tape-constant entry happens outside the timed
 /// region for the dense kernel, mirroring the serving tier's cached bases.
@@ -115,7 +115,7 @@ fn conv_stack_p50(sample: &PreprocessedCascade, dense: bool, d: usize) -> u64 {
         };
         let t0 = Instant::now();
         std::hint::black_box(operands.conv_stack(&mut tape, x));
-        lat.push(t0.elapsed().as_micros().min(u128::from(u64::MAX)) as u64);
+        lat.push(t0.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64);
     }
     lat.sort_unstable();
     percentile(&lat, 0.5)
@@ -127,8 +127,8 @@ struct Record {
     forward_p50_us: u64,
     forward_p99_us: u64,
     dense_forward_p50_us: u64,
-    conv_sparse_p50_us: u64,
-    conv_dense_p50_us: u64,
+    conv_sparse_p50_ns: u64,
+    conv_dense_p50_ns: u64,
     sparse_speedup: f64,
     accuracy_delta: f64,
     next_user_hit10: f64,
@@ -185,9 +185,9 @@ fn measure() -> Result<Record, String> {
     // O(K·n²·d) to O(K·nnz·d); whole-forward latency above also carries the
     // kernel-independent gate matmuls, pooling, and MLP.
     let big = &sparse_samples[0];
-    let conv_sparse_p50_us = conv_stack_p50(big, false, 32);
-    let conv_dense_p50_us = conv_stack_p50(big, true, 32);
-    let sparse_speedup = conv_dense_p50_us as f64 / conv_sparse_p50_us.max(1) as f64;
+    let conv_sparse_p50_ns = conv_stack_p50(big, false, 32);
+    let conv_dense_p50_ns = conv_stack_p50(big, true, 32);
+    let sparse_speedup = conv_dense_p50_ns as f64 / conv_sparse_p50_ns.max(1) as f64;
 
     let accuracy_delta = targets
         .iter()
@@ -274,8 +274,8 @@ fn measure() -> Result<Record, String> {
         forward_p50_us,
         forward_p99_us,
         dense_forward_p50_us,
-        conv_sparse_p50_us,
-        conv_dense_p50_us,
+        conv_sparse_p50_ns,
+        conv_dense_p50_ns,
         sparse_speedup,
         accuracy_delta,
         next_user_hit10,
@@ -305,8 +305,8 @@ fn to_json(r: &Record) -> String {
     let _ = writeln!(out, "  \"forward_p50_us\": {},", r.forward_p50_us);
     let _ = writeln!(out, "  \"forward_p99_us\": {},", r.forward_p99_us);
     let _ = writeln!(out, "  \"dense_forward_p50_us\": {},", r.dense_forward_p50_us);
-    let _ = writeln!(out, "  \"conv_sparse_p50_us\": {},", r.conv_sparse_p50_us);
-    let _ = writeln!(out, "  \"conv_dense_p50_us\": {},", r.conv_dense_p50_us);
+    let _ = writeln!(out, "  \"conv_sparse_p50_ns\": {},", r.conv_sparse_p50_ns);
+    let _ = writeln!(out, "  \"conv_dense_p50_ns\": {},", r.conv_dense_p50_ns);
     let _ = writeln!(out, "  \"sparse_speedup\": {:.2},", r.sparse_speedup);
     let _ = writeln!(out, "  \"accuracy_delta\": {:e},", r.accuracy_delta);
     let _ = writeln!(out, "  \"next_user_hit10\": {:.4},", r.next_user_hit10);

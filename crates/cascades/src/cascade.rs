@@ -1,7 +1,6 @@
 //! The evolving-cascade data model of paper Section III-A.
 
 use cascn_graph::DiGraph;
-use cascn_tensor::Matrix;
 
 /// One adoption event in a cascade: a user re-tweeting (or a paper citing).
 #[derive(Debug, Clone, PartialEq)]
@@ -136,61 +135,6 @@ impl ObservedCascade<'_> {
         g
     }
 
-    /// The sub-cascade adjacency sequence `A_i^T` of Fig. 3, capped at
-    /// `max_steps` snapshots.
-    ///
-    /// Every snapshot is an `n x n` matrix over the *full* observed node set
-    /// (absent nodes have zero rows, as in the paper's figure); snapshot `j`
-    /// contains all edges whose child arrived at or before the `j`-th
-    /// retained event. The first snapshot carries the root's self-loop (the
-    /// paper adds a self-connection for the initiator).
-    ///
-    /// When the cascade has more events than `max_steps`, events are grouped
-    /// so that the sequence length stays at `max_steps` while the final
-    /// snapshot still equals the full observed adjacency.
-    pub fn snapshots(&self, max_steps: usize) -> Vec<Matrix> {
-        assert!(max_steps >= 1, "snapshots: need at least one step");
-        let n = self.n;
-        // Snapshot boundaries: indices (into events) after which we emit.
-        let steps = n.min(max_steps);
-        let mut boundaries = Vec::with_capacity(steps);
-        for s in 1..=steps {
-            // Even spacing with the last boundary at n.
-            boundaries.push((s * n).div_ceil(steps));
-        }
-        let mut out = Vec::with_capacity(steps);
-        let mut adj = Matrix::zeros(n, n);
-        adj[(0, 0)] = 1.0; // root self-connection
-        let mut next_event = 1usize;
-        for &b in &boundaries {
-            while next_event < b {
-                let e = &self.events()[next_event];
-                // try_new validated that every non-root event has a parent.
-                if let Some(p) = e.parent {
-                    adj[(p, next_event)] = 1.0;
-                }
-                next_event += 1;
-            }
-            out.push(adj.clone());
-        }
-        out
-    }
-
-    /// The diffusion time of each retained snapshot produced by
-    /// [`ObservedCascade::snapshots`] (the arrival time of the last event
-    /// included in that snapshot). Used by the time-decay mechanism
-    /// (Eq. 15–16).
-    pub fn snapshot_times(&self, max_steps: usize) -> Vec<f64> {
-        let n = self.n;
-        let steps = n.min(max_steps.max(1));
-        (1..=steps)
-            .map(|s| {
-                let b = (s * n).div_ceil(steps);
-                self.events()[b - 1].time
-            })
-            .collect()
-    }
-
     /// Root-to-node diffusion paths for every observed adopter, as local
     /// indices (DeepHawkes represents a cascade as this path set).
     pub fn diffusion_paths(&self) -> Vec<Vec<usize>> {
@@ -301,46 +245,6 @@ mod tests {
         assert_eq!(g.edge_count(), 5);
         assert_eq!(g.leaves(), vec![2, 4, 5]);
         assert!(g.is_dag());
-    }
-
-    #[test]
-    fn snapshots_match_fig3_shape() {
-        let c = fig1_cascade();
-        let o = c.observe(60.0);
-        let snaps = o.snapshots(100);
-        assert_eq!(snaps.len(), 6);
-        // First snapshot: only the root self-loop.
-        assert_eq!(snaps[0].sum(), 1.0);
-        assert_eq!(snaps[0][(0, 0)], 1.0);
-        // Snapshots accumulate edges monotonically.
-        for w in snaps.windows(2) {
-            for i in 0..w[0].len() {
-                assert!(w[1].as_slice()[i] >= w[0].as_slice()[i]);
-            }
-        }
-        // Last snapshot: self-loop + 5 edges.
-        assert_eq!(snaps[5].sum(), 6.0);
-        assert_eq!(snaps[5][(1, 3)], 1.0);
-        assert_eq!(snaps[5][(3, 5)], 1.0);
-    }
-
-    #[test]
-    fn snapshots_respect_cap_and_end_state() {
-        let c = fig1_cascade();
-        let o = c.observe(60.0);
-        let snaps = o.snapshots(3);
-        assert_eq!(snaps.len(), 3);
-        assert_eq!(snaps[2].sum(), 6.0, "final snapshot must be complete");
-        let times = o.snapshot_times(3);
-        assert_eq!(times.len(), 3);
-        assert_eq!(*times.last().unwrap(), 50.0);
-    }
-
-    #[test]
-    fn snapshot_times_are_sorted() {
-        let c = fig1_cascade();
-        let times = c.observe(60.0).snapshot_times(4);
-        assert!(times.windows(2).all(|w| w[0] <= w[1]));
     }
 
     #[test]

@@ -1,8 +1,9 @@
 //! Cascade data model, synthetic datasets, features and statistics for the
 //! CasCN reproduction.
 //!
-//! Implements Section III-A of the paper (evolving cascade DAGs, sub-cascade
-//! snapshot sequences, increment-size labels), the Section V-A datasets
+//! Implements Section III-A of the paper (evolving cascade DAGs, observation
+//! windows, increment-size labels; the Fig. 3 snapshot sequence is built by
+//! the model's preprocessing, `cascn::preprocess`), the Section V-A datasets
 //! (via seeded synthetic stand-ins for Sina Weibo and HEP-PH — see
 //! `DESIGN.md` §3 for the substitution rationale), the Section V-B
 //! hand-crafted features, and the statistics behind Table II and
@@ -23,7 +24,7 @@
 //!
 //! let observed = dataset.cascades[0].observe(3600.0);
 //! let _label = dataset.cascades[0].increment_size(3600.0);
-//! let _snapshots = observed.snapshots(16);
+//! let _graph = observed.graph();
 //! ```
 
 mod cascade;

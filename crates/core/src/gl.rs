@@ -77,38 +77,32 @@ impl GlModel {
         sample: &PreprocessedCascade,
     ) -> Var {
         let operands = sample.operands(tape);
+        let w: Vec<Var> = self
+            .conv_w
+            .iter()
+            .map(|&id| tape.param(store, id))
+            .collect();
+        let b = tape.param(store, self.conv_b);
         // Per-snapshot GCN embedding (1 x hidden each).
-        let mut sequence = Vec::with_capacity(sample.snapshots.len());
-        for snap in &sample.snapshots {
-            let x = tape.constant(snap.clone());
-            let stack = operands.conv_stack(tape, x);
-            let mut acc: Option<Var> = None;
-            for (&conv, &wid) in stack.iter().zip(&self.conv_w) {
-                let w = tape.param(store, wid);
-                let term = tape.matmul(conv, w);
-                acc = Some(match acc {
-                    Some(a) => tape.add(a, term),
-                    None => term,
-                });
-            }
-            let b = tape.param(store, self.conv_b);
-            // lint: allow(no-panic) — the filter bank has K+1 ≥ 1 entries by construction
-            let pre = acc.expect("K+1 >= 1 filters");
-            let pre = tape.add_bias(pre, b);
+        let mut sequence = Vec::with_capacity(sample.num_steps());
+        for x in sample.snapshots(self.cfg.max_nodes) {
+            let conv = operands.input_conv(tape, &x, &w);
+            let pre = tape.add_bias(conv, b);
             let act = tape.relu(pre);
             sequence.push(tape.sum_rows(act));
         }
         // Dense LSTM over the snapshot embeddings.
         let hs = self.lstm.run(tape, store, &sequence, 1);
+        let table = (self.cfg.decay == DecayMode::Learned).then(|| self.decay.bind(tape, store));
         let mut acc: Option<Var> = None;
         for (t, &h) in hs.iter().enumerate() {
-            let weighted = match self.cfg.decay {
-                DecayMode::Learned => {
+            let weighted = match (table, self.cfg.decay) {
+                (Some(table), _) => {
                     self.decay
-                        .apply(tape, store, h, sample.times[t], sample.window)
+                        .scale(tape, table, h, sample.times[t], sample.window)
                 }
-                DecayMode::None => h,
-                kernel => {
+                (None, DecayMode::None) => h,
+                (None, kernel) => {
                     let k = kernel.kernel(sample.times[t] / sample.window.max(f64::MIN_POSITIVE));
                     tape.scale(h, k)
                 }
@@ -118,7 +112,7 @@ impl GlModel {
                 None => weighted,
             });
         }
-        // lint: allow(no-panic) — the snapshot sequence is non-empty (snapshots() emits ≥ 1)
+        // lint: allow(no-panic) — preprocessing emits min(n, max_steps) ≥ 1 snapshot steps, so the sequence is non-empty
         let pooled = acc.expect("non-empty sequence");
         self.mlp.forward(tape, store, pooled)
     }
@@ -188,6 +182,97 @@ mod tests {
         let model = GlModel::new(tiny_cfg());
         let p = model.predict_log(&data.cascades[0], 3600.0);
         assert!(p.is_finite());
+    }
+
+    /// The dense-input forward pass GL ran before its snapshots went
+    /// sparse: each snapshot a dense `n × max_nodes` block through
+    /// `conv_stack`, every filter bound per snapshot.
+    fn oracle_forward(
+        model: &GlModel,
+        tape: &mut Tape,
+        store: &ParamStore,
+        sample: &PreprocessedCascade,
+    ) -> Var {
+        let operands = sample.operands(tape);
+        let mut sequence = Vec::new();
+        for t in 0..sample.num_steps() {
+            let x = tape.constant(sample.snapshot(t, model.cfg.max_nodes).to_dense());
+            let stack = operands.conv_stack(tape, x);
+            let mut acc: Option<Var> = None;
+            for (&conv, &wid) in stack.iter().zip(&model.conv_w) {
+                let w = tape.param(store, wid);
+                let term = tape.matmul(conv, w);
+                acc = Some(match acc {
+                    Some(a) => tape.add(a, term),
+                    None => term,
+                });
+            }
+            let b = tape.param(store, model.conv_b);
+            let pre = tape.add_bias(acc.unwrap(), b);
+            let act = tape.relu(pre);
+            sequence.push(tape.sum_rows(act));
+        }
+        let hs = model.lstm.run(tape, store, &sequence, 1);
+        let mut acc: Option<Var> = None;
+        for (t, &h) in hs.iter().enumerate() {
+            let weighted = model
+                .decay
+                .apply(tape, store, h, sample.times[t], sample.window);
+            acc = Some(match acc {
+                Some(a) => tape.add(a, weighted),
+                None => weighted,
+            });
+        }
+        model.mlp.forward(tape, store, acc.unwrap())
+    }
+
+    #[test]
+    fn sparse_input_matches_the_dense_input_oracle() {
+        use crate::config::{ChebKernel, LaplacianKind};
+        let data = WeiboGenerator::new(WeiboConfig {
+            num_cascades: 50,
+            seed: 3,
+            max_size: 100,
+        })
+        .generate();
+        for laplacian in [LaplacianKind::Directed, LaplacianKind::Undirected] {
+            for cheb_kernel in [ChebKernel::Sparse, ChebKernel::Dense] {
+                let model = GlModel::new(CascnConfig {
+                    laplacian,
+                    cheb_kernel,
+                    ..tiny_cfg()
+                });
+                for cascade in data.cascades.iter().take(8) {
+                    let s = preprocess(cascade, 3600.0, &model.cfg);
+                    let run = |oracle: bool| {
+                        let mut store = model.store.clone();
+                        let mut tape = Tape::new();
+                        let pred = if oracle {
+                            oracle_forward(&model, &mut tape, &store, &s)
+                        } else {
+                            model.forward(&mut tape, &store, &s)
+                        };
+                        let loss = tape.squared_error(pred, s.label_log);
+                        tape.backward(loss);
+                        tape.accumulate_param_grads(&mut store);
+                        (tape.scalar(pred), store)
+                    };
+                    let ((new, new_g), (old, old_g)) = (run(false), run(true));
+                    assert!(
+                        (new - old).abs() < 5e-4,
+                        "{laplacian:?}/{cheb_kernel:?}: {new} vs oracle {old}"
+                    );
+                    for id in model.store.ids() {
+                        let diff = new_g.grad(id).sub(old_g.grad(id)).max_abs();
+                        assert!(
+                            diff < 5e-4,
+                            "∂{} off the oracle by {diff}",
+                            model.store.name(id)
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

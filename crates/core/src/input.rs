@@ -3,11 +3,13 @@
 //! Preprocessing is deterministic and model-independent, so trainers run it
 //! once per cascade and cache the result across epochs.
 
+use std::sync::Arc;
+
 use cascn_autograd::Tape;
 use cascn_cascades::{Cascade, CascadeFault, Event};
 use cascn_graph::{laplacian, DiGraph, IncrementalSpectral, SpectralBasis};
 use cascn_nn::ChebOperands;
-use cascn_tensor::Matrix;
+use cascn_tensor::{Csr, Matrix};
 
 use crate::config::{CascnConfig, ChebKernel, LambdaMax, LaplacianKind};
 
@@ -21,10 +23,16 @@ pub struct PreprocessedCascade {
     /// only under [`ChebKernel::Dense`]; the default sparse kernel never
     /// builds them.
     pub dense_bases: Option<Vec<Matrix>>,
-    /// Snapshot signals `X_t`, each `n x max_nodes` (rows = observed nodes,
-    /// columns zero-padded to the shared feature width).
-    pub snapshots: Vec<Matrix>,
-    /// Diffusion time of each snapshot (seconds since the root post).
+    /// The observed adjacency as `(parent, child)` entries in arrival order,
+    /// the root's self-loop `(0, 0)` first. Snapshots are cumulative, so the
+    /// Fig. 3 snapshot `X_t` is a prefix of this list
+    /// ([`PreprocessedCascade::snapshot`]).
+    pub edges: Vec<(usize, usize)>,
+    /// Length of the `edges` prefix each snapshot holds: non-decreasing,
+    /// one entry per step, the last equal to `edges.len()`.
+    pub prefix_lens: Vec<usize>,
+    /// Diffusion time of each snapshot (seconds since the root post): the
+    /// arrival of the last event of its step.
     pub times: Vec<f64>,
     /// Number of observed nodes `n` (≤ `max_nodes`).
     pub n: usize,
@@ -47,6 +55,29 @@ impl PreprocessedCascade {
             None => ChebOperands::sparse(&self.basis),
         }
     }
+
+    /// Number of snapshots `T`.
+    pub fn num_steps(&self) -> usize {
+        self.prefix_lens.len()
+    }
+
+    /// Snapshot `X_t` as a sparse `n × width` signal: a 1 at
+    /// `(parent, child)` for each of its edges. `width` is the filter width
+    /// the snapshot is padded to (`cfg.max_nodes`, ≥ `n`).
+    ///
+    /// # Panics
+    /// Panics if `t` is not a step or `width < n`.
+    pub fn snapshot(&self, t: usize, width: usize) -> Csr {
+        let edges = &self.edges[..self.prefix_lens[t]];
+        Csr::from_triplets(self.n, width, edges.iter().map(|&(p, c)| (p, c, 1.0)))
+    }
+
+    /// Every snapshot `X_0, …, X_{T-1}` in the shared form the tape takes.
+    pub fn snapshots(&self, width: usize) -> Vec<Arc<Csr>> {
+        (0..self.num_steps())
+            .map(|t| Arc::new(self.snapshot(t, width)))
+            .collect()
+    }
 }
 
 /// Builds the model input for one cascade under `cfg` at observation window
@@ -55,8 +86,8 @@ impl PreprocessedCascade {
 /// 1. truncate the observed prefix to `cfg.max_nodes` adopters;
 /// 2. build the cascade graph and its (directed or undirected) Laplacian;
 /// 3. scale by `λ_max` and expand Chebyshev bases to order `K`;
-/// 4. emit the Fig. 3 adjacency snapshot sequence, column-padded to
-///    `cfg.max_nodes` so every cascade shares the filter width.
+/// 4. record the Fig. 3 adjacency snapshot sequence as one edge list with a
+///    prefix length per step.
 pub fn preprocess(cascade: &Cascade, window: f64, cfg: &CascnConfig) -> PreprocessedCascade {
     let basis = spectral_basis(cascade, window, cfg);
     assemble(cascade, window, cfg, basis)
@@ -153,16 +184,14 @@ fn assemble_with(
         "spectral basis node count disagrees with the observed prefix"
     );
 
-    // Snapshot sequence over the truncated prefix, column-padded.
-    let truncated = TruncatedView { cascade, n };
-    let (snapshots, times) = truncated.snapshots_padded(cfg.max_steps, cfg.max_nodes);
-
+    let (edges, prefix_lens, times) = snapshot_edges(&cascade.events[..n], cfg.max_steps);
     let increment = cascade.increment_size(window);
     PreprocessedCascade {
         lambda_max: basis.lambda_max,
         basis,
         dense_bases,
-        snapshots,
+        edges,
+        prefix_lens,
         times,
         n,
         window,
@@ -183,8 +212,9 @@ fn assemble_with(
 ///
 /// Parity contract (tested here and in the workspace property suite):
 /// [`WindowedPreprocessor::current`] matches [`preprocess`] on the same
-/// `(cascade, window, cfg)` — snapshots, times, labels and the operator
-/// bit-identical, since the incremental operator runs the cold pipeline.
+/// `(cascade, window, cfg)` — snapshot edges, times, labels and the
+/// operator bit-identical, since the incremental operator runs the cold
+/// pipeline.
 pub struct WindowedPreprocessor {
     cascade: Cascade,
     cfg: CascnConfig,
@@ -290,7 +320,7 @@ impl WindowedPreprocessor {
 
     /// The model input at the current `(cascade, window)`. Reuses cached
     /// dense `T_k` blocks when the operator has not changed since the last
-    /// call; snapshots and labels are recomputed (they are `O(n·steps)`).
+    /// call; snapshot edges and labels are recomputed (they are `O(n)`).
     pub fn current(&mut self) -> PreprocessedCascade {
         let dense = match self.cfg.cheb_kernel {
             ChebKernel::Dense => {
@@ -348,43 +378,38 @@ fn cold_state(
     }
 }
 
-/// Internal helper that re-implements the snapshot sampling over a truncated
-/// node prefix with column padding.
-struct TruncatedView<'a> {
-    cascade: &'a Cascade,
-    n: usize,
-}
-
-impl TruncatedView<'_> {
-    fn snapshots_padded(&self, max_steps: usize, width: usize) -> (Vec<Matrix>, Vec<f64>) {
-        let n = self.n;
-        let events = &self.cascade.events[..n];
-        let steps = n.min(max_steps.max(1));
-        let mut boundaries = Vec::with_capacity(steps);
-        for s in 1..=steps {
-            boundaries.push((s * n).div_ceil(steps));
-        }
-        let mut out = Vec::with_capacity(steps);
-        let mut times = Vec::with_capacity(steps);
-        let mut adj = Matrix::zeros(n, width);
-        adj[(0, 0)] = 1.0; // root self-connection
-        let mut next_event = 1usize;
-        for &b in &boundaries {
-            while next_event < b {
-                let e = &events[next_event];
-                // Cascade validation guarantees non-root events carry parents.
-                if let Some(p) = e.parent {
-                    if p < n && next_event < width {
-                        adj[(p, next_event)] = 1.0;
-                    }
+/// The Fig. 3 snapshot sequence over the observed, truncated `events`, as
+/// `(edges, prefix_lens, times)` (see [`PreprocessedCascade`]).
+///
+/// `min(n, max_steps)` steps split the events evenly, the last step ending
+/// at the final event, so the final snapshot holds the whole observed
+/// adjacency however the steps are capped.
+fn snapshot_edges(
+    events: &[Event],
+    max_steps: usize,
+) -> (Vec<(usize, usize)>, Vec<usize>, Vec<f64>) {
+    let n = events.len();
+    let steps = n.min(max_steps.max(1));
+    let mut edges = Vec::with_capacity(n);
+    edges.push((0, 0)); // root self-connection
+    let mut prefix_lens = Vec::with_capacity(steps);
+    let mut times = Vec::with_capacity(steps);
+    let mut next_event = 1usize;
+    for s in 1..=steps {
+        let boundary = (s * n).div_ceil(steps);
+        while next_event < boundary {
+            // Cascade validation guarantees non-root events carry parents.
+            if let Some(p) = events[next_event].parent {
+                if p < n {
+                    edges.push((p, next_event));
                 }
-                next_event += 1;
             }
-            out.push(adj.clone());
-            times.push(events[b - 1].time);
+            next_event += 1;
         }
-        (out, times)
+        prefix_lens.push(edges.len());
+        times.push(events[boundary - 1].time);
     }
+    (edges, prefix_lens, times)
 }
 
 #[cfg(test)]
@@ -426,11 +451,12 @@ mod tests {
             p.dense_bases.is_none(),
             "the default sparse kernel must not materialize dense bases"
         );
-        assert_eq!(p.snapshots.len(), 6);
-        for s in &p.snapshots {
-            assert_eq!(s.shape(), (6, 10), "column padded to max_nodes");
+        assert_eq!(p.num_steps(), 6);
+        for t in 0..p.num_steps() {
+            let x = p.snapshot(t, 10);
+            assert_eq!((x.rows(), x.cols()), (6, 10), "column padded to max_nodes");
         }
-        assert_eq!(p.times.len(), p.snapshots.len());
+        assert_eq!(p.times.len(), p.num_steps());
         assert_eq!(p.increment, 0);
         assert_eq!(p.label_log, 0.0, "ln(1+0) = 0");
     }
@@ -474,11 +500,9 @@ mod tests {
         let p = preprocess(&fig1(), 60.0, &small);
         assert_eq!(p.n, 4);
         assert_eq!(p.basis.num_nodes(), 4);
-        for s in &p.snapshots {
-            assert_eq!(s.shape(), (4, 4));
-        }
         // Edges to truncated nodes must not appear.
-        let last = p.snapshots.last().unwrap();
+        assert_eq!(p.edges, vec![(0, 0), (0, 1), (0, 2), (1, 3)]);
+        let last = p.snapshot(p.num_steps() - 1, 4).to_dense();
         assert_eq!(last.sum(), 1.0 + 3.0, "self-loop + edges among first 4 nodes");
     }
 
@@ -490,13 +514,86 @@ mod tests {
         };
         let full = preprocess(&fig1(), 60.0, &cfg());
         let short = preprocess(&fig1(), 60.0, &capped);
-        assert_eq!(short.snapshots.len(), 2);
+        assert_eq!(short.num_steps(), 2);
         assert_eq!(
-            short.snapshots.last().unwrap().as_slice(),
-            full.snapshots.last().unwrap().as_slice(),
+            short.snapshot(1, 10),
+            full.snapshot(full.num_steps() - 1, 10),
             "final snapshot must contain the whole observed cascade"
         );
         assert_eq!(*short.times.last().unwrap(), 50.0);
+    }
+
+    #[test]
+    fn snapshots_match_fig3_shape() {
+        let p = preprocess(
+            &fig1(),
+            60.0,
+            &CascnConfig {
+                max_steps: 100,
+                ..cfg()
+            },
+        );
+        assert_eq!(p.num_steps(), 6);
+        // Root self-loop first; the edge list is in arrival order.
+        assert_eq!(
+            p.edges,
+            vec![(0, 0), (0, 1), (0, 2), (1, 3), (1, 4), (3, 5)]
+        );
+        // First snapshot: only the root self-loop.
+        let first = p.snapshot(0, 6).to_dense();
+        assert_eq!(first.sum(), 1.0);
+        assert_eq!(first[(0, 0)], 1.0);
+        // Snapshots are monotone prefixes of the edge list.
+        assert!(p.prefix_lens.windows(2).all(|w| w[0] <= w[1]));
+        let dense: Vec<Matrix> = (0..p.num_steps())
+            .map(|t| p.snapshot(t, 6).to_dense())
+            .collect();
+        for w in dense.windows(2) {
+            for i in 0..w[0].len() {
+                assert!(w[1].as_slice()[i] >= w[0].as_slice()[i]);
+            }
+        }
+        // Last snapshot: self-loop + 5 edges.
+        assert_eq!(dense[5].sum(), 6.0);
+        assert_eq!(dense[5][(1, 3)], 1.0);
+        assert_eq!(dense[5][(3, 5)], 1.0);
+    }
+
+    #[test]
+    fn snapshots_respect_cap_and_end_state() {
+        let p = preprocess(
+            &fig1(),
+            60.0,
+            &CascnConfig {
+                max_steps: 3,
+                ..cfg()
+            },
+        );
+        assert_eq!(p.num_steps(), 3);
+        assert_eq!(*p.prefix_lens.last().unwrap(), p.edges.len());
+        assert_eq!(
+            p.snapshot(2, 10).to_dense().sum(),
+            6.0,
+            "final snapshot must be complete"
+        );
+        assert_eq!(p.times.len(), 3);
+        // Each time is the arrival of its step's last event (steps end at
+        // events 2, 4 and 6).
+        assert_eq!(p.times, vec![10.0, 30.0, 50.0]);
+    }
+
+    #[test]
+    fn snapshot_times_are_sorted() {
+        let p = preprocess(
+            &fig1(),
+            60.0,
+            &CascnConfig {
+                max_steps: 4,
+                ..cfg()
+            },
+        );
+        assert_eq!(p.times.len(), 4);
+        assert!(p.times.windows(2).all(|w| w[0] <= w[1]));
     }
 
     #[test]
@@ -565,9 +662,8 @@ mod tests {
                 cached.basis.scaled_dense().as_slice(),
                 "operators must match bit-for-bit"
             );
-            for (a, b) in direct.snapshots.iter().zip(&cached.snapshots) {
-                assert_eq!(a.as_slice(), b.as_slice());
-            }
+            assert_eq!(direct.edges, cached.edges);
+            assert_eq!(direct.prefix_lens, cached.prefix_lens);
             assert_eq!(direct.times, cached.times);
             assert_eq!(direct.increment, cached.increment);
         }
@@ -586,9 +682,11 @@ mod tests {
         assert_eq!(p.n, cold.n);
         assert_eq!(p.increment, cold.increment);
         assert_eq!(p.times, cold.times);
-        for (a, b) in p.snapshots.iter().zip(&cold.snapshots) {
-            assert_eq!(a.as_slice(), b.as_slice(), "snapshots must be bit-identical");
-        }
+        assert_eq!(p.edges, cold.edges, "snapshot edges must match");
+        assert_eq!(
+            p.prefix_lens, cold.prefix_lens,
+            "snapshot prefixes must match"
+        );
         // The live operator runs the cold pipeline on the same adjacency,
         // so the basis and any materialized T_k blocks match exactly.
         assert_eq!(p.basis.lambda_max.to_bits(), cold.basis.lambda_max.to_bits());
@@ -709,8 +807,9 @@ mod tests {
         let c = Cascade::new(9, 0.0, vec![Event { user: 7, parent: None, time: 0.0 }]);
         let p = preprocess(&c, 100.0, &cfg());
         assert_eq!(p.n, 1);
-        assert_eq!(p.snapshots.len(), 1);
-        assert_eq!(p.snapshots[0][(0, 0)], 1.0, "root self-loop");
+        assert_eq!(p.num_steps(), 1);
+        assert_eq!(p.edges, vec![(0, 0)], "root self-loop");
+        assert_eq!(p.snapshot(0, 10).to_dense()[(0, 0)], 1.0);
         assert!(p.basis.scaled_dense().all_finite());
         assert!(p.basis.materialize().iter().all(|b| b.all_finite()));
     }

@@ -17,6 +17,8 @@ use crate::trainer::{
     self, expect_trained, predict_with, CheckpointPolicy, Objective, TrainHooks, TrainOpts,
 };
 
+/// The pre-sparse-input forward pass, compiled for tests only.
+mod oracle;
 
 /// The recurrent core, selected by [`RecurrentKind`].
 #[derive(Debug, Clone)]
@@ -164,26 +166,34 @@ impl CascnModel {
         sample: &PreprocessedCascade,
     ) -> Var {
         let operands = sample.operands(tape);
-        let inputs: Vec<Var> = sample
-            .snapshots
-            .iter()
-            .map(|s| tape.constant(s.clone()))
-            .collect();
+        let inputs = sample.snapshots(self.cfg.max_nodes);
         let hs = match &self.cell {
             Cell::Lstm(cell) => cell.run(tape, store, &operands, &inputs, sample.n),
             Cell::Gru(cell) => cell.run(tape, store, &operands, &inputs, sample.n),
         };
-        // Eq. 16: re-weight each hidden state by its interval's λ.
+        self.pool(tape, store, sample, &hs)
+    }
+
+    /// Eq. 16–17: re-weights each hidden state `hs[t]` by the decay of its
+    /// snapshot time, then pools over time and nodes into `1 x hidden`.
+    fn pool(
+        &self,
+        tape: &mut Tape,
+        store: &ParamStore,
+        sample: &PreprocessedCascade,
+        hs: &[Var],
+    ) -> Var {
+        let table = (self.cfg.decay == DecayMode::Learned).then(|| self.decay.bind(tape, store));
         let weighted: Vec<Var> = hs
             .iter()
             .enumerate()
-            .map(|(t, &h)| match self.cfg.decay {
-                DecayMode::Learned => {
+            .map(|(t, &h)| match (table, self.cfg.decay) {
+                (Some(table), _) => {
                     self.decay
-                        .apply(tape, store, h, sample.times[t], sample.window)
+                        .scale(tape, table, h, sample.times[t], sample.window)
                 }
-                DecayMode::None => h,
-                kernel => {
+                (None, DecayMode::None) => h,
+                (None, kernel) => {
                     let k = kernel.kernel(sample.times[t] / sample.window.max(f64::MIN_POSITIVE));
                     tape.scale(h, k)
                 }
@@ -199,7 +209,7 @@ impl CascnModel {
                         None => w,
                     });
                 }
-                // lint: allow(no-panic) — snapshots() emits ≥ 1 matrix (max_steps ≥ 1 is asserted), so the fold is never empty
+                // lint: allow(no-panic) — preprocessing emits min(n, max_steps) ≥ 1 snapshot steps (n ≥ 1, max_steps clamped to ≥ 1), so the fold is never empty
                 let summed = acc.expect("at least one snapshot");
                 tape.sum_rows(summed)
             }
@@ -873,6 +883,163 @@ mod tests {
                 (a - b).abs() < 5e-4,
                 "kernel outputs diverged beyond the gate: sparse {a} vs dense {b}"
             );
+        }
+    }
+
+    /// Gives every parameter a distinct nonzero value (biases and
+    /// peepholes start at zero), so the oracle comparison exercises them.
+    fn perturb(model: &mut CascnModel) {
+        let ids: Vec<_> = model.store.ids().collect();
+        for (i, id) in ids.into_iter().enumerate() {
+            for (j, v) in model
+                .store
+                .value_mut(id)
+                .as_mut_slice()
+                .iter_mut()
+                .enumerate()
+            {
+                *v += ((i * 7 + j * 13) % 11) as f32 * 0.02 - 0.1;
+            }
+        }
+    }
+
+    /// The head output and the per-parameter gradients of the loss that
+    /// `run` returns as `(output, loss)`, on a fresh tape.
+    fn output_and_grads(
+        model: &CascnModel,
+        run: impl Fn(&mut Tape, &ParamStore) -> (Var, Var),
+    ) -> (f32, ParamStore) {
+        let mut store = model.store.clone();
+        store.zero_grads();
+        let mut tape = Tape::new();
+        let (out, loss) = run(&mut tape, &store);
+        tape.backward(loss);
+        tape.accumulate_param_grads(&mut store);
+        (tape.scalar(out), store)
+    }
+
+    #[test]
+    fn sparse_input_matches_the_dense_input_oracle() {
+        use crate::config::{ChebKernel, LaplacianKind};
+        let data = tiny_data();
+        let window = 3600.0;
+        for recurrent in [RecurrentKind::Lstm, RecurrentKind::Gru] {
+            for laplacian in [LaplacianKind::Directed, LaplacianKind::Undirected] {
+                for cheb_kernel in [ChebKernel::Sparse, ChebKernel::Dense] {
+                    for cfg in [tiny_cfg(), next_cfg()] {
+                        let cfg = CascnConfig {
+                            recurrent,
+                            laplacian,
+                            cheb_kernel,
+                            ..cfg
+                        };
+                        let mut model = CascnModel::new(cfg);
+                        perturb(&mut model);
+                        let mut checked = 0;
+                        for cascade in data.cascades.iter().take(12) {
+                            let what = format!(
+                                "{recurrent:?}/{laplacian:?}/{cheb_kernel:?}/{:?}",
+                                cfg.task
+                            );
+                            let (new, old) = match cfg.task {
+                                TaskKind::SizeRegression => {
+                                    let s = preprocess(cascade, window, &cfg);
+                                    let new = output_and_grads(&model, |t, st| {
+                                        let pred = model.forward(t, st, &s);
+                                        (pred, t.squared_error(pred, s.label_log))
+                                    });
+                                    let old = output_and_grads(&model, |t, st| {
+                                        let rep = oracle::forward_representation(&model, t, st, &s);
+                                        let pred = model.mlp.forward(t, st, rep);
+                                        (pred, t.squared_error(pred, s.label_log))
+                                    });
+                                    (new, old)
+                                }
+                                TaskKind::NextUser => {
+                                    let Some(s) = model.next_sample(cascade, window) else {
+                                        continue;
+                                    };
+                                    // The head's output is its cross-entropy.
+                                    let new = output_and_grads(&model, |t, st| {
+                                        let loss = model.next_loss(t, st, &s);
+                                        (loss, loss)
+                                    });
+                                    let old = output_and_grads(&model, |t, st| {
+                                        let rep =
+                                            oracle::forward_representation(&model, t, st, &s.pre);
+                                        let loss =
+                                            model.head().loss(t, st, rep, &s.mask, s.target_row);
+                                        (loss, loss)
+                                    });
+                                    (new, old)
+                                }
+                            };
+                            checked += 1;
+                            assert!(new.0.is_finite(), "{what}: output {}", new.0);
+                            assert!(
+                                (new.0 - old.0).abs() < 5e-4,
+                                "{what}: output {} vs oracle {}",
+                                new.0,
+                                old.0
+                            );
+                            for id in model.store.ids() {
+                                let diff = new.1.grad(id).sub(old.1.grad(id)).max_abs();
+                                assert!(
+                                    diff < 5e-4,
+                                    "{what}: ∂{} off the oracle by {diff}",
+                                    model.store.name(id)
+                                );
+                            }
+                        }
+                        assert!(checked >= 5, "only {checked} samples checked");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn forward_binds_each_parameter_once_and_holds_no_dense_snapshot() {
+        use crate::config::ChebKernel;
+        let data = tiny_data();
+        // 11 columns: no multiple of the hidden width (4) collides with it.
+        let cfg = CascnConfig {
+            max_nodes: 11,
+            ..tiny_cfg()
+        };
+        for recurrent in [RecurrentKind::Lstm, RecurrentKind::Gru] {
+            for cheb_kernel in [ChebKernel::Sparse, ChebKernel::Dense] {
+                let model = CascnModel::new(CascnConfig {
+                    recurrent,
+                    cheb_kernel,
+                    ..cfg
+                });
+                let mut checked = 0;
+                for cascade in &data.cascades[..20] {
+                    let s = preprocess(cascade, 3600.0, model.config());
+                    // At n = max_nodes the dense bases are n × max_nodes too.
+                    if s.n == cfg.max_nodes {
+                        continue;
+                    }
+                    checked += 1;
+                    let mut tape = Tape::new();
+                    let pred = model.forward(&mut tape, model.params(), &s);
+                    assert!(
+                        tape.values().all(|v| v.shape() != (s.n, cfg.max_nodes)),
+                        "a dense n × max_nodes snapshot block reached the tape"
+                    );
+                    let loss = tape.squared_error(pred, s.label_log);
+                    tape.backward(loss);
+                    let grads = tape.param_grads();
+                    assert!(
+                        grads.len() <= model.params().len(),
+                        "{} gradient entries for {} parameters: a parameter was bound per step",
+                        grads.len(),
+                        model.params().len()
+                    );
+                }
+                assert!(checked >= 10, "only {checked} cascades below the node cap");
+            }
         }
     }
 

@@ -9,11 +9,25 @@
 //! ([`ChebOperands`]):
 //!
 //! * **Sparse** (the default path): the scaled Laplacian `Δ̃_c` as a
-//!   [`SparseOp`], with the Chebyshev recurrence carried on `n×d` feature
-//!   blocks — `T_k·X = 2·Δ̃·(T_{k-1}·X) − T_{k-2}·X` — so no dense `n×n`
-//!   basis is ever materialized and each gate costs `O(K·nnz·d)`;
+//!   [`SparseOp`], so no dense `n×n` basis is ever materialized;
 //! * **Dense** (the legacy/gradcheck path): the materialized `T_k(Δ̃_c)`
 //!   bases entered on the tape as constants and multiplied per order.
+//!
+//! The two signals a cell convolves take different routes.
+//!
+//! * The snapshot `X_t` is a sparse `n × d_in` matrix (≤ 1 nonzero per
+//!   column in the model). [`ChebOperands::input_conv`] computes
+//!   `Y_k = X·W_k` with one sparse product per order and combines the
+//!   orders by Clenshaw's recurrence, `b_k = Y_k + 2Δ̃·b_{k+1} − b_{k+2}`,
+//!   `Σ_k T_k·Y_k = Y_0 + Δ̃·b_1 − b_2`: `K` sparse applies, no dense product.
+//! * The hidden state `h` is dense `n × d_h`; [`ChebOperands::conv_stack`]
+//!   builds `[T_0·h, …, T_K·h]` by `T_k·h = 2·Δ̃·(T_{k-1}·h) − T_{k-2}·h`
+//!   and each order is multiplied into the recurrent filters.
+//!
+//! A cell binds its parameters once per forward pass ([`BoundCell`]): the
+//! gates' filters are joined column-wise per order, so one input
+//! convolution and one recurrent product per order feed every gate, and
+//! [`Tape::slice_cols`] splits the joined pre-activation per gate.
 //!
 //! The LSTM variant includes the paper's peephole terms `V ⊙ c_{t-1}`
 //! (Eq. 12); we parameterize each peephole as a `1 x d_h` vector broadcast
@@ -24,7 +38,7 @@ use std::sync::Arc;
 
 use cascn_autograd::{ParamId, ParamStore, Tape, Var};
 use cascn_graph::SpectralBasis;
-use cascn_tensor::{Matrix, SparseOp};
+use cascn_tensor::{Csr, Matrix, SparseOp};
 use rand::rngs::StdRng;
 
 use crate::init;
@@ -56,40 +70,39 @@ impl ConvGate {
         let b = store.register(format!("{name}.b"), Matrix::zeros(1, d_h));
         Self { w, u, b }
     }
+}
 
-    /// `Σ_k conv_x[k]·W_k + Σ_k conv_h[k]·U_k + b` where `conv_x[k] =
-    /// T_k(Δ̃)·x` and `conv_h[k] = T_k(Δ̃)·h` are shared across gates.
-    fn pre_activation(
-        &self,
-        tape: &mut Tape,
-        store: &ParamStore,
-        conv_x: &[Var],
-        conv_h: &[Var],
-    ) -> Var {
-        debug_assert_eq!(conv_x.len(), self.w.len());
-        debug_assert_eq!(conv_h.len(), self.u.len());
-        let mut acc: Option<Var> = None;
-        for (cx, &wid) in conv_x.iter().zip(&self.w) {
-            let w = tape.param(store, wid);
-            let term = tape.matmul(*cx, w);
-            acc = Some(match acc {
-                Some(a) => tape.add(a, term),
-                None => term,
-            });
-        }
-        for (ch, &uid) in conv_h.iter().zip(&self.u) {
-            let u = tape.param(store, uid);
-            let term = tape.matmul(*ch, u);
-            acc = Some(match acc {
-                Some(a) => tape.add(a, term),
-                None => term,
-            });
-        }
-        let b = tape.param(store, self.b);
-        // lint: allow(no-panic) — the weight bank has K+1 ≥ 1 entries by construction
-        let pre = acc.expect("at least one Chebyshev order");
-        tape.add_bias(pre, b)
+/// Binds each parameter of `ids` (non-empty) once and joins them
+/// column-wise, in order.
+fn bind_cols(tape: &mut Tape, store: &ParamStore, ids: &[ParamId]) -> Var {
+    let mut joined = tape.param(store, ids[0]);
+    for &id in &ids[1..] {
+        let next = tape.param(store, id);
+        joined = tape.concat_cols(joined, next);
     }
+    joined
+}
+
+/// Binds per-order filter banks (one bank of `K+1` ids per gate): entry `k`
+/// is `[F_k^{g_1} | F_k^{g_2} | …]`.
+fn bind_orders(tape: &mut Tape, store: &ParamStore, banks: &[&[ParamId]]) -> Vec<Var> {
+    (0..banks[0].len())
+        .map(|k| {
+            let ids: Vec<ParamId> = banks.iter().map(|bank| bank[k]).collect();
+            bind_cols(tape, store, &ids)
+        })
+        .collect()
+}
+
+/// `Σ_k conv[k]·filters[k]` — the recurrent half of the pre-activations.
+fn filter_sum(tape: &mut Tape, conv: &[Var], filters: &[Var]) -> Var {
+    debug_assert_eq!(conv.len(), filters.len());
+    let mut acc = tape.matmul(conv[0], filters[0]);
+    for (&c, &f) in conv[1..].iter().zip(&filters[1..]) {
+        let term = tape.matmul(c, f);
+        acc = tape.add(acc, term);
+    }
+    acc
 }
 
 /// Enters the per-cascade Chebyshev bases `T_k(Δ̃_c)` on a tape as constants.
@@ -99,17 +112,16 @@ pub fn bases_to_vars(tape: &mut Tape, bases: &[Matrix]) -> Vec<Var> {
 
 /// The per-cascade spectral operand a ChebConv cell convolves against —
 /// either the sparse scaled Laplacian (operator form) or the materialized
-/// dense bases (legacy form). Both produce the same `K+1`-long convolution
-/// stack `[T_0·X, …, T_K·X]`; they differ only in cost and float rounding.
+/// dense bases (legacy form). Both produce the same convolutions; they
+/// differ only in cost and float rounding.
 #[derive(Debug, Clone)]
 pub enum ChebOperands {
-    /// Materialized `T_k(Δ̃_c)` tape constants, length `K+1` — each stack
-    /// entry is one dense `n×n · n×d` product. Kept for gradient checking
-    /// and the `ChebKernel::Dense` compatibility mode.
+    /// Materialized `T_k(Δ̃_c)` tape constants, length `K+1` — each order is
+    /// one dense `n×n · n×d` product. Kept for gradient checking and the
+    /// `ChebKernel::Dense` compatibility mode.
     Dense(Vec<Var>),
-    /// The scaled Laplacian itself; the stack is built by the feature-block
-    /// recurrence `T_k·X = 2·Δ̃·(T_{k-1}·X) − T_{k-2}·X` with `K` sparse
-    /// applications, never touching an `n×n` intermediate.
+    /// The scaled Laplacian itself, applied `K` times per convolution and
+    /// never expanded into an `n×n` intermediate.
     Sparse {
         /// `Δ̃_c` shared across every application this cell records.
         op: Arc<SparseOp>,
@@ -132,7 +144,7 @@ impl ChebOperands {
         }
     }
 
-    /// Number of stack entries this operand produces (`K + 1`).
+    /// Number of Chebyshev orders this operand convolves with (`K + 1`).
     pub fn len(&self) -> usize {
         match self {
             Self::Dense(bases) => bases.len(),
@@ -140,13 +152,13 @@ impl ChebOperands {
         }
     }
 
-    /// Whether the operand produces an empty stack (never true for a
-    /// well-formed operand — `K + 1 ≥ 1`).
+    /// Whether the operand has no orders (never true for a well-formed
+    /// operand — `K + 1 ≥ 1`).
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
 
-    /// Builds the convolution stack `[T_0·X, …, T_K·X]` for one signal.
+    /// Builds the convolution stack `[T_0·X, …, T_K·X]` for one dense signal.
     ///
     /// Sparse operands start from `T_0·X = X` itself (no identity product)
     /// and apply `Δ̃` `K` times; dense operands multiply each materialized
@@ -169,12 +181,82 @@ impl ChebOperands {
             }
         }
     }
+
+    /// The input convolution `Σ_k T_k·(X·W_k)` of a constant sparse signal
+    /// `x` (`n × d_in`) with `K+1` filters `w` (`d_in × d_out` each).
+    ///
+    /// `Y_k = X·W_k` costs one sparse product per order ([`Tape::spmm`]).
+    /// Sparse operands then combine the orders by Clenshaw's recurrence —
+    /// `b_K = Y_K`, `b_k = Y_k + 2Δ̃·b_{k+1} − b_{k+2}`, result
+    /// `Y_0 + Δ̃·b_1 − b_2` — which is `K` sparse applies on `n × d_out`
+    /// blocks. Dense operands compute `Σ_k T_k·Y_k` directly. Gradients flow
+    /// into every `W_k`.
+    ///
+    /// # Panics
+    /// Panics unless `w` holds `K+1` filters.
+    pub fn input_conv(&self, tape: &mut Tape, x: &Arc<Csr>, w: &[Var]) -> Var {
+        assert_eq!(w.len(), self.len(), "expected K+1 Chebyshev bases");
+        let y: Vec<Var> = w.iter().map(|&wk| tape.spmm(Arc::clone(x), wk)).collect();
+        match self {
+            Self::Dense(bases) => {
+                let mut acc = tape.matmul(bases[0], y[0]);
+                for (&t, &yk) in bases[1..].iter().zip(&y[1..]) {
+                    let term = tape.matmul(t, yk);
+                    acc = tape.add(acc, term);
+                }
+                acc
+            }
+            Self::Sparse { op, k } => {
+                let k = *k;
+                if k == 0 {
+                    return y[0];
+                }
+                // (b_{j+1}, b_{j+2}), starting from b_K and b_{K+1} = 0.
+                let (mut b1, mut b2) = (y[k], None);
+                for &yj in y[1..k].iter().rev() {
+                    let applied = tape.sparse_apply(Arc::clone(op), b1);
+                    let doubled = tape.scale(applied, 2.0);
+                    let mut bj = tape.add(yj, doubled);
+                    if let Some(b) = b2 {
+                        bj = tape.sub(bj, b);
+                    }
+                    (b1, b2) = (bj, Some(b1));
+                }
+                let applied = tape.sparse_apply(Arc::clone(op), b1);
+                let out = tape.add(y[0], applied);
+                match b2 {
+                    Some(b) => tape.sub(out, b),
+                    None => out,
+                }
+            }
+        }
+    }
 }
 
 /// Broadcasts a `1 x d` parameter row over `n` node rows.
 fn tile_rows(tape: &mut Tape, row: Var, n: usize) -> Var {
     let ones = tape.constant(Matrix::full(n, 1, 1.0));
     tape.matmul(ones, row)
+}
+
+/// A ChebConv cell's parameters entered on one tape, once per forward pass.
+///
+/// Each Chebyshev order's input filters of every gate sit side by side,
+/// `[W_k^{g_1} | W_k^{g_2} | …]`, so one [`ChebOperands::input_conv`] feeds
+/// all gates; the recurrent filters of the gates that convolve `h` are
+/// joined the same way, and so are the biases. Binding once keeps one tape
+/// leaf (and one gradient) per parameter however many steps run.
+#[derive(Debug, Clone)]
+pub struct BoundCell {
+    w: Vec<Var>,
+    u: Vec<Var>,
+    /// The GRU candidate's recurrent filters, which convolve `r ⊙ h`
+    /// rather than `h` (empty for the LSTM).
+    u_cand: Vec<Var>,
+    b: Var,
+    /// The LSTM's peephole rows `V_i, V_f, V_o`, tiled over the cascade's
+    /// `n` nodes (empty for the GRU).
+    peep: Vec<Var>,
 }
 
 /// The CasCN graph-convolutional LSTM cell of Eq. 12–14 (with peepholes).
@@ -239,49 +321,66 @@ impl ChebConvLstmCell {
         (h, c)
     }
 
+    /// Binds every parameter once for a forward pass over `n` nodes. Gate
+    /// order of the joined filters: input, forget, output, cell.
+    pub fn bind(&self, tape: &mut Tape, store: &ParamStore, n: usize) -> BoundCell {
+        let gates = [&self.input, &self.forget, &self.output, &self.cell];
+        let peep = [self.peep_i, self.peep_f, self.peep_o]
+            .iter()
+            .map(|&id| {
+                let row = tape.param(store, id);
+                tile_rows(tape, row, n)
+            })
+            .collect();
+        BoundCell {
+            w: bind_orders(tape, store, &gates.map(|g| g.w.as_slice())),
+            u: bind_orders(tape, store, &gates.map(|g| g.u.as_slice())),
+            u_cand: Vec::new(),
+            b: bind_cols(tape, store, &gates.map(|g| g.b)),
+            peep,
+        }
+    }
+
     /// One timestep over a cascade snapshot.
     ///
-    /// `operands` carry the cascade's spectral operator (sparse or dense,
-    /// producing a `K+1` convolution stack), `x` is the `n x d_in` snapshot
-    /// signal, and the state matrices are `n x d_h`.
+    /// `operands` carry the cascade's spectral operator (sparse or dense),
+    /// `x` is the `n x d_in` snapshot signal, `params` come from
+    /// [`ChebConvLstmCell::bind`], and the state matrices are `n x d_h`.
     pub fn step(
         &self,
         tape: &mut Tape,
-        store: &ParamStore,
+        params: &BoundCell,
         operands: &ChebOperands,
-        x: Var,
+        x: &Arc<Csr>,
         (h, c): (Var, Var),
     ) -> (Var, Var) {
         assert_eq!(operands.len(), self.k + 1, "expected K+1 Chebyshev bases");
-        let n = tape.value(x).rows();
-        let conv_x = operands.conv_stack(tape, x);
+        let d = self.d_h;
+        let xw = operands.input_conv(tape, x, &params.w);
         let conv_h = operands.conv_stack(tape, h);
+        let hu = filter_sum(tape, &conv_h, &params.u);
+        let sum = tape.add(xw, hu);
+        let pre = tape.add_bias(sum, params.b);
 
-        let peep = |tape: &mut Tape, id: ParamId, cell_state: Var| {
-            let v = tape.param(store, id);
-            let tiled = tile_rows(tape, v, n);
-            tape.hadamard(tiled, cell_state)
-        };
-
-        let i_pre = self.input.pre_activation(tape, store, &conv_x, &conv_h);
-        let i_peep = peep(tape, self.peep_i, c);
+        let i_pre = tape.slice_cols(pre, 0, d);
+        let i_peep = tape.hadamard(params.peep[0], c);
         let i_sum = tape.add(i_pre, i_peep);
         let i = tape.sigmoid(i_sum);
 
-        let f_pre = self.forget.pre_activation(tape, store, &conv_x, &conv_h);
-        let f_peep = peep(tape, self.peep_f, c);
+        let f_pre = tape.slice_cols(pre, d, d);
+        let f_peep = tape.hadamard(params.peep[1], c);
         let f_sum = tape.add(f_pre, f_peep);
         let f = tape.sigmoid(f_sum);
 
-        let g_pre = self.cell.pre_activation(tape, store, &conv_x, &conv_h);
+        let g_pre = tape.slice_cols(pre, 3 * d, d);
         let g = tape.tanh(g_pre);
 
         let fc = tape.hadamard(f, c);
         let ig = tape.hadamard(i, g);
         let c_next = tape.add(fc, ig);
 
-        let o_pre = self.output.pre_activation(tape, store, &conv_x, &conv_h);
-        let o_peep = peep(tape, self.peep_o, c_next);
+        let o_pre = tape.slice_cols(pre, 2 * d, d);
+        let o_peep = tape.hadamard(params.peep[2], c_next);
         let o_sum = tape.add(o_pre, o_peep);
         let o = tape.sigmoid(o_sum);
 
@@ -290,19 +389,21 @@ impl ChebConvLstmCell {
         (h_next, c_next)
     }
 
-    /// Runs a snapshot sequence, returning every hidden state.
+    /// Runs a snapshot sequence over `n` nodes, binding the parameters
+    /// once, and returns every hidden state.
     pub fn run(
         &self,
         tape: &mut Tape,
         store: &ParamStore,
         operands: &ChebOperands,
-        inputs: &[Var],
+        inputs: &[Arc<Csr>],
         n: usize,
     ) -> Vec<Var> {
+        let params = self.bind(tape, store, n);
         let mut state = self.zero_state(tape, n);
         let mut hs = Vec::with_capacity(inputs.len());
-        for &x in inputs {
-            state = self.step(tape, store, operands, x, state);
+        for x in inputs {
+            state = self.step(tape, &params, operands, x, state);
             hs.push(state.0);
         }
         hs
@@ -361,52 +462,71 @@ impl ChebConvGruCell {
         tape.constant(Matrix::zeros(n, self.d_h))
     }
 
-    /// One timestep over a cascade snapshot.
+    /// Binds every parameter once for a forward pass. Gate order of the
+    /// joined input filters and biases: update, reset, candidate; the
+    /// joined recurrent filters cover update and reset, which convolve `h`.
+    pub fn bind(&self, tape: &mut Tape, store: &ParamStore) -> BoundCell {
+        let gates = [&self.update, &self.reset, &self.candidate];
+        BoundCell {
+            w: bind_orders(tape, store, &gates.map(|g| g.w.as_slice())),
+            u: bind_orders(tape, store, &[&self.update.u, &self.reset.u]),
+            u_cand: bind_orders(tape, store, &[&self.candidate.u]),
+            b: bind_cols(tape, store, &gates.map(|g| g.b)),
+            peep: Vec::new(),
+        }
+    }
+
+    /// One timestep over a cascade snapshot, with `params` from
+    /// [`ChebConvGruCell::bind`]: `h' = h + z ⊙ (h̃ − h)`.
     pub fn step(
         &self,
         tape: &mut Tape,
-        store: &ParamStore,
+        params: &BoundCell,
         operands: &ChebOperands,
-        x: Var,
+        x: &Arc<Csr>,
         h: Var,
     ) -> Var {
         assert_eq!(operands.len(), self.k + 1, "expected K+1 Chebyshev bases");
-        let conv_x = operands.conv_stack(tape, x);
+        let d = self.d_h;
+        let xw = operands.input_conv(tape, x, &params.w);
+        let xw = tape.add_bias(xw, params.b);
         let conv_h = operands.conv_stack(tape, h);
+        let hu = filter_sum(tape, &conv_h, &params.u);
+        let x_zr = tape.slice_cols(xw, 0, 2 * d);
+        let zr = tape.add(x_zr, hu);
 
-        let z_pre = self.update.pre_activation(tape, store, &conv_x, &conv_h);
+        let z_pre = tape.slice_cols(zr, 0, d);
         let z = tape.sigmoid(z_pre);
-        let r_pre = self.reset.pre_activation(tape, store, &conv_x, &conv_h);
+        let r_pre = tape.slice_cols(zr, d, d);
         let r = tape.sigmoid(r_pre);
 
         let rh = tape.hadamard(r, h);
         let conv_rh = operands.conv_stack(tape, rh);
-        let cand_pre = self
-            .candidate
-            .pre_activation(tape, store, &conv_x, &conv_rh);
+        let rhu = filter_sum(tape, &conv_rh, &params.u_cand);
+        let x_cand = tape.slice_cols(xw, 2 * d, d);
+        let cand_pre = tape.add(x_cand, rhu);
         let cand = tape.tanh(cand_pre);
 
-        let (n, d) = tape.value(h).shape();
-        let ones = tape.constant(Matrix::full(n, d, 1.0));
-        let one_minus_z = tape.sub(ones, z);
-        let keep = tape.hadamard(one_minus_z, h);
-        let update = tape.hadamard(z, cand);
-        tape.add(keep, update)
+        let delta = tape.sub(cand, h);
+        let update = tape.hadamard(z, delta);
+        tape.add(h, update)
     }
 
-    /// Runs a snapshot sequence, returning every hidden state.
+    /// Runs a snapshot sequence over `n` nodes, binding the parameters
+    /// once, and returns every hidden state.
     pub fn run(
         &self,
         tape: &mut Tape,
         store: &ParamStore,
         operands: &ChebOperands,
-        inputs: &[Var],
+        inputs: &[Arc<Csr>],
         n: usize,
     ) -> Vec<Var> {
+        let params = self.bind(tape, store);
         let mut h = self.zero_state(tape, n);
         let mut hs = Vec::with_capacity(inputs.len());
-        for &x in inputs {
-            h = self.step(tape, store, operands, x, h);
+        for x in inputs {
+            h = self.step(tape, &params, operands, x, h);
             hs.push(h);
         }
         hs
@@ -430,6 +550,11 @@ mod tests {
         laplacian::chebyshev_bases(&scaled, k)
     }
 
+    /// A constant snapshot signal in the sparse form the cells take.
+    fn signal(m: &Matrix) -> Arc<Csr> {
+        Arc::new(Csr::from_dense(m))
+    }
+
     #[test]
     fn lstm_step_shapes() {
         let mut store = ParamStore::new();
@@ -437,9 +562,15 @@ mod tests {
         let cell = ChebConvLstmCell::new(&mut store, "cc", 2, 6, 4, &mut rng);
         let mut tape = Tape::new();
         let operands = ChebOperands::dense(&mut tape, &fig1_bases(2));
-        let x = tape.constant(Matrix::eye(6));
+        let params = cell.bind(&mut tape, &store, 6);
         let state = cell.zero_state(&mut tape, 6);
-        let (h, c) = cell.step(&mut tape, &store, &operands, x, state);
+        let (h, c) = cell.step(
+            &mut tape,
+            &params,
+            &operands,
+            &signal(&Matrix::eye(6)),
+            state,
+        );
         assert_eq!(tape.value(h).shape(), (6, 4));
         assert_eq!(tape.value(c).shape(), (6, 4));
     }
@@ -452,9 +583,15 @@ mod tests {
         let cell = ChebConvLstmCell::new(&mut store, "cc", 2, 6, 4, &mut rng);
         let mut tape = Tape::new();
         let operands = ChebOperands::dense(&mut tape, &fig1_bases(1)); // wrong: K=1
-        let x = tape.constant(Matrix::eye(6));
+        let params = cell.bind(&mut tape, &store, 6);
         let state = cell.zero_state(&mut tape, 6);
-        let _ = cell.step(&mut tape, &store, &operands, x, state);
+        let _ = cell.step(
+            &mut tape,
+            &params,
+            &operands,
+            &signal(&Matrix::eye(6)),
+            state,
+        );
     }
 
     #[test]
@@ -464,10 +601,42 @@ mod tests {
         let cell = ChebConvGruCell::new(&mut store, "cg", 1, 6, 3, &mut rng);
         let mut tape = Tape::new();
         let operands = ChebOperands::dense(&mut tape, &fig1_bases(1));
-        let inputs: Vec<Var> = (0..4).map(|_| tape.constant(Matrix::eye(6))).collect();
+        let inputs: Vec<Arc<Csr>> = (0..4).map(|_| signal(&Matrix::eye(6))).collect();
         let hs = cell.run(&mut tape, &store, &operands, &inputs, 6);
         assert_eq!(hs.len(), 4);
         assert!(tape.value(hs[3]).all_finite());
+    }
+
+    /// Runs `cell` over three steps of a non-binary signal and returns the
+    /// names of parameters left without gradient, plus the number of
+    /// gradient entries the tape extracted.
+    fn zero_grad_params(
+        store: &mut ParamStore,
+        operands_of: impl Fn(&mut Tape) -> ChebOperands,
+        run: impl Fn(&mut Tape, &ParamStore, &ChebOperands, &[Arc<Csr>]) -> Vec<Var>,
+    ) -> (Vec<String>, usize) {
+        let mut tape = Tape::new();
+        let operands = operands_of(&mut tape);
+        let inputs: Vec<Arc<Csr>> = (0..3)
+            .map(|t| {
+                signal(&Matrix::from_fn(6, 6, |r, c| {
+                    ((r + 2 * c + t) % 4) as f32 * 0.25
+                }))
+            })
+            .collect();
+        let hs = run(&mut tape, store, &operands, &inputs);
+        let pooled = tape.sum_rows(*hs.last().unwrap());
+        let sq = tape.sqr(pooled);
+        let loss = tape.sum_all(sq);
+        tape.backward(loss);
+        tape.accumulate_param_grads(store);
+        let entries = tape.param_grads().len();
+        let zero = store
+            .ids()
+            .filter(|&id| store.grad(id).max_abs() == 0.0)
+            .map(|id| store.name(id).to_string())
+            .collect();
+        (zero, entries)
     }
 
     #[test]
@@ -475,30 +644,16 @@ mod tests {
         let mut store = ParamStore::new();
         let mut rng = StdRng::seed_from_u64(3);
         let cell = ChebConvLstmCell::new(&mut store, "cc", 1, 6, 3, &mut rng);
-        let mut tape = Tape::new();
-        let operands = ChebOperands::dense(&mut tape, &fig1_bases(1));
-        let inputs: Vec<Var> = (0..3).map(|_| {
-            tape.constant(Matrix::from_fn(6, 6, |r, c| ((r + c) % 3) as f32 * 0.2))
-        }).collect();
-        let hs = cell.run(&mut tape, &store, &operands, &inputs, 6);
-        let pooled = tape.sum_rows(*hs.last().unwrap());
-        let sq = tape.sqr(pooled);
-        let loss = tape.sum_all(sq);
-        tape.backward(loss);
-        tape.accumulate_param_grads(&mut store);
         // Every W/U/bias of every gate must receive a nonzero gradient
         // (peepholes start at zero so their gradient may vanish for c=0 at
-        // t=0, but not after 3 steps).
-        let mut zero_grads = Vec::new();
-        for id in store.ids().collect::<Vec<_>>() {
-            if store.grad(id).max_abs() == 0.0 {
-                zero_grads.push(store.name(id).to_string());
-            }
-        }
-        assert!(
-            zero_grads.is_empty(),
-            "parameters without gradient: {zero_grads:?}"
+        // t=0, but not after 3 steps), through one binding each.
+        let (zero, entries) = zero_grad_params(
+            &mut store,
+            |tape| ChebOperands::dense(tape, &fig1_bases(1)),
+            |tape, store, operands, inputs| cell.run(tape, store, operands, inputs, 6),
         );
+        assert!(zero.is_empty(), "parameters without gradient: {zero:?}");
+        assert_eq!(entries, store.len(), "each parameter is bound once per run");
     }
 
     #[test]
@@ -519,10 +674,8 @@ mod tests {
             let bases_m = laplacian::chebyshev_bases(&scaled, 2);
             let mut tape = Tape::new();
             let operands = ChebOperands::dense(&mut tape, &bases_m);
-            let x = tape.constant(Matrix::eye(4));
-            let state = cell.zero_state(&mut tape, 4);
-            let (h, _) = cell.step(&mut tape, store, &operands, x, state);
-            tape.value(h).clone()
+            let hs = cell.run(&mut tape, store, &operands, &[signal(&Matrix::eye(4))], 4);
+            tape.value(hs[0]).clone()
         };
 
         let fwd = run(&[(0, 1), (1, 2), (2, 3)], &store, &cell);
@@ -572,6 +725,43 @@ mod tests {
         assert_eq!(tape.value(stack_s[0]).as_slice(), x_m.as_slice());
     }
 
+    /// Clenshaw's combination (sparse) and the direct sum (dense) both equal
+    /// `Σ_k (T_k·X)·W_k` over a dense copy of the signal, for every order
+    /// from 0 to 3 and a rectangular, non-binary `X` with an empty row.
+    #[test]
+    fn input_conv_matches_stacked_dense_products() {
+        let x_m = Matrix::from_fn(6, 5, |r, c| {
+            if r == 4 || (r + c) % 3 == 0 {
+                0.0
+            } else {
+                (r * 5 + c) as f32 * 0.11 - 1.3
+            }
+        });
+        for k in 0..=3 {
+            let basis = fig1_basis(k);
+            let mut tape = Tape::new();
+            let w: Vec<Var> = (0..=k)
+                .map(|i| {
+                    tape.constant(Matrix::from_fn(5, 3, |r, c| {
+                        ((r + 2 * c + i) % 5) as f32 * 0.3 - 0.6
+                    }))
+                })
+                .collect();
+            let x = tape.constant(x_m.clone());
+            let dense = ChebOperands::dense(&mut tape, &basis.materialize());
+            let stack = dense.conv_stack(&mut tape, x);
+            let mut expect = Matrix::zeros(6, 3);
+            for (&s, &wk) in stack.iter().zip(&w) {
+                expect = expect.add(&tape.value(s).matmul(tape.value(wk)));
+            }
+            for operands in [dense, ChebOperands::sparse(&basis)] {
+                let got = operands.input_conv(&mut tape, &signal(&x_m), &w);
+                let diff = tape.value(got).sub(&expect).max_abs();
+                assert!(diff < 1e-5, "K={k}: input convolution off by {diff}");
+            }
+        }
+    }
+
     #[test]
     fn lstm_sparse_step_matches_dense_within_tolerance() {
         let mut store = ParamStore::new();
@@ -582,8 +772,8 @@ mod tests {
         let run = |operands_of: &dyn Fn(&mut Tape) -> ChebOperands| {
             let mut tape = Tape::new();
             let operands = operands_of(&mut tape);
-            let x = tape.constant(Matrix::eye(6));
-            let inputs = [x, x, x];
+            let x = signal(&Matrix::eye(6));
+            let inputs = [Arc::clone(&x), Arc::clone(&x), x];
             let hs = cell.run(&mut tape, &store, &operands, &inputs, 6);
             tape.value(*hs.last().unwrap()).clone()
         };
@@ -604,26 +794,15 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(8);
         let cell = ChebConvGruCell::new(&mut store, "cg", 2, 6, 3, &mut rng);
         let basis = fig1_basis(2);
-        let mut tape = Tape::new();
-        let operands = ChebOperands::sparse(&basis);
-        let inputs: Vec<Var> = (0..3)
-            .map(|_| tape.constant(Matrix::from_fn(6, 6, |r, c| ((r + 2 * c) % 4) as f32 * 0.25)))
-            .collect();
-        let hs = cell.run(&mut tape, &store, &operands, &inputs, 6);
-        let pooled = tape.sum_rows(*hs.last().unwrap());
-        let sq = tape.sqr(pooled);
-        let loss = tape.sum_all(sq);
-        tape.backward(loss);
-        tape.accumulate_param_grads(&mut store);
-        let mut zero_grads = Vec::new();
-        for id in store.ids().collect::<Vec<_>>() {
-            if store.grad(id).max_abs() == 0.0 {
-                zero_grads.push(store.name(id).to_string());
-            }
-        }
-        assert!(
-            zero_grads.is_empty(),
-            "parameters without gradient on the sparse path: {zero_grads:?}"
+        let (zero, entries) = zero_grad_params(
+            &mut store,
+            |_| ChebOperands::sparse(&basis),
+            |tape, store, operands, inputs| cell.run(tape, store, operands, inputs, 6),
         );
+        assert!(
+            zero.is_empty(),
+            "parameters without gradient on the sparse path: {zero:?}"
+        );
+        assert_eq!(entries, store.len(), "each parameter is bound once per run");
     }
 }

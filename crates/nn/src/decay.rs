@@ -43,8 +43,23 @@ impl TimeDecay {
         ((t / width) as usize).min(self.intervals - 1)
     }
 
+    /// Binds the multiplier table on `tape` — once per forward pass;
+    /// [`TimeDecay::scale`] then reads it for each snapshot.
+    pub fn bind(&self, tape: &mut Tape, store: &ParamStore) -> Var {
+        tape.param(store, self.lambdas)
+    }
+
     /// Scales the hidden state `h` (taken at snapshot time `t`) by the
-    /// learned `λ_m` of its interval (Eq. 16).
+    /// learned `λ_m` of its interval (Eq. 16), reading the `table` from
+    /// [`TimeDecay::bind`].
+    pub fn scale(&self, tape: &mut Tape, table: Var, h: Var, t: f64, window: f64) -> Var {
+        let m = self.interval_of(t, window);
+        let lambda = tape.gather(table, vec![m]);
+        tape.scalar_mul(lambda, h)
+    }
+
+    /// [`TimeDecay::bind`] then [`TimeDecay::scale`], for a model that
+    /// decays one state per forward pass.
     pub fn apply(
         &self,
         tape: &mut Tape,
@@ -53,10 +68,8 @@ impl TimeDecay {
         t: f64,
         window: f64,
     ) -> Var {
-        let m = self.interval_of(t, window);
-        let table = tape.param(store, self.lambdas);
-        let lambda = tape.gather(table, vec![m]);
-        tape.scalar_mul(lambda, h)
+        let table = self.bind(tape, store);
+        self.scale(tape, table, h, t, window)
     }
 
     /// Current values of the multipliers (for inspection/reports).

@@ -30,7 +30,7 @@ mod next_user;
 mod rnn;
 pub mod train;
 
-pub use chebconv::{bases_to_vars, ChebConvGruCell, ChebConvLstmCell, ChebOperands};
+pub use chebconv::{bases_to_vars, BoundCell, ChebConvGruCell, ChebConvLstmCell, ChebOperands};
 pub use decay::TimeDecay;
 pub use embedding::{Embedding, Vocab};
 pub use linear::{Activation, Linear, Mlp};

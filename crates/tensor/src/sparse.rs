@@ -31,29 +31,52 @@ pub struct Csr {
 }
 
 impl Csr {
-    /// Builds a square `n x n` CSR matrix from `(row, col, value)` triples.
-    /// Duplicate coordinates are kept as separate entries (they sum under
-    /// multiplication, matching dense semantics).
+    /// Builds a square `n x n` CSR matrix from `(row, col, value)` triples
+    /// ([`Csr::from_triplets`]). Duplicate coordinates are kept as separate
+    /// entries (they sum under multiplication, matching dense semantics).
     ///
     /// # Panics
     /// Panics if any coordinate is out of range.
     pub fn from_edges(n: usize, edges: impl Iterator<Item = (usize, usize, f32)>) -> Self {
-        let mut buckets: Vec<Vec<(usize, f32)>> = vec![Vec::new(); n];
-        for (r, c, v) in edges {
-            assert!(r < n && c < n, "entry ({r},{c}) out of range for {n}x{n}");
-            buckets[r].push((c, v));
+        Self::from_triplets(n, n, edges)
+    }
+
+    /// Builds an `n_rows x n_cols` CSR matrix from `(row, col, value)`
+    /// triples by a counting sort on the row. Each row's entries are then
+    /// sorted by column, stably, so duplicate coordinates keep their input
+    /// order (and sum under multiplication, matching dense semantics).
+    ///
+    /// # Panics
+    /// Panics if any coordinate is out of range.
+    pub fn from_triplets(
+        n_rows: usize,
+        n_cols: usize,
+        triplets: impl IntoIterator<Item = (usize, usize, f32)>,
+    ) -> Self {
+        let triplets: Vec<(usize, usize, f32)> = triplets.into_iter().collect();
+        let mut row_ptr = vec![0usize; n_rows + 1];
+        for &(r, c, _) in &triplets {
+            assert!(
+                r < n_rows && c < n_cols,
+                "entry ({r},{c}) out of range for {n_rows}x{n_cols}"
+            );
+            row_ptr[r + 1] += 1;
         }
-        let mut row_ptr = Vec::with_capacity(n + 1);
-        let mut entries = Vec::new();
-        row_ptr.push(0);
-        for mut b in buckets {
-            b.sort_unstable_by_key(|&(c, _)| c);
-            entries.extend_from_slice(&b);
-            row_ptr.push(entries.len());
+        for r in 0..n_rows {
+            row_ptr[r + 1] += row_ptr[r];
+        }
+        let mut next = row_ptr[..n_rows].to_vec();
+        let mut entries = vec![(0usize, 0.0f32); triplets.len()];
+        for (r, c, v) in triplets {
+            entries[next[r]] = (c, v);
+            next[r] += 1;
+        }
+        for r in 0..n_rows {
+            entries[row_ptr[r]..row_ptr[r + 1]].sort_by_key(|&(c, _)| c);
         }
         Self {
-            n_rows: n,
-            n_cols: n,
+            n_rows,
+            n_cols,
             row_ptr,
             entries,
         }
@@ -435,6 +458,20 @@ mod tests {
         let c = sample();
         assert_eq!(c.row(0), &[(1, 2.0), (2, 1.0)]);
         assert_eq!(c.row(1), &[(2, 3.0)]);
+    }
+
+    #[test]
+    fn from_triplets_builds_rectangular_rows_sorted_and_stable() {
+        let c = Csr::from_triplets(3, 5, [(2, 4, 1.0), (0, 3, 2.0), (0, 1, 3.0), (2, 4, 5.0)]);
+        assert_eq!((c.rows(), c.cols(), c.nnz()), (3, 5, 4));
+        assert_eq!(c.row(0), &[(1, 3.0), (3, 2.0)]);
+        assert!(c.row(1).is_empty(), "rows without entries stay empty");
+        assert_eq!(
+            c.row(2),
+            &[(4, 1.0), (4, 5.0)],
+            "duplicates keep input order"
+        );
+        assert_eq!(c.to_dense()[(2, 4)], 6.0);
     }
 
     #[test]

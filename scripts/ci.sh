@@ -4,7 +4,9 @@
 # guard-across-blocking, wait-loop, atomic-ordering), clippy with
 # warnings-as-errors, the full test suite, the thread-parity suite in
 # release (optimized float codegen is the configuration that ships), bench
-# compilation, the perf ratchet (BENCH_train.json vs bench-baseline.json:
+# compilation, the perfbench harness's own tests (a tiny traced run of every
+# workload, so a library API the benchmark calls cannot break unnoticed),
+# the perf ratchet (BENCH_train.json vs bench-baseline.json:
 # sparse-kernel speedup, kernel-accuracy and next-user Hit@10 gates plus
 # banded wall-clock), the kill-and-resume smoke test, the serving smoke
 # test, the next-user train→serve smoke test, and the fleet smoke test
@@ -20,6 +22,7 @@ cargo clippy --all-targets -- -D warnings
 cargo test -q
 cargo test -q --release -p cascn --test thread_parity
 cargo bench --no-run -p cascn-bench
+cargo test --release --manifest-path perfbench/Cargo.toml
 cargo run --release -q -p cascn-bench --bin record -- --check
 scripts/resume_smoke.sh
 scripts/serve_smoke.sh

@@ -5,7 +5,44 @@
 use cascn::{preprocess, CascnConfig, CascnModel, LambdaMax, LaplacianKind, WindowedPreprocessor};
 use cascn_cascades::{Cascade, Event};
 use cascn_graph::laplacian;
+use cascn_tensor::Matrix;
 use proptest::prelude::*;
+
+/// The dense snapshot sampler preprocessing used before snapshots became an
+/// edge list, kept as the oracle: the Fig. 3 sequence over the first `n`
+/// events as `n × width` 0/1 matrices, plus each step's time.
+fn snapshots_padded(
+    cascade: &Cascade,
+    n: usize,
+    max_steps: usize,
+    width: usize,
+) -> (Vec<Matrix>, Vec<f64>) {
+    let events = &cascade.events[..n];
+    let steps = n.min(max_steps.max(1));
+    let mut boundaries = Vec::with_capacity(steps);
+    for s in 1..=steps {
+        boundaries.push((s * n).div_ceil(steps));
+    }
+    let mut out = Vec::with_capacity(steps);
+    let mut times = Vec::with_capacity(steps);
+    let mut adj = Matrix::zeros(n, width);
+    adj[(0, 0)] = 1.0; // root self-connection
+    let mut next_event = 1usize;
+    for &b in &boundaries {
+        while next_event < b {
+            let e = &events[next_event];
+            if let Some(p) = e.parent {
+                if p < n && next_event < width {
+                    adj[(p, next_event)] = 1.0;
+                }
+            }
+            next_event += 1;
+        }
+        out.push(adj.clone());
+        times.push(events[b - 1].time);
+    }
+    (out, times)
+}
 
 /// Strategy: a random valid cascade with up to `max_nodes` adopters.
 /// Events get increasing times and earlier-indexed parents — the Cascade
@@ -62,22 +99,23 @@ proptest! {
             prop_assert_eq!(b.shape(), (p.n, p.n));
             prop_assert!(b.all_finite());
         }
-        prop_assert!(!p.snapshots.is_empty());
-        prop_assert!(p.snapshots.len() <= cfg.max_steps);
-        prop_assert_eq!(p.snapshots.len(), p.times.len());
+        prop_assert!(p.num_steps() >= 1);
+        prop_assert!(p.num_steps() <= cfg.max_steps);
+        prop_assert_eq!(p.num_steps(), p.times.len());
 
-        // Snapshots grow monotonically and end with the whole prefix.
-        for w in p.snapshots.windows(2) {
-            for i in 0..w[0].len() {
-                prop_assert!(w[1].as_slice()[i] >= w[0].as_slice()[i]);
-            }
-        }
+        // The edge list starts with the root self-loop; snapshots are
+        // monotone prefixes of it and the last holds the whole prefix.
+        prop_assert_eq!(p.edges.first().copied(), Some((0, 0)));
+        prop_assert!(p.prefix_lens.windows(2).all(|w| w[0] <= w[1]));
+        prop_assert_eq!(p.prefix_lens.last().copied(), Some(p.edges.len()));
         let expected_edges = cascade.events[..p.n]
             .iter()
             .skip(1)
             .filter(|e| e.parent.expect("non-root") < p.n)
-            .count() as f32;
-        prop_assert_eq!(p.snapshots.last().unwrap().sum(), expected_edges + 1.0);
+            .count();
+        prop_assert_eq!(p.edges.len(), expected_edges + 1);
+        let last = p.snapshot(p.num_steps() - 1, cfg.max_nodes).to_dense();
+        prop_assert_eq!(last.sum(), (expected_edges + 1) as f32);
 
         // Times sorted and within the (inclusive) window.
         prop_assert!(p.times.windows(2).all(|w| w[0] <= w[1]));
@@ -90,6 +128,29 @@ proptest! {
         prop_assert_eq!(cascade.observed_size(window) + cascade.increment_size(window),
                         cascade.final_size());
         prop_assert!((p.label_log - ((p.increment + 1) as f32).ln()).abs() < 1e-6);
+    }
+
+    #[test]
+    fn edge_list_snapshots_equal_the_dense_sampler_bit_for_bit(
+        cascade in arbitrary_cascade(24),
+        window in 1.0f64..2000.0,
+        max_nodes in 1usize..20,
+        max_steps in 1usize..8,
+    ) {
+        let cfg = CascnConfig { max_nodes, max_steps, ..CascnConfig::default() };
+        let p = preprocess(&cascade, window, &cfg);
+        let (dense, times) = snapshots_padded(&cascade, p.n, max_steps, max_nodes);
+        prop_assert_eq!(p.num_steps(), dense.len());
+        prop_assert_eq!(&p.times, &times);
+        for (t, expect) in dense.iter().enumerate() {
+            let got = p.snapshot(t, max_nodes).to_dense();
+            let (a, b): (Vec<u32>, Vec<u32>) = (
+                got.as_slice().iter().map(|x| x.to_bits()).collect(),
+                expect.as_slice().iter().map(|x| x.to_bits()).collect(),
+            );
+            prop_assert_eq!(got.shape(), expect.shape());
+            prop_assert_eq!(a, b, "step {} differs", t);
+        }
     }
 
     #[test]
