@@ -11,6 +11,12 @@
 //! they persist across examples; [`Tape::param`] binds a parameter into the
 //! current graph and [`Tape::accumulate_param_grads`] routes gradients back.
 //!
+//! Layers are written once, generic over the [`Exec`] trait: training runs
+//! them on a [`Tape`], inference on an [`Eval`], which records nothing,
+//! reads parameters in place and frees each intermediate once its last
+//! handle drops. Both compute every value with the same kernel, so their
+//! outputs are bit-identical.
+//!
 //! Gradient correctness is enforced by finite-difference property tests (see
 //! [`check_gradients`] and `tests/prop_gradcheck.rs`).
 //!
@@ -35,12 +41,15 @@
 //! assert_eq!(store.grad(w).as_slice(), &[2.0, 1.0]);
 //! ```
 
+mod exec;
 mod gradcheck;
+mod kernel;
 mod serialize;
 mod optim;
 mod params;
 mod tape;
 
+pub use exec::{Eval, EvalVar, Exec};
 pub use gradcheck::{assert_gradients_close, check_gradients, numeric_gradient, GradCheckReport};
 pub use optim::{Adam, AdamConfig, AdamState, Optimizer, Sgd};
 pub use params::{ParamGrads, ParamId, ParamStore};

@@ -4,6 +4,7 @@ use std::sync::Arc;
 
 use cascn_tensor::{Csr, Matrix, SparseOp};
 
+use crate::kernel;
 use crate::params::{ParamId, ParamStore};
 
 /// Handle to a value recorded on a [`Tape`].
@@ -178,21 +179,21 @@ impl Tape {
 
     /// Elementwise logistic sigmoid.
     pub fn sigmoid(&mut self, a: Var) -> Var {
-        let value = self.value(a).map(|x| 1.0 / (1.0 + (-x).exp()));
+        let value = kernel::sigmoid(self.value(a));
         let rg = self.requires(a);
         self.push(Op::Sigmoid(a), value, rg)
     }
 
     /// Elementwise hyperbolic tangent.
     pub fn tanh(&mut self, a: Var) -> Var {
-        let value = self.value(a).map(f32::tanh);
+        let value = kernel::tanh(self.value(a));
         let rg = self.requires(a);
         self.push(Op::Tanh(a), value, rg)
     }
 
     /// Elementwise rectifier.
     pub fn relu(&mut self, a: Var) -> Var {
-        let value = self.value(a).map(|x| x.max(0.0));
+        let value = kernel::relu(self.value(a));
         let rg = self.requires(a);
         self.push(Op::Relu(a), value, rg)
     }
@@ -209,13 +210,7 @@ impl Tape {
     /// # Panics
     /// Panics if `s` is not `1x1`.
     pub fn scalar_mul(&mut self, s: Var, a: Var) -> Var {
-        assert_eq!(
-            self.value(s).shape(),
-            (1, 1),
-            "scalar_mul: scalar operand must be 1x1"
-        );
-        let sv = self.value(s)[(0, 0)];
-        let value = self.value(a).scale(sv);
+        let value = kernel::scalar_mul(self.value(s), self.value(a));
         let rg = self.requires(a) || self.requires(s);
         self.push(Op::ScalarMul(s, a), value, rg)
     }
@@ -255,13 +250,7 @@ impl Tape {
     /// # Panics
     /// Panics if any index is out of bounds.
     pub fn gather(&mut self, table: Var, rows: Vec<usize>) -> Var {
-        let t = self.value(table);
-        let d = t.cols();
-        let mut value = Matrix::zeros(rows.len(), d);
-        for (i, &r) in rows.iter().enumerate() {
-            assert!(r < t.rows(), "gather: row {r} out of bounds ({} rows)", t.rows());
-            value.row_mut(i).copy_from_slice(t.row(r));
-        }
+        let value = kernel::gather(self.value(table), &rows);
         let rg = self.requires(table);
         self.push(Op::Gather(table, rows), value, rg)
     }
@@ -271,34 +260,15 @@ impl Tape {
     /// # Panics
     /// Panics if `parts` is empty or column counts differ.
     pub fn concat_rows(&mut self, parts: &[Var]) -> Var {
-        assert!(!parts.is_empty(), "concat_rows: need at least one part");
-        let cols = self.value(parts[0]).cols();
-        let total: usize = parts.iter().map(|&p| self.value(p).rows()).sum();
-        let mut value = Matrix::zeros(total, cols);
-        let mut at = 0;
-        let mut rg = false;
-        for &p in parts {
-            let v = self.value(p);
-            assert_eq!(v.cols(), cols, "concat_rows: column mismatch");
-            for r in 0..v.rows() {
-                value.row_mut(at + r).copy_from_slice(v.row(r));
-            }
-            at += v.rows();
-            rg |= self.requires(p);
-        }
+        let values: Vec<&Matrix> = parts.iter().map(|&p| self.value(p)).collect();
+        let value = kernel::concat_rows(&values);
+        let rg = parts.iter().any(|&p| self.requires(p));
         self.push(Op::ConcatRows(parts.to_vec()), value, rg)
     }
 
     /// Horizontally concatenates two variables with equal row counts.
     pub fn concat_cols(&mut self, a: Var, b: Var) -> Var {
-        let (va, vb) = (self.value(a), self.value(b));
-        assert_eq!(va.rows(), vb.rows(), "concat_cols: row mismatch");
-        let mut value = Matrix::zeros(va.rows(), va.cols() + vb.cols());
-        for r in 0..va.rows() {
-            let row = value.row_mut(r);
-            row[..va.cols()].copy_from_slice(va.row(r));
-            row[va.cols()..].copy_from_slice(vb.row(r));
-        }
+        let value = kernel::concat_cols(self.value(a), self.value(b));
         let rg = self.requires(a) || self.requires(b);
         self.push(Op::ConcatCols(a, b), value, rg)
     }
@@ -308,12 +278,7 @@ impl Tape {
     /// # Panics
     /// Panics if `a` is not a column vector.
     pub fn softmax_col(&mut self, a: Var) -> Var {
-        let v = self.value(a);
-        assert_eq!(v.cols(), 1, "softmax_col: expected n x 1 input");
-        let max = v.max();
-        let exps: Vec<f32> = v.as_slice().iter().map(|&x| (x - max).exp()).collect();
-        let z: f32 = exps.iter().sum();
-        let value = Matrix::from_vec(v.rows(), 1, exps.into_iter().map(|e| e / z).collect());
+        let value = kernel::softmax_col(self.value(a));
         let rg = self.requires(a);
         self.push(Op::SoftmaxCol(a), value, rg)
     }
@@ -324,18 +289,7 @@ impl Tape {
     /// masked entries come out ≈ `-1e9` and their `exp` underflows to an
     /// exact `0.0` probability.
     pub fn log_softmax_row(&mut self, a: Var) -> Var {
-        let v = self.value(a);
-        assert!(v.cols() > 0, "log_softmax_row: empty rows");
-        let mut value = Matrix::zeros(v.rows(), v.cols());
-        for r in 0..v.rows() {
-            let row = v.row(r);
-            let max = row.iter().fold(f32::NEG_INFINITY, |m, &x| m.max(x));
-            let z: f32 = row.iter().map(|&x| (x - max).exp()).sum();
-            let lse = max + z.ln();
-            for (out, &x) in value.row_mut(r).iter_mut().zip(row) {
-                *out = x - lse;
-            }
-        }
+        let value = kernel::log_softmax_row(self.value(a));
         let rg = self.requires(a);
         self.push(Op::LogSoftmaxRow(a), value, rg)
     }
@@ -359,18 +313,7 @@ impl Tape {
     /// Extracts `len` consecutive columns starting at `start` (the per-gate
     /// split of a column-concatenated pre-activation).
     pub fn slice_cols(&mut self, a: Var, start: usize, len: usize) -> Var {
-        let v = self.value(a);
-        assert!(
-            start + len <= v.cols(),
-            "slice_cols: {start}+{len} exceeds {} cols",
-            v.cols()
-        );
-        let mut value = Matrix::zeros(v.rows(), len);
-        for r in 0..v.rows() {
-            value
-                .row_mut(r)
-                .copy_from_slice(&v.row(r)[start..start + len]);
-        }
+        let value = kernel::slice_cols(self.value(a), start, len);
         let rg = self.requires(a);
         self.push(Op::SliceCols(a, start), value, rg)
     }

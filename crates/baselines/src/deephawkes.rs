@@ -106,7 +106,7 @@ impl DeepHawkes {
             let inputs: Vec<Var> = (0..path.len()).map(|i| tape.slice_rows(emb, i, 1)).collect();
             let hs = self.gru.run(tape, store, &inputs, 1);
             let Some(&last) = hs.last() else { continue };
-            let weighted = self.decay.apply(tape, store, last, end_time, sample.window);
+            let weighted = self.decay.apply(tape, store, &last, end_time, sample.window);
             acc = Some(match acc {
                 Some(a) => tape.add(a, weighted),
                 None => weighted,

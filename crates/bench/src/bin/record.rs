@@ -5,7 +5,9 @@
 //! Measures the CasCN hot path on a fixed synthetic workload — preprocess
 //! throughput, one-epoch training time, forward-pass p50/p99 under the
 //! default sparse Chebyshev kernel — plus the dense-kernel comparison
-//! (speedup and max prediction delta) and the microscopic next-user
+//! (speedup and max prediction delta), the forward-only `Eval` against the
+//! same forward on the training tape (speedup and max prediction delta),
+//! and the microscopic next-user
 //! scores (Hit@10 / MAP after a short deterministic train), plus the
 //! number of corpus cascades whose directed φ solve did not converge, and
 //! writes the result to `BENCH_train.json` at the invocation directory.
@@ -13,7 +15,8 @@
 //! `--check` additionally gates the run against the checked-in
 //! `bench-baseline.json` (the perf analogue of the `lint-baseline.json`
 //! ratchet): hard machine-independent gates on `sparse_speedup`,
-//! `accuracy_delta`, `next_user_hit10` and `phi_unconverged`, and generous
+//! `accuracy_delta`, `eval_speedup`, `eval_max_abs_delta`,
+//! `next_user_hit10` and `phi_unconverged`, and generous
 //! ratio bands on the wall-clock numbers so only catastrophic regressions
 //! (a kernel silently falling back to the dense path, preprocessing
 //! re-materializing bases) trip CI rather than scheduler noise.
@@ -76,25 +79,36 @@ fn workload() -> Dataset {
     .filter_observed_size(WINDOW, 5, 80)
 }
 
-/// Per-call forward latencies (µs, sorted ascending) over preprocessed
+/// Per-call latencies (µs, sorted ascending) of `predict` over preprocessed
 /// samples — the spectral basis is computed once up front, exactly like the
-/// serving tier's cache, so the numbers isolate the convolution kernel
-/// rather than the shared preprocessing pipeline.
-fn forward_latencies(model: &CascnModel, samples: &[PreprocessedCascade]) -> Vec<u64> {
+/// serving tier's cache, so the numbers isolate the forward pass rather
+/// than the shared preprocessing pipeline.
+fn forward_latencies(
+    samples: &[PreprocessedCascade],
+    predict: impl Fn(&PreprocessedCascade) -> f32,
+) -> Vec<u64> {
     // One untimed pass absorbs lazy one-time costs (allocator warm-up).
     for s in samples {
-        std::hint::black_box(model.predict_log_sample(s));
+        std::hint::black_box(predict(s));
     }
     let mut out = Vec::with_capacity(samples.len() * FORWARD_REPS);
     for _ in 0..FORWARD_REPS {
         for s in samples {
             let t0 = Instant::now();
-            std::hint::black_box(model.predict_log_sample(s));
+            std::hint::black_box(predict(s));
             out.push(t0.elapsed().as_micros().min(u128::from(u64::MAX)) as u64);
         }
     }
     out.sort_unstable();
     out
+}
+
+/// The size prediction of [`CascnModel::forward`] recorded on a training
+/// tape — what inference ran on before the forward-only `Eval`.
+fn tape_predict(model: &CascnModel, sample: &PreprocessedCascade) -> f32 {
+    let mut tape = Tape::new();
+    let pred = model.forward(&mut tape, model.params(), sample);
+    tape.scalar(pred)
 }
 
 /// p50 latency (ns) of one Chebyshev conv-stack application on an `n×d`
@@ -127,6 +141,9 @@ struct Record {
     forward_p50_us: u64,
     forward_p99_us: u64,
     dense_forward_p50_us: u64,
+    tape_forward_p50_us: u64,
+    eval_speedup: f64,
+    eval_max_abs_delta: f64,
     conv_sparse_p50_ns: u64,
     conv_dense_p50_ns: u64,
     sparse_speedup: f64,
@@ -174,11 +191,22 @@ fn measure() -> Result<Record, String> {
         .iter()
         .map(|c| preprocess(c, WINDOW, dense.config()))
         .collect();
-    let sparse_lat = forward_latencies(&sparse, &sparse_samples);
-    let dense_lat = forward_latencies(&dense, &dense_samples);
+    let sparse_lat = forward_latencies(&sparse_samples, |s| sparse.predict_log_sample(s));
+    let dense_lat = forward_latencies(&dense_samples, |s| dense.predict_log_sample(s));
     let forward_p50_us = percentile(&sparse_lat, 0.5);
     let forward_p99_us = percentile(&sparse_lat, 0.99);
     let dense_forward_p50_us = percentile(&dense_lat, 0.5);
+
+    // The same sparse forward recorded on a training tape: the speedup of
+    // the forward-only `Eval` that inference runs on, and its exactness
+    // (the two run the same kernels, so any delta is a bug).
+    let tape_lat = forward_latencies(&sparse_samples, |s| tape_predict(&sparse, s));
+    let tape_forward_p50_us = percentile(&tape_lat, 0.5);
+    let eval_speedup = tape_forward_p50_us as f64 / forward_p50_us.max(1) as f64;
+    let eval_max_abs_delta = sparse_samples
+        .iter()
+        .map(|s| f64::from((sparse.predict_log_sample(s) - tape_predict(&sparse, s)).abs()))
+        .fold(0.0f64, f64::max);
 
     // Conv-stage speedup on the largest (most representative) cascade:
     // this isolates the Chebyshev convolution the tentpole moved from
@@ -274,6 +302,9 @@ fn measure() -> Result<Record, String> {
         forward_p50_us,
         forward_p99_us,
         dense_forward_p50_us,
+        tape_forward_p50_us,
+        eval_speedup,
+        eval_max_abs_delta,
         conv_sparse_p50_ns,
         conv_dense_p50_ns,
         sparse_speedup,
@@ -305,6 +336,9 @@ fn to_json(r: &Record) -> String {
     let _ = writeln!(out, "  \"forward_p50_us\": {},", r.forward_p50_us);
     let _ = writeln!(out, "  \"forward_p99_us\": {},", r.forward_p99_us);
     let _ = writeln!(out, "  \"dense_forward_p50_us\": {},", r.dense_forward_p50_us);
+    let _ = writeln!(out, "  \"tape_forward_p50_us\": {},", r.tape_forward_p50_us);
+    let _ = writeln!(out, "  \"eval_speedup\": {:.2},", r.eval_speedup);
+    let _ = writeln!(out, "  \"eval_max_abs_delta\": {:e},", r.eval_max_abs_delta);
     let _ = writeln!(out, "  \"conv_sparse_p50_ns\": {},", r.conv_sparse_p50_ns);
     let _ = writeln!(out, "  \"conv_dense_p50_ns\": {},", r.conv_dense_p50_ns);
     let _ = writeln!(out, "  \"sparse_speedup\": {:.2},", r.sparse_speedup);
@@ -350,6 +384,20 @@ fn check(r: &Record, baseline_path: &str) -> Result<(), String> {
         failures.push(format!(
             "accuracy_delta {:e} > allowed {max_delta:e} (kernels disagree beyond the gate)",
             r.accuracy_delta
+        ));
+    }
+    let min_eval_speedup = num("min_eval_speedup")?;
+    if r.eval_speedup < min_eval_speedup {
+        failures.push(format!(
+            "eval_speedup {:.2} < required {min_eval_speedup:.2} (inference no longer beats the tape forward)",
+            r.eval_speedup
+        ));
+    }
+    let max_eval_delta = num("max_eval_delta")?;
+    if r.eval_max_abs_delta > max_eval_delta {
+        failures.push(format!(
+            "eval_max_abs_delta {:e} > allowed {max_eval_delta:e} (eval and tape forwards disagree)",
+            r.eval_max_abs_delta
         ));
     }
     let min_hit10 = num("min_next_user_hit10")?;

@@ -99,7 +99,7 @@ impl GlModel {
             let weighted = match (table, self.cfg.decay) {
                 (Some(table), _) => {
                     self.decay
-                        .scale(tape, table, h, sample.times[t], sample.window)
+                        .scale(tape, &table, &h, sample.times[t], sample.window)
                 }
                 (None, DecayMode::None) => h,
                 (None, kernel) => {
@@ -217,7 +217,7 @@ mod tests {
         for (t, &h) in hs.iter().enumerate() {
             let weighted = model
                 .decay
-                .apply(tape, store, h, sample.times[t], sample.window);
+                .apply(tape, store, &h, sample.times[t], sample.window);
             acc = Some(match acc {
                 Some(a) => tape.add(a, weighted),
                 None => weighted,

@@ -5,7 +5,7 @@
 
 use std::sync::Arc;
 
-use cascn_autograd::Tape;
+use cascn_autograd::Exec;
 use cascn_cascades::{Cascade, CascadeFault, Event};
 use cascn_graph::{laplacian, DiGraph, IncrementalSpectral, SpectralBasis};
 use cascn_nn::ChebOperands;
@@ -49,9 +49,9 @@ pub struct PreprocessedCascade {
 impl PreprocessedCascade {
     /// The convolution operands a ChebConv cell runs against — dense when
     /// the config materialized bases, sparse operator form otherwise.
-    pub fn operands(&self, tape: &mut Tape) -> ChebOperands {
+    pub fn operands<'s, E: Exec<'s>>(&'s self, ex: &mut E) -> ChebOperands<E::Value> {
         match &self.dense_bases {
-            Some(bases) => ChebOperands::dense(tape, bases),
+            Some(bases) => ChebOperands::dense(ex, bases),
             None => ChebOperands::sparse(&self.basis),
         }
     }

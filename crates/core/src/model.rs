@@ -1,7 +1,7 @@
 //! The CasCN model (Fig. 2): ChebConv recurrence → time decay → sum
 //! pooling → MLP.
 
-use cascn_autograd::{AdamState, ParamId, ParamStore, Tape, Var};
+use cascn_autograd::{AdamState, Eval, Exec, ParamId, ParamStore, Tape, Var};
 use cascn_cascades::Cascade;
 use cascn_nn::{metrics, Activation, ChebConvGruCell, ChebConvLstmCell, Mlp, NextUserHead, TimeDecay};
 use cascn_nn::train::History;
@@ -14,7 +14,7 @@ use crate::error::CascnError;
 use crate::input::{preprocess, PreprocessedCascade};
 use crate::parallel::parallel_map;
 use crate::trainer::{
-    self, expect_trained, predict_with, CheckpointPolicy, Objective, TrainHooks, TrainOpts,
+    self, expect_trained, CheckpointPolicy, Objective, TrainHooks, TrainOpts,
 };
 
 /// The pre-sparse-input forward pass, compiled for tests only.
@@ -158,88 +158,94 @@ impl CascnModel {
     }
 
     /// Forward pass to the pooled cascade representation `h(C_i(t))`
-    /// (Eq. 17), a `1 x hidden` variable.
-    fn forward_representation(
+    /// (Eq. 17), a `1 x hidden` value.
+    fn forward_representation<'s, E: Exec<'s>>(
         &self,
-        tape: &mut Tape,
-        store: &ParamStore,
-        sample: &PreprocessedCascade,
-    ) -> Var {
-        let operands = sample.operands(tape);
+        ex: &mut E,
+        store: &'s ParamStore,
+        sample: &'s PreprocessedCascade,
+    ) -> E::Value {
+        let operands = sample.operands(ex);
         let inputs = sample.snapshots(self.cfg.max_nodes);
         let hs = match &self.cell {
-            Cell::Lstm(cell) => cell.run(tape, store, &operands, &inputs, sample.n),
-            Cell::Gru(cell) => cell.run(tape, store, &operands, &inputs, sample.n),
+            Cell::Lstm(cell) => cell.run(ex, store, &operands, &inputs, sample.n),
+            Cell::Gru(cell) => cell.run(ex, store, &operands, &inputs, sample.n),
         };
-        self.pool(tape, store, sample, &hs)
+        self.pool(ex, store, sample, &hs)
     }
 
     /// Eq. 16–17: re-weights each hidden state `hs[t]` by the decay of its
     /// snapshot time, then pools over time and nodes into `1 x hidden`.
-    fn pool(
+    /// Each re-weighted state is folded in as soon as it is made, so an
+    /// [`Eval`] holds one of them at a time.
+    fn pool<'s, E: Exec<'s>>(
         &self,
-        tape: &mut Tape,
-        store: &ParamStore,
+        ex: &mut E,
+        store: &'s ParamStore,
         sample: &PreprocessedCascade,
-        hs: &[Var],
-    ) -> Var {
-        let table = (self.cfg.decay == DecayMode::Learned).then(|| self.decay.bind(tape, store));
-        let weighted: Vec<Var> = hs
-            .iter()
-            .enumerate()
-            .map(|(t, &h)| match (table, self.cfg.decay) {
+        hs: &[E::Value],
+    ) -> E::Value {
+        let table = (self.cfg.decay == DecayMode::Learned).then(|| self.decay.bind(ex, store));
+        // Sum pooling: the running sum over time. Attention: one node-sum
+        // row per snapshot.
+        let mut acc: Option<E::Value> = None;
+        let mut rows = Vec::new();
+        for (t, h) in hs.iter().enumerate() {
+            let weighted = match (&table, self.cfg.decay) {
                 (Some(table), _) => {
                     self.decay
-                        .scale(tape, table, h, sample.times[t], sample.window)
+                        .scale(ex, table, h, sample.times[t], sample.window)
                 }
-                (None, DecayMode::None) => h,
+                (None, DecayMode::None) => h.clone(),
                 (None, kernel) => {
                     let k = kernel.kernel(sample.times[t] / sample.window.max(f64::MIN_POSITIVE));
-                    tape.scale(h, k)
+                    ex.scale(h, k)
                 }
-            })
-            .collect();
+            };
+            match self.cfg.pooling {
+                Pooling::Sum => {
+                    acc = Some(match acc {
+                        Some(a) => ex.add(&a, &weighted),
+                        None => weighted,
+                    });
+                }
+                Pooling::Attention => rows.push(ex.sum_rows(&weighted)),
+            }
+        }
         match self.cfg.pooling {
             // Eq. 17: sum over time, then over nodes.
             Pooling::Sum => {
-                let mut acc: Option<Var> = None;
-                for &w in &weighted {
-                    acc = Some(match acc {
-                        Some(a) => tape.add(a, w),
-                        None => w,
-                    });
-                }
                 // lint: allow(no-panic) — preprocessing emits min(n, max_steps) ≥ 1 snapshot steps (n ≥ 1, max_steps clamped to ≥ 1), so the fold is never empty
                 let summed = acc.expect("at least one snapshot");
-                tape.sum_rows(summed)
+                ex.sum_rows(&summed)
             }
             // Future-work extension: additive attention over snapshots.
             Pooling::Attention => {
-                let pooled: Vec<Var> = weighted.iter().map(|&w| tape.sum_rows(w)).collect();
-                let stacked = tape.concat_rows(&pooled); // T x hidden
-                let w = tape.param(store, self.att_w);
-                let v = tape.param(store, self.att_v);
-                let proj = tape.matmul(stacked, w);
-                let act = tape.tanh(proj);
-                let scores = tape.matmul(act, v); // T x 1
-                let alpha = tape.softmax_col(scores);
-                let ones = tape.constant(cascn_tensor::Matrix::full(1, self.cfg.hidden, 1.0));
-                let tiled = tape.matmul(alpha, ones);
-                let mixed = tape.hadamard(tiled, stacked);
-                tape.sum_rows(mixed)
+                let stacked = ex.concat_rows(&rows); // T x hidden
+                let w = ex.param(store, self.att_w);
+                let v = ex.param(store, self.att_v);
+                let proj = ex.matmul(&stacked, &w);
+                let act = ex.tanh(&proj);
+                let scores = ex.matmul(&act, &v); // T x 1
+                let alpha = ex.softmax_col(&scores);
+                let ones = ex.constant(cascn_tensor::Matrix::full(1, self.cfg.hidden, 1.0));
+                let tiled = ex.matmul(&alpha, &ones);
+                let mixed = ex.hadamard(&tiled, &stacked);
+                ex.sum_rows(&mixed)
             }
         }
     }
 
-    /// Full forward pass to the `1x1` predicted log-increment (Eq. 18).
-    pub fn forward(
+    /// Full forward pass to the `1x1` predicted log-increment (Eq. 18):
+    /// on a [`Tape`] for training, on an [`Eval`] for inference.
+    pub fn forward<'s, E: Exec<'s>>(
         &self,
-        tape: &mut Tape,
-        store: &ParamStore,
-        sample: &PreprocessedCascade,
-    ) -> Var {
-        let rep = self.forward_representation(tape, store, sample);
-        self.mlp.forward(tape, store, rep)
+        ex: &mut E,
+        store: &'s ParamStore,
+        sample: &'s PreprocessedCascade,
+    ) -> E::Value {
+        let rep = self.forward_representation(ex, store, sample);
+        self.mlp.forward(ex, store, rep)
     }
 
     /// Preprocesses a cascade set (Fig. 3 sampling + Laplacian + Chebyshev
@@ -413,12 +419,12 @@ impl CascnModel {
     /// entry point the serving layer uses after a spectral-cache hit
     /// ([`crate::preprocess_with_basis`]). `predict_log` is exactly
     /// `preprocess` followed by this, so cached and direct predictions are
-    /// bit-identical.
+    /// bit-identical. Runs on an [`Eval`], bit-identical to the tape
+    /// forward.
     pub fn predict_log_sample(&self, sample: &PreprocessedCascade) -> f32 {
-        let forward = |tape: &mut Tape, store: &ParamStore, s: &PreprocessedCascade| {
-            self.forward(tape, store, s)
-        };
-        predict_with(&self.store, &forward, sample)
+        let mut ex = Eval::new();
+        let pred = self.forward(&mut ex, &self.store, sample);
+        ex.value(&pred)[(0, 0)]
     }
 
     /// Predicted log-increments for a batch of cascades, with preprocessing
@@ -432,9 +438,9 @@ impl CascnModel {
     /// visualizes.
     pub fn representation(&self, cascade: &Cascade, window: f64) -> Vec<f32> {
         let sample = preprocess(cascade, window, &self.cfg);
-        let mut tape = Tape::new();
-        let rep = self.forward_representation(&mut tape, &self.store, &sample);
-        tape.value(rep).as_slice().to_vec()
+        let mut ex = Eval::new();
+        let rep = self.forward_representation(&mut ex, &self.store, &sample);
+        ex.value(&rep).as_slice().to_vec()
     }
 
     /// Current time-decay multipliers `λ_m`.
@@ -504,11 +510,15 @@ impl CascnModel {
     /// already-preprocessed prefix. Rows of users in `observed` (and UNK)
     /// have probability exactly `0.0`.
     pub fn next_probs(&self, sample: &PreprocessedCascade, observed: &[u64]) -> Vec<f32> {
-        let mask = self.infected_mask(observed);
-        let mut tape = Tape::new();
-        let rep = self.forward_representation(&mut tape, &self.store, sample);
-        self.head()
-            .predict_probs(&mut tape, &self.store, rep, &mask)
+        self.masked_probs(sample, &self.infected_mask(observed))
+    }
+
+    /// [`CascnModel::next_probs`] under an already-built infected mask, on
+    /// an [`Eval`].
+    fn masked_probs(&self, sample: &PreprocessedCascade, mask: &[bool]) -> Vec<f32> {
+        let mut ex = Eval::new();
+        let rep = self.forward_representation(&mut ex, &self.store, sample);
+        self.head().predict_probs(&mut ex, &self.store, rep, mask)
     }
 
     /// Top-`k` next adopters `(user, probability)` for an
@@ -523,14 +533,15 @@ impl CascnModel {
         k: usize,
     ) -> Vec<(u64, f32)> {
         let mask = self.infected_mask(observed);
-        let probs = self.next_probs(sample, observed);
-        let mut ranked: Vec<(usize, f32)> = (1..probs.len())
+        let probs = self.masked_probs(sample, &mask);
+        let candidates: Vec<(usize, f32)> = (1..probs.len())
             .filter(|&row| !mask[row])
             .map(|row| (row, probs[row]))
             .collect();
-        ranked.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
-        ranked.truncate(k);
-        ranked.into_iter().map(|(row, p)| ((row - 1) as u64, p)).collect()
+        top_k(candidates, k)
+            .into_iter()
+            .map(|(row, p)| ((row - 1) as u64, p))
+            .collect()
     }
 
     /// Top-`k` next adopters for a cascade observed up to `window`.
@@ -650,6 +661,20 @@ impl CascnModel {
         }
         Ok(model)
     }
+}
+
+/// The `k` best `(row, probability)` candidates, probability descending
+/// and then row ascending: a partial selection, then a sort of the `k`
+/// selected. Rows are distinct, so the order is total and the result equals
+/// a full sort truncated to `k`.
+fn top_k(mut candidates: Vec<(usize, f32)>, k: usize) -> Vec<(usize, f32)> {
+    let order = |a: &(usize, f32), b: &(usize, f32)| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0));
+    if k < candidates.len() {
+        candidates.select_nth_unstable_by(k, order);
+        candidates.truncate(k);
+    }
+    candidates.sort_unstable_by(order);
+    candidates
 }
 
 #[cfg(test)]
@@ -1039,6 +1064,165 @@ mod tests {
                     );
                 }
                 assert!(checked >= 10, "only {checked} cascades below the node cap");
+            }
+        }
+    }
+
+    /// Every config in `cfgs` once per value in `values`, set by `set`.
+    fn vary<T: Copy>(
+        cfgs: Vec<CascnConfig>,
+        values: &[T],
+        set: impl Fn(&mut CascnConfig, T),
+    ) -> Vec<CascnConfig> {
+        let set = &set;
+        cfgs.into_iter()
+            .flat_map(|cfg| {
+                values.iter().map(move |&v| {
+                    let mut cfg = cfg;
+                    set(&mut cfg, v);
+                    cfg
+                })
+            })
+            .collect()
+    }
+
+    /// The inference entry points run on an `Eval` and must equal the tape
+    /// forward bit for bit on every axis the forward branches on, for the
+    /// representation and for both heads.
+    #[test]
+    fn eval_is_bit_identical_to_the_tape_on_both_heads() {
+        use crate::config::{ChebKernel, LaplacianKind};
+        let data = tiny_data();
+        let window = 3600.0;
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
+        let cfgs = vec![tiny_cfg(), next_cfg()];
+        let cfgs = vary(cfgs, &[RecurrentKind::Lstm, RecurrentKind::Gru], |c, v| c.recurrent = v);
+        let laplacians = [LaplacianKind::Directed, LaplacianKind::Undirected];
+        let cfgs = vary(cfgs, &laplacians, |c, v| c.laplacian = v);
+        let cfgs = vary(cfgs, &[ChebKernel::Sparse, ChebKernel::Dense], |c, v| c.cheb_kernel = v);
+        let cfgs = vary(cfgs, &[Pooling::Sum, Pooling::Attention], |c, v| c.pooling = v);
+        let decays = [
+            DecayMode::Learned,
+            DecayMode::PowerLaw,
+            DecayMode::Exponential,
+            DecayMode::Rayleigh,
+            DecayMode::None,
+        ];
+        let cfgs = vary(cfgs, &decays, |c, v| c.decay = v);
+        assert_eq!(cfgs.len(), 160);
+        for cfg in cfgs {
+            let mut model = CascnModel::new(cfg);
+            perturb(&mut model);
+            for cascade in data.cascades.iter().take(3) {
+                let s = preprocess(cascade, window, &cfg);
+                let mut tape = Tape::new();
+                let rep = model.forward_representation(&mut tape, &model.store, &s);
+                assert_eq!(
+                    bits(tape.value(rep).as_slice()),
+                    bits(&model.representation(cascade, window)),
+                    "representation under {cfg:?}"
+                );
+                match cfg.task {
+                    TaskKind::SizeRegression => {
+                        let pred = model.mlp.forward(&mut tape, &model.store, rep);
+                        assert_eq!(
+                            tape.scalar(pred).to_bits(),
+                            model.predict_log_sample(&s).to_bits(),
+                            "size head under {cfg:?}"
+                        );
+                    }
+                    TaskKind::NextUser => {
+                        let observed = cascade.observe(window).users();
+                        let mask = model.infected_mask(&observed);
+                        let head = model.head();
+                        let probs = head.predict_probs(&mut tape, &model.store, rep, &mask);
+                        assert_eq!(
+                            bits(&probs),
+                            bits(&model.next_probs(&s, &observed)),
+                            "next-user head under {cfg:?}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    /// A paper-scale forward (100 nodes, 20 steps) on an `Eval` holds the
+    /// per-step hidden states plus a fixed number of values, where the tape
+    /// records every intermediate of every step; all of it is freed once
+    /// the prediction is read.
+    #[test]
+    fn eval_holds_the_hidden_states_plus_a_constant() {
+        use cascn_cascades::Event;
+        const STEPS: usize = 20;
+        // The bound cell parameters plus one step's intermediates: measured
+        // at 22 for the LSTM and 27 for the GRU, whose tapes record 910 and
+        // 923 nodes for the same forward.
+        const EXTRA: usize = 27;
+        let events = (0..120)
+            .map(|i| Event {
+                user: i as u64,
+                parent: (i > 0).then_some(i / 2),
+                time: i as f64 * 20.0,
+            })
+            .collect();
+        let cascade = Cascade::new(1, 0.0, events);
+        for recurrent in [RecurrentKind::Lstm, RecurrentKind::Gru] {
+            let model = CascnModel::new(CascnConfig {
+                k: 2,
+                hidden: 32,
+                max_nodes: 100,
+                max_steps: STEPS,
+                recurrent,
+                ..CascnConfig::default()
+            });
+            let s = preprocess(&cascade, 3600.0, model.config());
+            assert_eq!((s.n, s.num_steps()), (100, STEPS));
+            let mut tape = Tape::new();
+            model.forward(&mut tape, model.params(), &s);
+            let mut ex = Eval::new();
+            let pred = model.forward(&mut ex, model.params(), &s);
+            drop(pred);
+            assert_eq!(ex.live(), 0, "{recurrent:?}: values outlived the forward");
+            assert!(
+                ex.peak_live() <= STEPS + EXTRA,
+                "{recurrent:?}: eval peaked at {} live values (tape: {} nodes)",
+                ex.peak_live(),
+                tape.len()
+            );
+        }
+        // Pooling holds one decayed state beside the hidden states: the
+        // running sum, the state being folded in, and the new sum.
+        let model = CascnModel::new(CascnConfig {
+            hidden: 32,
+            max_nodes: 100,
+            max_steps: STEPS,
+            ..CascnConfig::default()
+        });
+        let s = preprocess(&cascade, 3600.0, model.config());
+        let mut ex = Eval::new();
+        let hs: Vec<_> = (0..STEPS)
+            .map(|_| ex.constant(cascn_tensor::Matrix::full(100, 32, 0.5)))
+            .collect();
+        model.pool(&mut ex, model.params(), &s, &hs);
+        assert_eq!(ex.peak_live(), STEPS + 3, "pooling kept decayed states alive");
+    }
+
+    #[test]
+    fn top_k_selection_equals_the_full_sort() {
+        use rand::RngExt;
+        let mut rng = StdRng::seed_from_u64(5);
+        for len in [0usize, 1, 2, 7, 60] {
+            // Four distinct probabilities, so ties are everywhere; rows are
+            // distinct but out of order.
+            let candidates: Vec<(usize, f32)> = (0..len)
+                .map(|i| ((i * 37) % 61 + 1, rng.random_range(0..4) as f32 * 0.25))
+                .collect();
+            let mut full = candidates.clone();
+            full.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
+            for k in [0, 1, len / 2, len, len + 3] {
+                let expect = &full[..k.min(len)];
+                assert_eq!(top_k(candidates.clone(), k), expect, "len {len}, k {k}");
             }
         }
     }

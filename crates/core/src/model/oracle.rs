@@ -53,7 +53,7 @@ fn param(tape: &mut Tape, store: &ParamStore, name: &str) -> Var {
 
 struct Cell<'a> {
     store: &'a ParamStore,
-    operands: &'a ChebOperands,
+    operands: &'a ChebOperands<Var>,
     n: usize,
     hidden: usize,
 }

@@ -4,7 +4,9 @@
 //! guarantee — a run checkpointed under one thread count can resume under
 //! another and still finish byte-identical.
 
-use cascn::{try_evaluate, CascnConfig, CascnModel, ChebKernel, GlModel, PathModel, TrainOpts};
+use cascn::{
+    try_evaluate, CascnConfig, CascnModel, ChebKernel, GlModel, PathModel, TaskKind, TrainOpts,
+};
 use cascn_autograd::ParamStore;
 use cascn_cascades::synth::{WeiboConfig, WeiboGenerator};
 use cascn_cascades::{Dataset, Split};
@@ -90,8 +92,8 @@ fn auto_thread_count_matches_serial() {
 }
 
 /// Prediction sweeps are thread-count invariant too (they share the same
-/// `parallel_map` reduction), for CasCN and the ablation variants with
-/// their own preprocessing pipelines.
+/// `parallel_map` reduction and run on the forward-only `Eval`), for both
+/// heads.
 #[test]
 fn prediction_and_evaluation_are_thread_count_invariant() {
     let data = tiny_data();
@@ -99,22 +101,35 @@ fn prediction_and_evaluation_are_thread_count_invariant() {
     let window = 3600.0;
 
     let serial = CascnModel::new(tiny_cfg(1));
-    let threaded = CascnModel::new(tiny_cfg(4));
-    let serial_preds: Vec<u32> = serial
-        .predict_logs(test, window)
-        .into_iter()
-        .map(f32::to_bits)
-        .collect();
-    let threaded_preds: Vec<u32> = threaded
-        .predict_logs(test, window)
-        .into_iter()
-        .map(f32::to_bits)
-        .collect();
-    assert_eq!(serial_preds, threaded_preds);
+    let preds = |threads: usize| -> Vec<u32> {
+        CascnModel::new(tiny_cfg(threads))
+            .predict_logs(test, window)
+            .into_iter()
+            .map(f32::to_bits)
+            .collect()
+    };
+    let serial_preds = preds(1);
+    for threads in [2, 4] {
+        assert_eq!(serial_preds, preds(threads), "size head at {threads} threads");
+    }
 
     let a = try_evaluate(&serial, test, window, 1).unwrap();
     let b = try_evaluate(&serial, test, window, 4).unwrap();
     assert_eq!(a.to_bits(), b.to_bits());
+
+    let ranks = |threads: usize| {
+        CascnModel::new(CascnConfig {
+            task: TaskKind::NextUser,
+            vocab_users: 2000,
+            ..tiny_cfg(threads)
+        })
+        .next_user_ranks(&data.cascades, window)
+    };
+    let serial_ranks = ranks(1);
+    assert!(serial_ranks.len() >= 20, "only {} ranked prefixes", serial_ranks.len());
+    for threads in [2, 4] {
+        assert_eq!(serial_ranks, ranks(threads), "next-user head at {threads} threads");
+    }
 }
 
 /// The tests above all exercise the default **sparse** operator kernel;

@@ -27,7 +27,10 @@
 //! A cell binds its parameters once per forward pass ([`BoundCell`]): the
 //! gates' filters are joined column-wise per order, so one input
 //! convolution and one recurrent product per order feed every gate, and
-//! [`Tape::slice_cols`] splits the joined pre-activation per gate.
+//! [`Exec::slice_cols`] splits the joined pre-activation per gate.
+//!
+//! Every layer here is generic over [`Exec`]: training runs it on a
+//! [`cascn_autograd::Tape`], inference on a [`cascn_autograd::Eval`].
 //!
 //! The LSTM variant includes the paper's peephole terms `V ⊙ c_{t-1}`
 //! (Eq. 12); we parameterize each peephole as a `1 x d_h` vector broadcast
@@ -36,7 +39,7 @@
 
 use std::sync::Arc;
 
-use cascn_autograd::{ParamId, ParamStore, Tape, Var};
+use cascn_autograd::{Exec, ParamId, ParamStore};
 use cascn_graph::SpectralBasis;
 use cascn_tensor::{Csr, Matrix, SparseOp};
 use rand::rngs::StdRng;
@@ -74,52 +77,52 @@ impl ConvGate {
 
 /// Binds each parameter of `ids` (non-empty) once and joins them
 /// column-wise, in order.
-fn bind_cols(tape: &mut Tape, store: &ParamStore, ids: &[ParamId]) -> Var {
-    let mut joined = tape.param(store, ids[0]);
+fn bind_cols<'s, E: Exec<'s>>(ex: &mut E, store: &'s ParamStore, ids: &[ParamId]) -> E::Value {
+    let mut joined = ex.param(store, ids[0]);
     for &id in &ids[1..] {
-        let next = tape.param(store, id);
-        joined = tape.concat_cols(joined, next);
+        let next = ex.param(store, id);
+        joined = ex.concat_cols(&joined, &next);
     }
     joined
 }
 
 /// Binds per-order filter banks (one bank of `K+1` ids per gate): entry `k`
 /// is `[F_k^{g_1} | F_k^{g_2} | …]`.
-fn bind_orders(tape: &mut Tape, store: &ParamStore, banks: &[&[ParamId]]) -> Vec<Var> {
+fn bind_orders<'s, E: Exec<'s>>(
+    ex: &mut E,
+    store: &'s ParamStore,
+    banks: &[&[ParamId]],
+) -> Vec<E::Value> {
     (0..banks[0].len())
         .map(|k| {
             let ids: Vec<ParamId> = banks.iter().map(|bank| bank[k]).collect();
-            bind_cols(tape, store, &ids)
+            bind_cols(ex, store, &ids)
         })
         .collect()
 }
 
 /// `Σ_k conv[k]·filters[k]` — the recurrent half of the pre-activations.
-fn filter_sum(tape: &mut Tape, conv: &[Var], filters: &[Var]) -> Var {
+fn filter_sum<'s, E: Exec<'s>>(ex: &mut E, conv: &[E::Value], filters: &[E::Value]) -> E::Value {
     debug_assert_eq!(conv.len(), filters.len());
-    let mut acc = tape.matmul(conv[0], filters[0]);
-    for (&c, &f) in conv[1..].iter().zip(&filters[1..]) {
-        let term = tape.matmul(c, f);
-        acc = tape.add(acc, term);
+    let mut acc = ex.matmul(&conv[0], &filters[0]);
+    for (c, f) in conv[1..].iter().zip(&filters[1..]) {
+        let term = ex.matmul(c, f);
+        acc = ex.add(&acc, &term);
     }
     acc
 }
 
-/// Enters the per-cascade Chebyshev bases `T_k(Δ̃_c)` on a tape as constants.
-pub fn bases_to_vars(tape: &mut Tape, bases: &[Matrix]) -> Vec<Var> {
-    bases.iter().map(|b| tape.constant(b.clone())).collect()
-}
-
 /// The per-cascade spectral operand a ChebConv cell convolves against —
 /// either the sparse scaled Laplacian (operator form) or the materialized
-/// dense bases (legacy form). Both produce the same convolutions; they
+/// dense bases (legacy form), with dense bases held as handles `V` of the
+/// executor that runs the cell. Both produce the same convolutions; they
 /// differ only in cost and float rounding.
 #[derive(Debug, Clone)]
-pub enum ChebOperands {
-    /// Materialized `T_k(Δ̃_c)` tape constants, length `K+1` — each order is
-    /// one dense `n×n · n×d` product. Kept for gradient checking and the
+pub enum ChebOperands<V> {
+    /// Materialized `T_k(Δ̃_c)` constants, length `K+1` — each order is one
+    /// dense `n×n · n×d` product. Kept for gradient checking and the
     /// `ChebKernel::Dense` compatibility mode.
-    Dense(Vec<Var>),
+    Dense(Vec<V>),
     /// The scaled Laplacian itself, applied `K` times per convolution and
     /// never expanded into an `n×n` intermediate.
     Sparse {
@@ -130,10 +133,11 @@ pub enum ChebOperands {
     },
 }
 
-impl ChebOperands {
-    /// Dense operands from materialized basis matrices.
-    pub fn dense(tape: &mut Tape, bases: &[Matrix]) -> Self {
-        Self::Dense(bases_to_vars(tape, bases))
+impl<V: Clone> ChebOperands<V> {
+    /// Dense operands from materialized basis matrices, entered on `ex` as
+    /// constants (an [`cascn_autograd::Eval`] reads them in place).
+    pub fn dense<'s, E: Exec<'s, Value = V>>(ex: &mut E, bases: &'s [Matrix]) -> Self {
+        Self::Dense(bases.iter().map(|b| ex.constant_ref(b)).collect())
     }
 
     /// Sparse operator-form operands from a spectral handle.
@@ -163,19 +167,21 @@ impl ChebOperands {
     /// Sparse operands start from `T_0·X = X` itself (no identity product)
     /// and apply `Δ̃` `K` times; dense operands multiply each materialized
     /// basis. Gradients flow through `x` in both forms.
-    pub fn conv_stack(&self, tape: &mut Tape, x: Var) -> Vec<Var> {
+    pub fn conv_stack<'s, E: Exec<'s, Value = V>>(&self, ex: &mut E, x: V) -> Vec<V> {
         match self {
-            Self::Dense(bases) => bases.iter().map(|&b| tape.matmul(b, x)).collect(),
+            Self::Dense(bases) => bases.iter().map(|b| ex.matmul(b, &x)).collect(),
             Self::Sparse { op, k } => {
                 let mut stack = Vec::with_capacity(k + 1);
                 stack.push(x);
                 if *k >= 1 {
-                    stack.push(tape.sparse_apply(Arc::clone(op), x));
+                    let first = ex.sparse_apply(Arc::clone(op), &stack[0]);
+                    stack.push(first);
                 }
                 for i in 2..=*k {
-                    let applied = tape.sparse_apply(Arc::clone(op), stack[i - 1]);
-                    let doubled = tape.scale(applied, 2.0);
-                    stack.push(tape.sub(doubled, stack[i - 2]));
+                    let applied = ex.sparse_apply(Arc::clone(op), &stack[i - 1]);
+                    let doubled = ex.scale(&applied, 2.0);
+                    let next = ex.sub(&doubled, &stack[i - 2]);
+                    stack.push(next);
                 }
                 stack
             }
@@ -185,7 +191,7 @@ impl ChebOperands {
     /// The input convolution `Σ_k T_k·(X·W_k)` of a constant sparse signal
     /// `x` (`n × d_in`) with `K+1` filters `w` (`d_in × d_out` each).
     ///
-    /// `Y_k = X·W_k` costs one sparse product per order ([`Tape::spmm`]).
+    /// `Y_k = X·W_k` costs one sparse product per order ([`Exec::spmm`]).
     /// Sparse operands then combine the orders by Clenshaw's recurrence —
     /// `b_K = Y_K`, `b_k = Y_k + 2Δ̃·b_{k+1} − b_{k+2}`, result
     /// `Y_0 + Δ̃·b_1 − b_2` — which is `K` sparse applies on `n × d_out`
@@ -194,38 +200,38 @@ impl ChebOperands {
     ///
     /// # Panics
     /// Panics unless `w` holds `K+1` filters.
-    pub fn input_conv(&self, tape: &mut Tape, x: &Arc<Csr>, w: &[Var]) -> Var {
+    pub fn input_conv<'s, E: Exec<'s, Value = V>>(&self, ex: &mut E, x: &Arc<Csr>, w: &[V]) -> V {
         assert_eq!(w.len(), self.len(), "expected K+1 Chebyshev bases");
-        let y: Vec<Var> = w.iter().map(|&wk| tape.spmm(Arc::clone(x), wk)).collect();
+        let mut y: Vec<V> = w.iter().map(|wk| ex.spmm(Arc::clone(x), wk)).collect();
         match self {
             Self::Dense(bases) => {
-                let mut acc = tape.matmul(bases[0], y[0]);
-                for (&t, &yk) in bases[1..].iter().zip(&y[1..]) {
-                    let term = tape.matmul(t, yk);
-                    acc = tape.add(acc, term);
+                let mut acc = ex.matmul(&bases[0], &y[0]);
+                for (t, yk) in bases[1..].iter().zip(&y[1..]) {
+                    let term = ex.matmul(t, yk);
+                    acc = ex.add(&acc, &term);
                 }
                 acc
             }
             Self::Sparse { op, k } => {
                 let k = *k;
                 if k == 0 {
-                    return y[0];
+                    return y.swap_remove(0);
                 }
                 // (b_{j+1}, b_{j+2}), starting from b_K and b_{K+1} = 0.
-                let (mut b1, mut b2) = (y[k], None);
-                for &yj in y[1..k].iter().rev() {
-                    let applied = tape.sparse_apply(Arc::clone(op), b1);
-                    let doubled = tape.scale(applied, 2.0);
-                    let mut bj = tape.add(yj, doubled);
-                    if let Some(b) = b2 {
-                        bj = tape.sub(bj, b);
+                let (mut b1, mut b2) = (y[k].clone(), None);
+                for yj in y[1..k].iter().rev() {
+                    let applied = ex.sparse_apply(Arc::clone(op), &b1);
+                    let doubled = ex.scale(&applied, 2.0);
+                    let mut bj = ex.add(yj, &doubled);
+                    if let Some(b) = &b2 {
+                        bj = ex.sub(&bj, b);
                     }
                     (b1, b2) = (bj, Some(b1));
                 }
-                let applied = tape.sparse_apply(Arc::clone(op), b1);
-                let out = tape.add(y[0], applied);
+                let applied = ex.sparse_apply(Arc::clone(op), &b1);
+                let out = ex.add(&y[0], &applied);
                 match b2 {
-                    Some(b) => tape.sub(out, b),
+                    Some(b) => ex.sub(&out, &b),
                     None => out,
                 }
             }
@@ -234,12 +240,28 @@ impl ChebOperands {
 }
 
 /// Broadcasts a `1 x d` parameter row over `n` node rows.
-fn tile_rows(tape: &mut Tape, row: Var, n: usize) -> Var {
-    let ones = tape.constant(Matrix::full(n, 1, 1.0));
-    tape.matmul(ones, row)
+fn tile_rows<'s, E: Exec<'s>>(ex: &mut E, row: &E::Value, n: usize) -> E::Value {
+    let ones = ex.constant(Matrix::full(n, 1, 1.0));
+    ex.matmul(&ones, row)
 }
 
-/// A ChebConv cell's parameters entered on one tape, once per forward pass.
+/// `σ(pre[:, start..start + d] + V ⊙ c)` — one peephole gate of Eq. 12.
+fn peephole_gate<'s, E: Exec<'s>>(
+    ex: &mut E,
+    pre: &E::Value,
+    start: usize,
+    d: usize,
+    peep: &E::Value,
+    c: &E::Value,
+) -> E::Value {
+    let gate_pre = ex.slice_cols(pre, start, d);
+    let gate_peep = ex.hadamard(peep, c);
+    let sum = ex.add(&gate_pre, &gate_peep);
+    ex.sigmoid(&sum)
+}
+
+/// A ChebConv cell's parameters entered on one executor, once per forward
+/// pass.
 ///
 /// Each Chebyshev order's input filters of every gate sit side by side,
 /// `[W_k^{g_1} | W_k^{g_2} | …]`, so one [`ChebOperands::input_conv`] feeds
@@ -247,16 +269,16 @@ fn tile_rows(tape: &mut Tape, row: Var, n: usize) -> Var {
 /// joined the same way, and so are the biases. Binding once keeps one tape
 /// leaf (and one gradient) per parameter however many steps run.
 #[derive(Debug, Clone)]
-pub struct BoundCell {
-    w: Vec<Var>,
-    u: Vec<Var>,
+pub struct BoundCell<V> {
+    w: Vec<V>,
+    u: Vec<V>,
     /// The GRU candidate's recurrent filters, which convolve `r ⊙ h`
     /// rather than `h` (empty for the LSTM).
-    u_cand: Vec<Var>,
-    b: Var,
+    u_cand: Vec<V>,
+    b: V,
     /// The LSTM's peephole rows `V_i, V_f, V_o`, tiled over the cascade's
     /// `n` nodes (empty for the GRU).
-    peep: Vec<Var>,
+    peep: Vec<V>,
 }
 
 /// The CasCN graph-convolutional LSTM cell of Eq. 12–14 (with peepholes).
@@ -315,28 +337,33 @@ impl ChebConvLstmCell {
     }
 
     /// Fresh zero `(h, c)` state over `n` nodes.
-    pub fn zero_state(&self, tape: &mut Tape, n: usize) -> (Var, Var) {
-        let h = tape.constant(Matrix::zeros(n, self.d_h));
-        let c = tape.constant(Matrix::zeros(n, self.d_h));
+    pub fn zero_state<'s, E: Exec<'s>>(&self, ex: &mut E, n: usize) -> (E::Value, E::Value) {
+        let h = ex.constant(Matrix::zeros(n, self.d_h));
+        let c = ex.constant(Matrix::zeros(n, self.d_h));
         (h, c)
     }
 
     /// Binds every parameter once for a forward pass over `n` nodes. Gate
     /// order of the joined filters: input, forget, output, cell.
-    pub fn bind(&self, tape: &mut Tape, store: &ParamStore, n: usize) -> BoundCell {
+    pub fn bind<'s, E: Exec<'s>>(
+        &self,
+        ex: &mut E,
+        store: &'s ParamStore,
+        n: usize,
+    ) -> BoundCell<E::Value> {
         let gates = [&self.input, &self.forget, &self.output, &self.cell];
         let peep = [self.peep_i, self.peep_f, self.peep_o]
             .iter()
             .map(|&id| {
-                let row = tape.param(store, id);
-                tile_rows(tape, row, n)
+                let row = ex.param(store, id);
+                tile_rows(ex, &row, n)
             })
             .collect();
         BoundCell {
-            w: bind_orders(tape, store, &gates.map(|g| g.w.as_slice())),
-            u: bind_orders(tape, store, &gates.map(|g| g.u.as_slice())),
+            w: bind_orders(ex, store, &gates.map(|g| g.w.as_slice())),
+            u: bind_orders(ex, store, &gates.map(|g| g.u.as_slice())),
             u_cand: Vec::new(),
-            b: bind_cols(tape, store, &gates.map(|g| g.b)),
+            b: bind_cols(ex, store, &gates.map(|g| g.b)),
             peep,
         }
     }
@@ -346,65 +373,54 @@ impl ChebConvLstmCell {
     /// `operands` carry the cascade's spectral operator (sparse or dense),
     /// `x` is the `n x d_in` snapshot signal, `params` come from
     /// [`ChebConvLstmCell::bind`], and the state matrices are `n x d_h`.
-    pub fn step(
+    pub fn step<'s, E: Exec<'s>>(
         &self,
-        tape: &mut Tape,
-        params: &BoundCell,
-        operands: &ChebOperands,
+        ex: &mut E,
+        params: &BoundCell<E::Value>,
+        operands: &ChebOperands<E::Value>,
         x: &Arc<Csr>,
-        (h, c): (Var, Var),
-    ) -> (Var, Var) {
+        (h, c): (E::Value, E::Value),
+    ) -> (E::Value, E::Value) {
         assert_eq!(operands.len(), self.k + 1, "expected K+1 Chebyshev bases");
         let d = self.d_h;
-        let xw = operands.input_conv(tape, x, &params.w);
-        let conv_h = operands.conv_stack(tape, h);
-        let hu = filter_sum(tape, &conv_h, &params.u);
-        let sum = tape.add(xw, hu);
-        let pre = tape.add_bias(sum, params.b);
+        let pre = {
+            let xw = operands.input_conv(ex, x, &params.w);
+            let conv_h = operands.conv_stack(ex, h);
+            let hu = filter_sum(ex, &conv_h, &params.u);
+            let sum = ex.add(&xw, &hu);
+            ex.add_bias(&sum, &params.b)
+        };
+        let i = peephole_gate(ex, &pre, 0, d, &params.peep[0], &c);
+        let f = peephole_gate(ex, &pre, d, d, &params.peep[1], &c);
+        let g_pre = ex.slice_cols(&pre, 3 * d, d);
+        let g = ex.tanh(&g_pre);
 
-        let i_pre = tape.slice_cols(pre, 0, d);
-        let i_peep = tape.hadamard(params.peep[0], c);
-        let i_sum = tape.add(i_pre, i_peep);
-        let i = tape.sigmoid(i_sum);
+        let fc = ex.hadamard(&f, &c);
+        let ig = ex.hadamard(&i, &g);
+        let c_next = ex.add(&fc, &ig);
 
-        let f_pre = tape.slice_cols(pre, d, d);
-        let f_peep = tape.hadamard(params.peep[1], c);
-        let f_sum = tape.add(f_pre, f_peep);
-        let f = tape.sigmoid(f_sum);
-
-        let g_pre = tape.slice_cols(pre, 3 * d, d);
-        let g = tape.tanh(g_pre);
-
-        let fc = tape.hadamard(f, c);
-        let ig = tape.hadamard(i, g);
-        let c_next = tape.add(fc, ig);
-
-        let o_pre = tape.slice_cols(pre, 2 * d, d);
-        let o_peep = tape.hadamard(params.peep[2], c_next);
-        let o_sum = tape.add(o_pre, o_peep);
-        let o = tape.sigmoid(o_sum);
-
-        let c_act = tape.tanh(c_next);
-        let h_next = tape.hadamard(o, c_act);
+        let o = peephole_gate(ex, &pre, 2 * d, d, &params.peep[2], &c_next);
+        let c_act = ex.tanh(&c_next);
+        let h_next = ex.hadamard(&o, &c_act);
         (h_next, c_next)
     }
 
     /// Runs a snapshot sequence over `n` nodes, binding the parameters
     /// once, and returns every hidden state.
-    pub fn run(
+    pub fn run<'s, E: Exec<'s>>(
         &self,
-        tape: &mut Tape,
-        store: &ParamStore,
-        operands: &ChebOperands,
+        ex: &mut E,
+        store: &'s ParamStore,
+        operands: &ChebOperands<E::Value>,
         inputs: &[Arc<Csr>],
         n: usize,
-    ) -> Vec<Var> {
-        let params = self.bind(tape, store, n);
-        let mut state = self.zero_state(tape, n);
+    ) -> Vec<E::Value> {
+        let params = self.bind(ex, store, n);
+        let mut state = self.zero_state(ex, n);
         let mut hs = Vec::with_capacity(inputs.len());
         for x in inputs {
-            state = self.step(tape, &params, operands, x, state);
-            hs.push(state.0);
+            state = self.step(ex, &params, operands, x, state);
+            hs.push(state.0.clone());
         }
         hs
     }
@@ -458,76 +474,76 @@ impl ChebConvGruCell {
     }
 
     /// Fresh zero hidden state over `n` nodes.
-    pub fn zero_state(&self, tape: &mut Tape, n: usize) -> Var {
-        tape.constant(Matrix::zeros(n, self.d_h))
+    pub fn zero_state<'s, E: Exec<'s>>(&self, ex: &mut E, n: usize) -> E::Value {
+        ex.constant(Matrix::zeros(n, self.d_h))
     }
 
     /// Binds every parameter once for a forward pass. Gate order of the
     /// joined input filters and biases: update, reset, candidate; the
     /// joined recurrent filters cover update and reset, which convolve `h`.
-    pub fn bind(&self, tape: &mut Tape, store: &ParamStore) -> BoundCell {
+    pub fn bind<'s, E: Exec<'s>>(&self, ex: &mut E, store: &'s ParamStore) -> BoundCell<E::Value> {
         let gates = [&self.update, &self.reset, &self.candidate];
         BoundCell {
-            w: bind_orders(tape, store, &gates.map(|g| g.w.as_slice())),
-            u: bind_orders(tape, store, &[&self.update.u, &self.reset.u]),
-            u_cand: bind_orders(tape, store, &[&self.candidate.u]),
-            b: bind_cols(tape, store, &gates.map(|g| g.b)),
+            w: bind_orders(ex, store, &gates.map(|g| g.w.as_slice())),
+            u: bind_orders(ex, store, &[&self.update.u, &self.reset.u]),
+            u_cand: bind_orders(ex, store, &[&self.candidate.u]),
+            b: bind_cols(ex, store, &gates.map(|g| g.b)),
             peep: Vec::new(),
         }
     }
 
     /// One timestep over a cascade snapshot, with `params` from
     /// [`ChebConvGruCell::bind`]: `h' = h + z ⊙ (h̃ − h)`.
-    pub fn step(
+    pub fn step<'s, E: Exec<'s>>(
         &self,
-        tape: &mut Tape,
-        params: &BoundCell,
-        operands: &ChebOperands,
+        ex: &mut E,
+        params: &BoundCell<E::Value>,
+        operands: &ChebOperands<E::Value>,
         x: &Arc<Csr>,
-        h: Var,
-    ) -> Var {
+        h: E::Value,
+    ) -> E::Value {
         assert_eq!(operands.len(), self.k + 1, "expected K+1 Chebyshev bases");
         let d = self.d_h;
-        let xw = operands.input_conv(tape, x, &params.w);
-        let xw = tape.add_bias(xw, params.b);
-        let conv_h = operands.conv_stack(tape, h);
-        let hu = filter_sum(tape, &conv_h, &params.u);
-        let x_zr = tape.slice_cols(xw, 0, 2 * d);
-        let zr = tape.add(x_zr, hu);
+        let xw = operands.input_conv(ex, x, &params.w);
+        let xw = ex.add_bias(&xw, &params.b);
+        let conv_h = operands.conv_stack(ex, h.clone());
+        let hu = filter_sum(ex, &conv_h, &params.u);
+        let x_zr = ex.slice_cols(&xw, 0, 2 * d);
+        let zr = ex.add(&x_zr, &hu);
 
-        let z_pre = tape.slice_cols(zr, 0, d);
-        let z = tape.sigmoid(z_pre);
-        let r_pre = tape.slice_cols(zr, d, d);
-        let r = tape.sigmoid(r_pre);
+        let z_pre = ex.slice_cols(&zr, 0, d);
+        let z = ex.sigmoid(&z_pre);
+        let r_pre = ex.slice_cols(&zr, d, d);
+        let r = ex.sigmoid(&r_pre);
 
-        let rh = tape.hadamard(r, h);
-        let conv_rh = operands.conv_stack(tape, rh);
-        let rhu = filter_sum(tape, &conv_rh, &params.u_cand);
-        let x_cand = tape.slice_cols(xw, 2 * d, d);
-        let cand_pre = tape.add(x_cand, rhu);
-        let cand = tape.tanh(cand_pre);
+        let rh = ex.hadamard(&r, &h);
+        let conv_rh = operands.conv_stack(ex, rh);
+        let rhu = filter_sum(ex, &conv_rh, &params.u_cand);
+        let x_cand = ex.slice_cols(&xw, 2 * d, d);
+        let cand_pre = ex.add(&x_cand, &rhu);
+        let cand = ex.tanh(&cand_pre);
 
-        let delta = tape.sub(cand, h);
-        let update = tape.hadamard(z, delta);
-        tape.add(h, update)
+        let delta = ex.sub(&cand, &h);
+        let update = ex.hadamard(&z, &delta);
+        ex.add(&h, &update)
     }
 
     /// Runs a snapshot sequence over `n` nodes, binding the parameters
     /// once, and returns every hidden state.
-    pub fn run(
+    pub fn run<'s, E: Exec<'s>>(
         &self,
-        tape: &mut Tape,
-        store: &ParamStore,
-        operands: &ChebOperands,
+        ex: &mut E,
+        store: &'s ParamStore,
+        operands: &ChebOperands<E::Value>,
         inputs: &[Arc<Csr>],
         n: usize,
-    ) -> Vec<Var> {
-        let params = self.bind(tape, store);
-        let mut h = self.zero_state(tape, n);
+    ) -> Vec<E::Value> {
+        let params = self.bind(ex, store);
+        let mut h = self.zero_state(ex, n);
         let mut hs = Vec::with_capacity(inputs.len());
         for x in inputs {
-            h = self.step(tape, &params, operands, x, h);
-            hs.push(h);
+            h = self.step(ex, &params, operands, x, h);
+            hs.push(h.clone());
         }
         hs
     }
@@ -536,6 +552,7 @@ impl ChebConvGruCell {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cascn_autograd::{Tape, Var};
     use cascn_graph::{laplacian, DiGraph};
     use rand::SeedableRng;
 
@@ -612,8 +629,8 @@ mod tests {
     /// gradient entries the tape extracted.
     fn zero_grad_params(
         store: &mut ParamStore,
-        operands_of: impl Fn(&mut Tape) -> ChebOperands,
-        run: impl Fn(&mut Tape, &ParamStore, &ChebOperands, &[Arc<Csr>]) -> Vec<Var>,
+        operands_of: impl Fn(&mut Tape) -> ChebOperands<Var>,
+        run: impl Fn(&mut Tape, &ParamStore, &ChebOperands<Var>, &[Arc<Csr>]) -> Vec<Var>,
     ) -> (Vec<String>, usize) {
         let mut tape = Tape::new();
         let operands = operands_of(&mut tape);
@@ -769,7 +786,7 @@ mod tests {
         let cell = ChebConvLstmCell::new(&mut store, "cc", 2, 6, 4, &mut rng);
         let basis = fig1_basis(2);
 
-        let run = |operands_of: &dyn Fn(&mut Tape) -> ChebOperands| {
+        let run = |operands_of: &dyn Fn(&mut Tape) -> ChebOperands<Var>| {
             let mut tape = Tape::new();
             let operands = operands_of(&mut tape);
             let x = signal(&Matrix::eye(6));

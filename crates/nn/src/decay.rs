@@ -7,7 +7,7 @@
 //! kernels the paper discusses (Section IV-D), the discrete `λ` vector is
 //! learned end-to-end.
 
-use cascn_autograd::{ParamId, ParamStore, Tape, Var};
+use cascn_autograd::{Exec, ParamId, ParamStore};
 use cascn_tensor::Matrix;
 
 /// Learnable per-interval decay multipliers.
@@ -43,33 +43,40 @@ impl TimeDecay {
         ((t / width) as usize).min(self.intervals - 1)
     }
 
-    /// Binds the multiplier table on `tape` — once per forward pass;
+    /// Binds the multiplier table on `ex` — once per forward pass;
     /// [`TimeDecay::scale`] then reads it for each snapshot.
-    pub fn bind(&self, tape: &mut Tape, store: &ParamStore) -> Var {
-        tape.param(store, self.lambdas)
+    pub fn bind<'s, E: Exec<'s>>(&self, ex: &mut E, store: &'s ParamStore) -> E::Value {
+        ex.param(store, self.lambdas)
     }
 
     /// Scales the hidden state `h` (taken at snapshot time `t`) by the
     /// learned `λ_m` of its interval (Eq. 16), reading the `table` from
     /// [`TimeDecay::bind`].
-    pub fn scale(&self, tape: &mut Tape, table: Var, h: Var, t: f64, window: f64) -> Var {
+    pub fn scale<'s, E: Exec<'s>>(
+        &self,
+        ex: &mut E,
+        table: &E::Value,
+        h: &E::Value,
+        t: f64,
+        window: f64,
+    ) -> E::Value {
         let m = self.interval_of(t, window);
-        let lambda = tape.gather(table, vec![m]);
-        tape.scalar_mul(lambda, h)
+        let lambda = ex.gather(table, vec![m]);
+        ex.scalar_mul(&lambda, h)
     }
 
     /// [`TimeDecay::bind`] then [`TimeDecay::scale`], for a model that
     /// decays one state per forward pass.
-    pub fn apply(
+    pub fn apply<'s, E: Exec<'s>>(
         &self,
-        tape: &mut Tape,
-        store: &ParamStore,
-        h: Var,
+        ex: &mut E,
+        store: &'s ParamStore,
+        h: &E::Value,
         t: f64,
         window: f64,
-    ) -> Var {
-        let table = self.bind(tape, store);
-        self.scale(tape, table, h, t, window)
+    ) -> E::Value {
+        let table = self.bind(ex, store);
+        self.scale(ex, &table, h, t, window)
     }
 
     /// Current values of the multipliers (for inspection/reports).
@@ -81,6 +88,7 @@ impl TimeDecay {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cascn_autograd::Tape;
 
     #[test]
     fn interval_mapping_matches_eq15() {
@@ -103,7 +111,7 @@ mod tests {
         let mut tape = Tape::new();
         let h = tape.constant(Matrix::full(2, 3, 4.0));
         // t in second half → λ_1 = 0.5.
-        let scaled = decay.apply(&mut tape, &store, h, 75.0, 100.0);
+        let scaled = decay.apply(&mut tape, &store, &h, 75.0, 100.0);
         assert_eq!(tape.value(scaled)[(0, 0)], 2.0);
     }
 
@@ -113,7 +121,7 @@ mod tests {
         let decay = TimeDecay::new(&mut store, "d", 3);
         let mut tape = Tape::new();
         let h = tape.constant(Matrix::full(1, 2, 1.5));
-        let scaled = decay.apply(&mut tape, &store, h, 10.0, 30.0);
+        let scaled = decay.apply(&mut tape, &store, &h, 10.0, 30.0);
         let loss = tape.sum_all(scaled);
         tape.backward(loss);
         tape.accumulate_param_grads(&mut store);

@@ -1,5 +1,7 @@
 //! Neural-network layers for the CasCN reproduction, built on
-//! [`cascn_autograd`].
+//! [`cascn_autograd`]. The CasCN layers are generic over
+//! [`cascn_autograd::Exec`], so the same code trains on a tape and serves
+//! on the forward-only `Eval`.
 //!
 //! The layer zoo covers everything Section IV of the paper and its baselines
 //! require:
@@ -30,7 +32,7 @@ mod next_user;
 mod rnn;
 pub mod train;
 
-pub use chebconv::{bases_to_vars, BoundCell, ChebConvGruCell, ChebConvLstmCell, ChebOperands};
+pub use chebconv::{BoundCell, ChebConvGruCell, ChebConvLstmCell, ChebOperands};
 pub use decay::TimeDecay;
 pub use embedding::{Embedding, Vocab};
 pub use linear::{Activation, Linear, Mlp};

@@ -1,6 +1,6 @@
 //! Affine layers and multi-layer perceptrons.
 
-use cascn_autograd::{ParamId, ParamStore, Tape, Var};
+use cascn_autograd::{Exec, ParamId, ParamStore};
 use rand::rngs::StdRng;
 
 use crate::init;
@@ -50,11 +50,17 @@ impl Linear {
         self.out_dim
     }
 
-    /// Applies the layer to a `m x in_dim` variable.
-    pub fn forward(&self, tape: &mut Tape, store: &ParamStore, x: Var) -> Var {
-        let w = tape.param(store, self.w);
-        let b = tape.param(store, self.b);
-        tape.linear(x, w, b)
+    /// Applies the layer to a `m x in_dim` value.
+    pub fn forward<'s, E: Exec<'s>>(
+        &self,
+        ex: &mut E,
+        store: &'s ParamStore,
+        x: E::Value,
+    ) -> E::Value {
+        let w = ex.param(store, self.w);
+        let b = ex.param(store, self.b);
+        let xw = ex.matmul(&x, &w);
+        ex.add_bias(&xw, &b)
     }
 }
 
@@ -102,15 +108,20 @@ impl Mlp {
 
     /// Applies the network; the hidden activation is used between all layers
     /// but not after the last.
-    pub fn forward(&self, tape: &mut Tape, store: &ParamStore, mut x: Var) -> Var {
+    pub fn forward<'s, E: Exec<'s>>(
+        &self,
+        ex: &mut E,
+        store: &'s ParamStore,
+        mut x: E::Value,
+    ) -> E::Value {
         let last = self.layers.len() - 1;
         for (i, layer) in self.layers.iter().enumerate() {
-            x = layer.forward(tape, store, x);
+            x = layer.forward(ex, store, x);
             if i != last {
                 x = match self.activation {
-                    Activation::Relu => tape.relu(x),
-                    Activation::Tanh => tape.tanh(x),
-                    Activation::Sigmoid => tape.sigmoid(x),
+                    Activation::Relu => ex.relu(&x),
+                    Activation::Tanh => ex.tanh(&x),
+                    Activation::Sigmoid => ex.sigmoid(&x),
                 };
             }
         }
@@ -127,7 +138,7 @@ impl Mlp {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cascn_autograd::{Adam, Optimizer};
+    use cascn_autograd::{Adam, Optimizer, Tape};
     use cascn_tensor::Matrix;
     use rand::SeedableRng;
 

@@ -12,7 +12,7 @@
 //! Row 0 of the user table is the UNK bucket and is always masked: the
 //! head never predicts "some user we cannot name".
 
-use cascn_autograd::{ParamStore, Tape, Var};
+use cascn_autograd::{Exec, ParamStore, Tape, Var};
 use rand::rngs::StdRng;
 
 use crate::linear::Linear;
@@ -57,8 +57,13 @@ impl NextUserHead {
     }
 
     /// Raw `1 x table_size` logits for a `1 x hidden` pooled state.
-    pub fn logits(&self, tape: &mut Tape, store: &ParamStore, h: Var) -> Var {
-        self.proj.forward(tape, store, h)
+    pub fn logits<'s, E: Exec<'s>>(
+        &self,
+        ex: &mut E,
+        store: &'s ParamStore,
+        h: E::Value,
+    ) -> E::Value {
+        self.proj.forward(ex, store, h)
     }
 
     /// Masked `1 x table_size` log-probabilities: logits plus an additive
@@ -67,27 +72,27 @@ impl NextUserHead {
     ///
     /// # Panics
     /// Panics if `mask.len()` differs from the table size.
-    pub fn masked_log_probs(
+    pub fn masked_log_probs<'s, E: Exec<'s>>(
         &self,
-        tape: &mut Tape,
-        store: &ParamStore,
-        h: Var,
+        ex: &mut E,
+        store: &'s ParamStore,
+        h: E::Value,
         mask: &[bool],
-    ) -> Var {
+    ) -> E::Value {
         assert_eq!(
             mask.len(),
             self.table_size(),
             "NextUserHead: mask length must match the user table"
         );
-        let logits = self.logits(tape, store, h);
+        let logits = self.logits(ex, store, h);
         let additive: Vec<f32> = mask
             .iter()
             .enumerate()
             .map(|(i, &m)| if m || i == 0 { MASK_LOGIT } else { 0.0 })
             .collect();
-        let mask_var = tape.constant(cascn_tensor::Matrix::from_vec(1, mask.len(), additive));
-        let masked = tape.add(logits, mask_var);
-        tape.log_softmax_row(masked)
+        let mask_var = ex.constant(cascn_tensor::Matrix::from_vec(1, mask.len(), additive));
+        let masked = ex.add(&logits, &mask_var);
+        ex.log_softmax_row(&masked)
     }
 
     /// Next-event cross-entropy: `−log p(target)` under the masked
@@ -116,15 +121,15 @@ impl NextUserHead {
     /// (masked entries are exactly `0.0`).
     ///
     /// [`masked_log_probs`]: NextUserHead::masked_log_probs
-    pub fn predict_probs(
+    pub fn predict_probs<'s, E: Exec<'s>>(
         &self,
-        tape: &mut Tape,
-        store: &ParamStore,
-        h: Var,
+        ex: &mut E,
+        store: &'s ParamStore,
+        h: E::Value,
         mask: &[bool],
     ) -> Vec<f32> {
-        let logp = self.masked_log_probs(tape, store, h, mask);
-        tape.value(logp).as_slice().iter().map(|&l| l.exp()).collect()
+        let logp = self.masked_log_probs(ex, store, h, mask);
+        ex.value(&logp).as_slice().iter().map(|&l| l.exp()).collect()
     }
 }
 
