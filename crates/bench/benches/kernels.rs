@@ -1,5 +1,5 @@
 //! Compute-core benchmarks: the sparse operator-form Chebyshev conv stack
-//! vs. the legacy dense materialized-basis path, swept across cascade
+//! vs. the dense materialized-basis oracle, swept across cascade
 //! sizes and edge densities so the crossover point stays visible in CI
 //! output — at toy sizes the dense n×n matmul is competitive; on
 //! representative sparse cascades the operator form wins by the

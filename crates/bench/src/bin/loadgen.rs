@@ -32,7 +32,7 @@
 //! starting loadgen in the same breath as the server (as the smoke
 //! scripts do) no longer races the server's bind.
 
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{BufReader, Write};
 use std::net::TcpStream;
 use std::process::exit;
 use std::time::{Duration, Instant};
@@ -40,6 +40,8 @@ use std::time::{Duration, Instant};
 use cascn_bench::percentile;
 use cascn_cascades::synth::{WeiboConfig, WeiboGenerator};
 use cascn_cascades::Cascade;
+use cascn_serve::http::{read_response, Response};
+use cascn_serve::router::MAX_BACKEND_BODY_BYTES;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -392,8 +394,8 @@ fn send_post(
             .get_mut()
             .write_all(raw.as_bytes())
             .map_err(|e| format!("send: {e}"))?;
-        let (status, _body, keep_alive) = read_response(reader)?;
-        Ok((status, keep_alive))
+        let resp = read_reply(reader)?;
+        Ok((resp.status, resp.keep_alive))
     })();
     match outcome {
         Ok((status, keep_alive)) => {
@@ -420,55 +422,15 @@ fn simple_request(addr: &str, method: &str, path: &str) -> Result<String, String
         .get_mut()
         .write_all(raw.as_bytes())
         .map_err(|e| format!("send: {e}"))?;
-    let (status, body, _) = read_response(&mut reader)?;
-    if status != 200 {
-        return Err(format!("{method} {path}: status {status}: {body}"));
+    let resp = read_reply(&mut reader)?;
+    let body = String::from_utf8_lossy(&resp.body).into_owned();
+    if resp.status != 200 {
+        return Err(format!("{method} {path}: status {}: {body}", resp.status));
     }
     Ok(body)
 }
 
-/// Reads one HTTP/1.1 response: status, body, and whether the server will
-/// keep the connection alive.
-fn read_response(reader: &mut BufReader<TcpStream>) -> Result<(u16, String, bool), String> {
-    let mut status_line = String::new();
-    reader
-        .read_line(&mut status_line)
-        .map_err(|e| format!("read status: {e}"))?;
-    let status: u16 = status_line
-        .split_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .ok_or_else(|| format!("bad status line `{}`", status_line.trim()))?;
-    let mut content_length = 0usize;
-    let mut keep_alive = true;
-    loop {
-        let mut header = String::new();
-        let n = reader
-            .read_line(&mut header)
-            .map_err(|e| format!("read header: {e}"))?;
-        if n == 0 {
-            return Err("eof inside headers".into());
-        }
-        let header = header.trim_end();
-        if header.is_empty() {
-            break;
-        }
-        if let Some((name, value)) = header.split_once(':') {
-            if name.eq_ignore_ascii_case("content-length") {
-                content_length = value
-                    .trim()
-                    .parse()
-                    .map_err(|e| format!("bad content-length: {e}"))?;
-            } else if name.eq_ignore_ascii_case("connection")
-                && value.trim().eq_ignore_ascii_case("close")
-            {
-                keep_alive = false;
-            }
-        }
-    }
-    let mut body = vec![0u8; content_length];
-    reader
-        .read_exact(&mut body)
-        .map_err(|e| format!("read body: {e}"))?;
-    Ok((status, String::from_utf8_lossy(&body).into_owned(), keep_alive))
+/// Reads one response under the router's body cap.
+fn read_reply(reader: &mut BufReader<TcpStream>) -> Result<Response, String> {
+    read_response(reader, MAX_BACKEND_BODY_BYTES).map_err(|e| format!("read response: {e}"))
 }

@@ -4,7 +4,7 @@
 //!
 //! Measures the CasCN hot path on a fixed synthetic workload — preprocess
 //! throughput, one-epoch training time, forward-pass p50/p99 under the
-//! default sparse Chebyshev kernel — plus the dense-kernel comparison
+//! default sparse Chebyshev kernel — plus the dense-oracle comparison
 //! (speedup and max prediction delta), the forward-only `Eval` against the
 //! same forward on the training tape (speedup and max prediction delta),
 //! and the microscopic next-user
@@ -24,9 +24,7 @@
 use std::fmt::Write as _;
 use std::time::Instant;
 
-use cascn::{
-    preprocess, CascnConfig, CascnModel, ChebKernel, PreprocessedCascade, TaskKind, TrainOpts,
-};
+use cascn::{preprocess, CascnConfig, CascnModel, PreprocessedCascade, TaskKind, TrainOpts};
 use cascn_autograd::Tape;
 use cascn_bench::percentile;
 use cascn_cascades::synth::{WeiboConfig, WeiboGenerator};
@@ -40,7 +38,7 @@ const FORWARD_TARGETS: usize = 24;
 const FORWARD_REPS: usize = 5;
 const CONV_REPS: usize = 200;
 
-fn cfg(kernel: ChebKernel) -> CascnConfig {
+fn cfg() -> CascnConfig {
     CascnConfig {
         k: 2,
         hidden: 8,
@@ -48,7 +46,6 @@ fn cfg(kernel: ChebKernel) -> CascnConfig {
         max_nodes: 40,
         max_steps: 10,
         seed: 9,
-        cheb_kernel: kernel,
         ..CascnConfig::default()
     }
 }
@@ -57,14 +54,13 @@ fn cfg(kernel: ChebKernel) -> CascnConfig {
 /// padding, because the kernel comparison is about the serving hot path on
 /// realistic cascades — at toy sizes the dense n×n matmul is too small for
 /// the sparse operator's savings to show.
-fn fwd_cfg(kernel: ChebKernel) -> CascnConfig {
+fn fwd_cfg() -> CascnConfig {
     CascnConfig {
         k: 2,
         hidden: 32,
         max_nodes: 100,
         max_steps: 20,
         seed: 9,
-        cheb_kernel: kernel,
         ..CascnConfig::default()
     }
 }
@@ -170,29 +166,28 @@ fn measure() -> Result<Record, String> {
         targets.len()
     );
 
-    // Preprocess throughput under the default sparse kernel.
-    let sparse_cfg = cfg(ChebKernel::Sparse);
+    // Preprocess throughput.
+    let sparse_cfg = cfg();
     let t0 = Instant::now();
     for c in data.cascades.iter() {
         std::hint::black_box(preprocess(c, WINDOW, &sparse_cfg));
     }
     let preprocess_cascades_per_s = data.cascades.len() as f64 / t0.elapsed().as_secs_f64();
 
-    // Forward-pass latency: sparse (the shipped default) vs. dense (the
-    // legacy materialized-basis kernel). Same seed, so the two models hold
-    // bit-identical parameters and differ only in the convolution kernel.
-    let sparse = CascnModel::new(fwd_cfg(ChebKernel::Sparse));
-    let dense = CascnModel::new(fwd_cfg(ChebKernel::Dense));
+    // Forward-pass latency: the shipped sparse kernel vs. the dense oracle
+    // (materialized bases, built outside the timed region) — one model, so
+    // the two runs differ only in the convolution operands.
+    let fwd_model = CascnModel::new(fwd_cfg());
     let sparse_samples: Vec<PreprocessedCascade> = targets
         .iter()
-        .map(|c| preprocess(c, WINDOW, sparse.config()))
+        .map(|c| preprocess(c, WINDOW, fwd_model.config()))
         .collect();
-    let dense_samples: Vec<PreprocessedCascade> = targets
+    let dense_samples: Vec<PreprocessedCascade> = sparse_samples
         .iter()
-        .map(|c| preprocess(c, WINDOW, dense.config()))
+        .map(|s| s.clone().with_dense_bases())
         .collect();
-    let sparse_lat = forward_latencies(&sparse_samples, |s| sparse.predict_log_sample(s));
-    let dense_lat = forward_latencies(&dense_samples, |s| dense.predict_log_sample(s));
+    let sparse_lat = forward_latencies(&sparse_samples, |s| fwd_model.predict_log_sample(s));
+    let dense_lat = forward_latencies(&dense_samples, |s| fwd_model.predict_log_sample(s));
     let forward_p50_us = percentile(&sparse_lat, 0.5);
     let forward_p99_us = percentile(&sparse_lat, 0.99);
     let dense_forward_p50_us = percentile(&dense_lat, 0.5);
@@ -200,12 +195,12 @@ fn measure() -> Result<Record, String> {
     // The same sparse forward recorded on a training tape: the speedup of
     // the forward-only `Eval` that inference runs on, and its exactness
     // (the two run the same kernels, so any delta is a bug).
-    let tape_lat = forward_latencies(&sparse_samples, |s| tape_predict(&sparse, s));
+    let tape_lat = forward_latencies(&sparse_samples, |s| tape_predict(&fwd_model, s));
     let tape_forward_p50_us = percentile(&tape_lat, 0.5);
     let eval_speedup = tape_forward_p50_us as f64 / forward_p50_us.max(1) as f64;
     let eval_max_abs_delta = sparse_samples
         .iter()
-        .map(|s| f64::from((sparse.predict_log_sample(s) - tape_predict(&sparse, s)).abs()))
+        .map(|s| f64::from((fwd_model.predict_log_sample(s) - tape_predict(&fwd_model, s)).abs()))
         .fold(0.0f64, f64::max);
 
     // Conv-stage speedup on the largest (most representative) cascade:
@@ -217,10 +212,11 @@ fn measure() -> Result<Record, String> {
     let conv_dense_p50_ns = conv_stack_p50(big, true, 32);
     let sparse_speedup = conv_dense_p50_ns as f64 / conv_sparse_p50_ns.max(1) as f64;
 
-    let accuracy_delta = targets
+    let accuracy_delta = sparse_samples
         .iter()
-        .map(|c| {
-            f64::from((sparse.predict_log(c, WINDOW) - dense.predict_log(c, WINDOW)).abs())
+        .zip(&dense_samples)
+        .map(|(s, d)| {
+            f64::from((fwd_model.predict_log_sample(s) - fwd_model.predict_log_sample(d)).abs())
         })
         .fold(0.0f64, f64::max);
 
@@ -231,7 +227,7 @@ fn measure() -> Result<Record, String> {
         threads: 1,
         ..TrainOpts::default()
     };
-    let mut model = CascnModel::new(cfg(ChebKernel::Sparse));
+    let mut model = CascnModel::new(cfg());
     let t0 = Instant::now();
     model.fit(&train, &val, WINDOW, &opts);
     let epoch_seconds = t0.elapsed().as_secs_f64();
@@ -264,7 +260,6 @@ fn measure() -> Result<Record, String> {
         max_nodes: 10,
         max_steps: 5,
         seed: 9,
-        cheb_kernel: ChebKernel::Sparse,
         task: TaskKind::NextUser,
         vocab_users: usize::try_from(max_user).unwrap_or(usize::MAX - 1) + 1,
         ..CascnConfig::default()

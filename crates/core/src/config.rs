@@ -30,25 +30,6 @@ pub enum LaplacianKind {
     Undirected,
 }
 
-/// Which compute kernel carries the Chebyshev convolution stack.
-///
-/// Both kernels implement the same convolution `W ∗G X = Σ_k T_k(Δ̃_c)·X·W_k`
-/// and agree within the accuracy gate; they differ in cost and float
-/// rounding. Mixing kernels across a serving fleet is prevented by folding
-/// the kernel into the spectral-cache fingerprint.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ChebKernel {
-    /// Operator form (the default): keep the scaled Laplacian sparse and
-    /// carry the Chebyshev recurrence on `n×d` feature blocks —
-    /// `T_k·X = 2·Δ̃·(T_{k-1}·X) − T_{k-2}·X` — so no dense `n×n` basis is
-    /// ever materialized.
-    Sparse,
-    /// Materialize the `K+1` dense `T_k(Δ̃_c)` bases and multiply per order
-    /// (the pre-optimization path; kept for gradient checking and
-    /// A/B validation).
-    Dense,
-}
-
 /// How snapshot hidden states are re-weighted over time (Section IV-D).
 ///
 /// The paper argues for a *learned* discrete decay (Eq. 15–16) over the
@@ -157,8 +138,6 @@ pub struct CascnConfig {
     pub laplacian: LaplacianKind,
     /// Time-decay mode (Eq. 15–16 by default; `None` = `CasCN-Time`).
     pub decay: DecayMode,
-    /// Chebyshev convolution kernel (sparse operator form by default).
-    pub cheb_kernel: ChebKernel,
     /// Temporal pooling (the paper's sum, or the attention extension).
     pub pooling: Pooling,
     /// Which task head sits on the pooled representation.
@@ -192,7 +171,6 @@ impl Default for CascnConfig {
             recurrent: RecurrentKind::Lstm,
             laplacian: LaplacianKind::Directed,
             decay: DecayMode::Learned,
-            cheb_kernel: ChebKernel::Sparse,
             pooling: Pooling::Sum,
             task: TaskKind::SizeRegression,
             vocab_users: 0,

@@ -11,7 +11,7 @@ use cascn_graph::{laplacian, DiGraph, IncrementalSpectral, SpectralBasis};
 use cascn_nn::ChebOperands;
 use cascn_tensor::{Csr, Matrix};
 
-use crate::config::{CascnConfig, ChebKernel, LambdaMax, LaplacianKind};
+use crate::config::{CascnConfig, LambdaMax, LaplacianKind};
 
 /// A cascade converted to CasCN's input representation.
 #[derive(Debug, Clone)]
@@ -19,8 +19,9 @@ pub struct PreprocessedCascade {
     /// The cascade's spectral handle: the scaled Laplacian `Δ̃_c` in sparse
     /// operator form plus the Chebyshev order `K`.
     pub basis: SpectralBasis,
-    /// Materialized dense bases `T_k(Δ̃_c)` (length `K + 1`) — populated
-    /// only under [`ChebKernel::Dense`]; the default sparse kernel never
+    /// Materialized dense bases `T_k(Δ̃_c)` (length `K + 1`): the reference
+    /// the sparse kernel is checked against, set only by
+    /// [`PreprocessedCascade::with_dense_bases`]. Preprocessing never
     /// builds them.
     pub dense_bases: Option<Vec<Matrix>>,
     /// The observed adjacency as `(parent, child)` entries in arrival order,
@@ -47,8 +48,17 @@ pub struct PreprocessedCascade {
 }
 
 impl PreprocessedCascade {
-    /// The convolution operands a ChebConv cell runs against — dense when
-    /// the config materialized bases, sparse operator form otherwise.
+    /// Materializes the dense bases from the spectral handle — the oracle
+    /// that gradcheck, the accuracy gate and the sparse-vs-dense tests run
+    /// the model against. `O(K·n²)` memory; not for serving.
+    pub fn with_dense_bases(mut self) -> Self {
+        self.dense_bases = Some(self.basis.materialize());
+        self
+    }
+
+    /// The convolution operands a ChebConv cell runs against — the dense
+    /// oracle when [`PreprocessedCascade::with_dense_bases`] materialized
+    /// bases, sparse operator form otherwise.
     pub fn operands<'s, E: Exec<'s>>(&'s self, ex: &mut E) -> ChebOperands<E::Value> {
         match &self.dense_bases {
             Some(bases) => ChebOperands::dense(ex, bases),
@@ -160,23 +170,6 @@ fn assemble(
     cfg: &CascnConfig,
     basis: SpectralBasis,
 ) -> PreprocessedCascade {
-    let dense_bases = match cfg.cheb_kernel {
-        ChebKernel::Dense => Some(basis.materialize()),
-        ChebKernel::Sparse => None,
-    };
-    assemble_with(cascade, window, cfg, basis, dense_bases)
-}
-
-/// [`assemble`] with the dense Chebyshev blocks (if any) already in hand —
-/// lets [`WindowedPreprocessor`] reuse materialized `T_k` blocks across
-/// overlapping windows instead of re-expanding them per request.
-fn assemble_with(
-    cascade: &Cascade,
-    window: f64,
-    cfg: &CascnConfig,
-    basis: SpectralBasis,
-    dense_bases: Option<Vec<Matrix>>,
-) -> PreprocessedCascade {
     let n = basis.num_nodes();
     debug_assert_eq!(
         n,
@@ -189,7 +182,7 @@ fn assemble_with(
     PreprocessedCascade {
         lambda_max: basis.lambda_max,
         basis,
-        dense_bases,
+        dense_bases: None,
         edges,
         prefix_lens,
         times,
@@ -204,11 +197,10 @@ fn assemble_with(
 ///
 /// Keeps the cascade's spectral state warm across appended adoption events
 /// and overlapping observation windows: the directed operator advances via
-/// [`IncrementalSpectral::push_child`] instead of a cold rebuild, and
-/// materialized dense Chebyshev `T_k` blocks persist until an observed event
-/// actually invalidates them (a push-style refresh at window crossings —
-/// events beyond the window touch only the label side, so the spectral
-/// handle and the `T_k` blocks are reused untouched).
+/// [`IncrementalSpectral::push_child`] instead of a cold rebuild, and only
+/// an observed event refreshes it (a push-style refresh at window
+/// crossings — events beyond the window touch only the label side, so the
+/// spectral handle is reused untouched).
 ///
 /// Parity contract (tested here and in the workspace property suite):
 /// [`WindowedPreprocessor::current`] matches [`preprocess`] on the same
@@ -223,9 +215,6 @@ pub struct WindowedPreprocessor {
     /// CasLaplacian; the undirected variant rebuilds cold on refresh.
     spectral: Option<IncrementalSpectral>,
     basis: SpectralBasis,
-    /// Cached dense `T_k` blocks (under [`ChebKernel::Dense`]); dropped
-    /// whenever the operator refreshes.
-    dense: Option<Vec<Matrix>>,
 }
 
 impl WindowedPreprocessor {
@@ -233,7 +222,7 @@ impl WindowedPreprocessor {
     /// appends and window advances are incremental.
     pub fn new(cascade: Cascade, window: f64, cfg: &CascnConfig) -> Self {
         let (spectral, basis) = cold_state(&cascade, window, cfg);
-        Self { cascade, cfg: *cfg, window, spectral, basis, dense: None }
+        Self { cascade, cfg: *cfg, window, spectral, basis }
     }
 
     /// The cascade as currently observed (input prefix plus future events).
@@ -269,17 +258,14 @@ impl WindowedPreprocessor {
             Some(s) => s.approx_bytes(),
             None => self.basis.approx_bytes(),
         };
-        let dense: usize = self.dense.as_ref().map_or(0, |blocks| {
-            blocks.iter().map(|m| m.rows() * m.cols() * std::mem::size_of::<f32>()).sum()
-        });
-        events + spectral + dense
+        events + spectral
     }
 
     /// Appends one adoption event, validated with the same invariants as
     /// the strict loader. Returns `Ok(true)` when the event landed inside
     /// the window (the operator was refreshed incrementally) and
     /// `Ok(false)` when it is label-side only or truncated past
-    /// `max_nodes` (spectral state and cached `T_k` blocks reused as-is).
+    /// `max_nodes` (spectral state reused as-is).
     pub fn observe_event(&mut self, event: Event) -> Result<bool, CascadeFault> {
         let before = self.nodes();
         self.cascade.try_append(event)?;
@@ -287,7 +273,6 @@ impl WindowedPreprocessor {
         if after == before {
             return Ok(false);
         }
-        self.dense = None;
         self.push_range(before, after);
         Ok(true)
     }
@@ -301,7 +286,6 @@ impl WindowedPreprocessor {
         if window < self.window {
             self.window = window;
             if self.nodes() != before {
-                self.dense = None;
                 let (spectral, basis) = cold_state(&self.cascade, window, &self.cfg);
                 self.spectral = spectral;
                 self.basis = basis;
@@ -313,23 +297,15 @@ impl WindowedPreprocessor {
         if after == before {
             return 0;
         }
-        self.dense = None;
         self.push_range(before, after);
         after - before
     }
 
-    /// The model input at the current `(cascade, window)`. Reuses cached
-    /// dense `T_k` blocks when the operator has not changed since the last
-    /// call; snapshot edges and labels are recomputed (they are `O(n)`).
-    pub fn current(&mut self) -> PreprocessedCascade {
-        let dense = match self.cfg.cheb_kernel {
-            ChebKernel::Dense => {
-                let basis = &self.basis;
-                Some(self.dense.get_or_insert_with(|| basis.materialize()).clone())
-            }
-            ChebKernel::Sparse => None,
-        };
-        assemble_with(&self.cascade, self.window, &self.cfg, self.basis.clone(), dense)
+    /// The model input at the current `(cascade, window)`: the live
+    /// spectral handle (a cheap clone) plus snapshot edges and labels,
+    /// which are recomputed (they are `O(n)`).
+    pub fn current(&self) -> PreprocessedCascade {
+        assemble(&self.cascade, self.window, &self.cfg, self.basis.clone())
     }
 
     fn nodes(&self) -> usize {
@@ -449,7 +425,7 @@ mod tests {
         assert_eq!(p.basis.num_nodes(), 6);
         assert!(
             p.dense_bases.is_none(),
-            "the default sparse kernel must not materialize dense bases"
+            "preprocessing must not materialize dense bases"
         );
         assert_eq!(p.num_steps(), 6);
         for t in 0..p.num_steps() {
@@ -612,11 +588,10 @@ mod tests {
     fn undirected_bases_are_symmetric() {
         let c = CascnConfig {
             laplacian: LaplacianKind::Undirected,
-            cheb_kernel: ChebKernel::Dense,
             ..cfg()
         };
-        let p = preprocess(&fig1(), 60.0, &c);
-        let bases = p.dense_bases.as_ref().expect("Dense kernel materializes");
+        let p = preprocess(&fig1(), 60.0, &c).with_dense_bases();
+        let bases = p.dense_bases.as_ref().expect("the oracle materializes");
         assert_eq!(bases.len(), 3, "K + 1 bases");
         let t1 = &bases[1];
         for r in 0..t1.rows() {
@@ -628,23 +603,25 @@ mod tests {
 
     #[test]
     fn dense_kernel_materializes_matching_bases() {
-        let dense_cfg = CascnConfig {
-            cheb_kernel: ChebKernel::Dense,
-            ..cfg()
-        };
-        let p = preprocess(&fig1(), 60.0, &dense_cfg);
-        let bases = p.dense_bases.as_ref().expect("Dense kernel materializes");
+        let sparse = preprocess(&fig1(), 60.0, &cfg());
+        let p = sparse.clone().with_dense_bases();
+        let bases = p.dense_bases.as_ref().expect("the oracle materializes");
         assert_eq!(bases.len(), 3, "K + 1 bases");
         for b in bases {
             assert_eq!(b.shape(), (6, 6));
         }
-        // The materialization is exactly basis.materialize() — same handle,
-        // same bits — and both kernels share one spectral pipeline.
-        let sparse = preprocess(&fig1(), 60.0, &cfg());
-        assert_eq!(sparse.lambda_max.to_bits(), p.lambda_max.to_bits());
-        for (a, b) in p.basis.materialize().iter().zip(bases) {
+        // The oracle is exactly basis.materialize() of the same handle, and
+        // touches nothing else of the sample.
+        assert_eq!(p.basis, sparse.basis);
+        assert_eq!(p.lambda_max.to_bits(), sparse.lambda_max.to_bits());
+        assert_eq!((&p.edges, &p.prefix_lens), (&sparse.edges, &sparse.prefix_lens));
+        for (a, b) in sparse.basis.materialize().iter().zip(bases) {
             assert_eq!(a.as_slice(), b.as_slice());
         }
+        // The model runs the oracle's operands only on the oracle sample.
+        let mut tape = cascn_autograd::Tape::new();
+        assert!(matches!(p.operands(&mut tape), ChebOperands::Dense(ref b) if b.len() == 3));
+        assert!(matches!(sparse.operands(&mut tape), ChebOperands::Sparse { k: 2, .. }));
     }
 
     #[test]
@@ -688,14 +665,10 @@ mod tests {
             "snapshot prefixes must match"
         );
         // The live operator runs the cold pipeline on the same adjacency,
-        // so the basis and any materialized T_k blocks match exactly.
+        // so the basis matches exactly.
         assert_eq!(p.basis.lambda_max.to_bits(), cold.basis.lambda_max.to_bits());
         assert_eq!(p.basis, cold.basis, "operator drifted from cold preprocessing");
-        if let (Some(warm), Some(cold_b)) = (&p.dense_bases, &cold.dense_bases) {
-            for (wm, cm) in warm.iter().zip(cold_b) {
-                assert_eq!(wm.as_slice(), cm.as_slice(), "dense T_k block drifted");
-            }
-        }
+        assert!(p.dense_bases.is_none(), "the live path must not materialize dense bases");
     }
 
     #[test]
@@ -734,6 +707,15 @@ mod tests {
             "spectral handle reused bit-for-bit"
         );
         assert_matches_cold(&after, wp.cascade(), window, &cfg());
+        // A window crossing then refreshes the operator to the cold result.
+        assert!(wp.advance_window(60.0) > 0);
+        let snapshot = wp.cascade().clone();
+        assert_matches_cold(&wp.current(), &snapshot, 60.0, &cfg());
+        // Out-of-order or second-root appends are rejected, state untouched.
+        wp.observe_event(Event { user: 10, parent: Some(2), time: 49.9 }).unwrap_err();
+        wp.observe_event(Event { user: 10, parent: None, time: 70.0 }).unwrap_err();
+        assert_eq!(wp.cascade().events, snapshot.events);
+        assert_matches_cold(&wp.current(), &snapshot, 60.0, &cfg());
     }
 
     #[test]
@@ -753,31 +735,6 @@ mod tests {
         wp.advance_window(25.0);
         assert_matches_cold(&wp.current(), &full, 25.0, &cfg());
         assert_eq!(wp.num_nodes(), 3);
-    }
-
-    #[test]
-    fn dense_blocks_are_reused_across_unchanged_windows() {
-        let dense_cfg = CascnConfig { cheb_kernel: ChebKernel::Dense, ..cfg() };
-        let full = fig1();
-        let mut wp = WindowedPreprocessor::new(full.clone(), 25.0, &dense_cfg);
-        let first = wp.current();
-        // Label-side append: cached blocks survive and stay bit-identical.
-        wp.observe_event(Event { user: 9, parent: Some(2), time: 60.0 }).unwrap();
-        let second = wp.current();
-        let (a, b) = (
-            first.dense_bases.as_ref().expect("Dense kernel materializes"),
-            second.dense_bases.as_ref().expect("Dense kernel materializes"),
-        );
-        for (x, y) in a.iter().zip(b) {
-            assert_eq!(x.as_slice(), y.as_slice(), "T_k blocks reused across windows");
-        }
-        // A refresh (window crossing) invalidates and rebuilds them.
-        assert!(wp.advance_window(60.0) > 0);
-        let snapshot = wp.cascade().clone();
-        assert_matches_cold(&wp.current(), &snapshot, 60.0, &dense_cfg);
-        // And out-of-order or invalid appends are rejected untouched.
-        wp.observe_event(Event { user: 10, parent: Some(2), time: 24.9 }).unwrap_err();
-        wp.observe_event(Event { user: 10, parent: None, time: 70.0 }).unwrap_err();
     }
 
     #[test]

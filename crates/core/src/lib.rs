@@ -67,8 +67,7 @@ pub mod trainer;
 pub use cascn_autograd::{atomic_write, fnv1a64};
 pub use checkpoint::{StopperState, TrainCheckpoint};
 pub use config::{
-    CascnConfig, ChebKernel, DecayMode, LambdaMax, LaplacianKind, Pooling, RecurrentKind, TaskKind,
-    Variant,
+    CascnConfig, DecayMode, LambdaMax, LaplacianKind, Pooling, RecurrentKind, TaskKind, Variant,
 };
 pub use error::CascnError;
 pub use faults::FaultInjector;

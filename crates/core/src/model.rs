@@ -889,21 +889,13 @@ mod tests {
 
     #[test]
     fn sparse_and_dense_kernels_agree_within_the_accuracy_gate() {
-        use crate::config::ChebKernel;
         let data = tiny_data();
-        let sparse = CascnModel::new(tiny_cfg());
-        let dense = CascnModel::new(CascnConfig {
-            cheb_kernel: ChebKernel::Dense,
-            ..tiny_cfg()
-        });
-        assert_eq!(
-            sparse.num_parameters(),
-            dense.num_parameters(),
-            "kernels share one architecture"
-        );
+        let model = CascnModel::new(tiny_cfg());
         for c in data.cascades.iter().take(8) {
-            let a = sparse.predict_log(c, 3600.0);
-            let b = dense.predict_log(c, 3600.0);
+            let s = preprocess(c, 3600.0, model.config());
+            let a = model.predict_log_sample(&s);
+            assert_eq!(a.to_bits(), model.predict_log(c, 3600.0).to_bits());
+            let b = model.predict_log_sample(&s.with_dense_bases());
             assert!(
                 (a - b).abs() < 5e-4,
                 "kernel outputs diverged beyond the gate: sparse {a} vs dense {b}"
@@ -945,30 +937,36 @@ mod tests {
 
     #[test]
     fn sparse_input_matches_the_dense_input_oracle() {
-        use crate::config::{ChebKernel, LaplacianKind};
+        use crate::config::LaplacianKind;
         let data = tiny_data();
         let window = 3600.0;
         for recurrent in [RecurrentKind::Lstm, RecurrentKind::Gru] {
             for laplacian in [LaplacianKind::Directed, LaplacianKind::Undirected] {
-                for cheb_kernel in [ChebKernel::Sparse, ChebKernel::Dense] {
+                for dense in [false, true] {
                     for cfg in [tiny_cfg(), next_cfg()] {
                         let cfg = CascnConfig {
                             recurrent,
                             laplacian,
-                            cheb_kernel,
                             ..cfg
+                        };
+                        let oracle_bases = |s: PreprocessedCascade| {
+                            if dense {
+                                s.with_dense_bases()
+                            } else {
+                                s
+                            }
                         };
                         let mut model = CascnModel::new(cfg);
                         perturb(&mut model);
                         let mut checked = 0;
                         for cascade in data.cascades.iter().take(12) {
                             let what = format!(
-                                "{recurrent:?}/{laplacian:?}/{cheb_kernel:?}/{:?}",
+                                "{recurrent:?}/{laplacian:?}/dense={dense}/{:?}",
                                 cfg.task
                             );
                             let (new, old) = match cfg.task {
                                 TaskKind::SizeRegression => {
-                                    let s = preprocess(cascade, window, &cfg);
+                                    let s = oracle_bases(preprocess(cascade, window, &cfg));
                                     let new = output_and_grads(&model, |t, st| {
                                         let pred = model.forward(t, st, &s);
                                         (pred, t.squared_error(pred, s.label_log))
@@ -981,9 +979,10 @@ mod tests {
                                     (new, old)
                                 }
                                 TaskKind::NextUser => {
-                                    let Some(s) = model.next_sample(cascade, window) else {
+                                    let Some(mut s) = model.next_sample(cascade, window) else {
                                         continue;
                                     };
+                                    s.pre = oracle_bases(s.pre);
                                     // The head's output is its cross-entropy.
                                     let new = output_and_grads(&model, |t, st| {
                                         let loss = model.next_loss(t, st, &s);
@@ -1025,7 +1024,6 @@ mod tests {
 
     #[test]
     fn forward_binds_each_parameter_once_and_holds_no_dense_snapshot() {
-        use crate::config::ChebKernel;
         let data = tiny_data();
         // 11 columns: no multiple of the hidden width (4) collides with it.
         let cfg = CascnConfig {
@@ -1033,15 +1031,14 @@ mod tests {
             ..tiny_cfg()
         };
         for recurrent in [RecurrentKind::Lstm, RecurrentKind::Gru] {
-            for cheb_kernel in [ChebKernel::Sparse, ChebKernel::Dense] {
-                let model = CascnModel::new(CascnConfig {
-                    recurrent,
-                    cheb_kernel,
-                    ..cfg
-                });
+            for dense in [false, true] {
+                let model = CascnModel::new(CascnConfig { recurrent, ..cfg });
                 let mut checked = 0;
                 for cascade in &data.cascades[..20] {
-                    let s = preprocess(cascade, 3600.0, model.config());
+                    let mut s = preprocess(cascade, 3600.0, model.config());
+                    if dense {
+                        s = s.with_dense_bases();
+                    }
                     // At n = max_nodes the dense bases are n × max_nodes too.
                     if s.n == cfg.max_nodes {
                         continue;
@@ -1087,19 +1084,24 @@ mod tests {
     }
 
     /// The inference entry points run on an `Eval` and must equal the tape
-    /// forward bit for bit on every axis the forward branches on, for the
-    /// representation and for both heads.
+    /// forward bit for bit on every axis the forward branches on — sparse
+    /// and oracle-dense operands included — for the representation and for
+    /// both heads.
     #[test]
     fn eval_is_bit_identical_to_the_tape_on_both_heads() {
-        use crate::config::{ChebKernel, LaplacianKind};
+        use crate::config::LaplacianKind;
         let data = tiny_data();
         let window = 3600.0;
         let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
+        let eval_rep = |model: &CascnModel, s: &PreprocessedCascade| {
+            let mut ex = Eval::new();
+            let rep = model.forward_representation(&mut ex, &model.store, s);
+            ex.value(&rep).as_slice().to_vec()
+        };
         let cfgs = vec![tiny_cfg(), next_cfg()];
         let cfgs = vary(cfgs, &[RecurrentKind::Lstm, RecurrentKind::Gru], |c, v| c.recurrent = v);
         let laplacians = [LaplacianKind::Directed, LaplacianKind::Undirected];
         let cfgs = vary(cfgs, &laplacians, |c, v| c.laplacian = v);
-        let cfgs = vary(cfgs, &[ChebKernel::Sparse, ChebKernel::Dense], |c, v| c.cheb_kernel = v);
         let cfgs = vary(cfgs, &[Pooling::Sum, Pooling::Attention], |c, v| c.pooling = v);
         let decays = [
             DecayMode::Learned,
@@ -1109,38 +1111,47 @@ mod tests {
             DecayMode::None,
         ];
         let cfgs = vary(cfgs, &decays, |c, v| c.decay = v);
-        assert_eq!(cfgs.len(), 160);
+        assert_eq!(cfgs.len(), 80);
         for cfg in cfgs {
             let mut model = CascnModel::new(cfg);
             perturb(&mut model);
             for cascade in data.cascades.iter().take(3) {
-                let s = preprocess(cascade, window, &cfg);
-                let mut tape = Tape::new();
-                let rep = model.forward_representation(&mut tape, &model.store, &s);
+                let sparse = preprocess(cascade, window, &cfg);
+                let dense = sparse.clone().with_dense_bases();
                 assert_eq!(
-                    bits(tape.value(rep).as_slice()),
+                    bits(&eval_rep(&model, &sparse)),
                     bits(&model.representation(cascade, window)),
-                    "representation under {cfg:?}"
+                    "representation entry point under {cfg:?}"
                 );
-                match cfg.task {
-                    TaskKind::SizeRegression => {
-                        let pred = model.mlp.forward(&mut tape, &model.store, rep);
-                        assert_eq!(
-                            tape.scalar(pred).to_bits(),
-                            model.predict_log_sample(&s).to_bits(),
-                            "size head under {cfg:?}"
-                        );
-                    }
-                    TaskKind::NextUser => {
-                        let observed = cascade.observe(window).users();
-                        let mask = model.infected_mask(&observed);
-                        let head = model.head();
-                        let probs = head.predict_probs(&mut tape, &model.store, rep, &mask);
-                        assert_eq!(
-                            bits(&probs),
-                            bits(&model.next_probs(&s, &observed)),
-                            "next-user head under {cfg:?}"
-                        );
+                for s in [sparse, dense] {
+                    let what = format!("{cfg:?} dense={}", s.dense_bases.is_some());
+                    let mut tape = Tape::new();
+                    let rep = model.forward_representation(&mut tape, &model.store, &s);
+                    assert_eq!(
+                        bits(tape.value(rep).as_slice()),
+                        bits(&eval_rep(&model, &s)),
+                        "representation under {what}"
+                    );
+                    match cfg.task {
+                        TaskKind::SizeRegression => {
+                            let pred = model.mlp.forward(&mut tape, &model.store, rep);
+                            assert_eq!(
+                                tape.scalar(pred).to_bits(),
+                                model.predict_log_sample(&s).to_bits(),
+                                "size head under {what}"
+                            );
+                        }
+                        TaskKind::NextUser => {
+                            let observed = cascade.observe(window).users();
+                            let mask = model.infected_mask(&observed);
+                            let head = model.head();
+                            let probs = head.predict_probs(&mut tape, &model.store, rep, &mask);
+                            assert_eq!(
+                                bits(&probs),
+                                bits(&model.next_probs(&s, &observed)),
+                                "next-user head under {what}"
+                            );
+                        }
                     }
                 }
             }

@@ -4,9 +4,7 @@
 //! guarantee — a run checkpointed under one thread count can resume under
 //! another and still finish byte-identical.
 
-use cascn::{
-    try_evaluate, CascnConfig, CascnModel, ChebKernel, GlModel, PathModel, TaskKind, TrainOpts,
-};
+use cascn::{try_evaluate, CascnConfig, CascnModel, GlModel, PathModel, TaskKind, TrainOpts};
 use cascn_autograd::ParamStore;
 use cascn_cascades::synth::{WeiboConfig, WeiboGenerator};
 use cascn_cascades::{Dataset, Split};
@@ -130,38 +128,6 @@ fn prediction_and_evaluation_are_thread_count_invariant() {
     for threads in [2, 4] {
         assert_eq!(serial_ranks, ranks(threads), "next-user head at {threads} threads");
     }
-}
-
-/// The tests above all exercise the default **sparse** operator kernel;
-/// the legacy dense-basis kernel must honor the same contract — training
-/// under it stays bit-identical across thread counts, and its parameters
-/// genuinely differ from the sparse run only through float rounding (the
-/// two kernels share every spectral constant).
-#[test]
-fn dense_kernel_training_is_thread_count_invariant() {
-    let data = tiny_data();
-    let run = |threads: usize| {
-        let cfg = CascnConfig {
-            cheb_kernel: ChebKernel::Dense,
-            ..tiny_cfg(threads)
-        };
-        let opts = TrainOpts {
-            epochs: 2,
-            patience: 2,
-            threads,
-            ..TrainOpts::default()
-        };
-        let mut model = CascnModel::new(cfg);
-        let hist = model.fit(
-            data.split(Split::Train),
-            data.split(Split::Validation),
-            3600.0,
-            &opts,
-        );
-        (params_bits(model.params()), hist.records().to_vec())
-    };
-    let serial = run(1);
-    assert_eq!(serial, run(3), "dense kernel diverged across thread counts");
 }
 
 /// The GL and Path variants route preprocessing through the same parallel

@@ -719,8 +719,9 @@ impl SpectralBasis {
     }
 
     /// Materializes the dense Chebyshev bases `[T_0(Δ̃), …, T_K(Δ̃)]` the
-    /// way earlier revisions stored them — the legacy dense-kernel path and
-    /// gradient checking use this; the default path never does.
+    /// way earlier revisions stored them — the dense test oracle
+    /// (`PreprocessedCascade::with_dense_bases`) and gradient checking use
+    /// this; no production path does.
     pub fn materialize(&self) -> Vec<Matrix> {
         chebyshev_bases(&self.op.to_dense(), self.k)
     }

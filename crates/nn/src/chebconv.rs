@@ -8,10 +8,13 @@
 //! where the convolution operands come in one of two forms
 //! ([`ChebOperands`]):
 //!
-//! * **Sparse** (the default path): the scaled Laplacian `Δ̃_c` as a
-//!   [`SparseOp`], so no dense `n×n` basis is ever materialized;
-//! * **Dense** (the legacy/gradcheck path): the materialized `T_k(Δ̃_c)`
-//!   bases entered on the tape as constants and multiplied per order.
+//! * **Sparse** (the only form a model runs in training and serving): the
+//!   scaled Laplacian `Δ̃_c` as a [`SparseOp`], so no dense `n×n` basis is
+//!   ever materialized;
+//! * **Dense** (the test oracle): the materialized `T_k(Δ̃_c)` bases
+//!   entered as constants and multiplied per order — the reference that
+//!   gradcheck, the accuracy gate and the sparse-vs-dense tests compare
+//!   the sparse form against.
 //!
 //! The two signals a cell convolves take different routes.
 //!
@@ -114,14 +117,14 @@ fn filter_sum<'s, E: Exec<'s>>(ex: &mut E, conv: &[E::Value], filters: &[E::Valu
 
 /// The per-cascade spectral operand a ChebConv cell convolves against —
 /// either the sparse scaled Laplacian (operator form) or the materialized
-/// dense bases (legacy form), with dense bases held as handles `V` of the
+/// dense bases (the test oracle), with dense bases held as handles `V` of the
 /// executor that runs the cell. Both produce the same convolutions; they
 /// differ only in cost and float rounding.
 #[derive(Debug, Clone)]
 pub enum ChebOperands<V> {
     /// Materialized `T_k(Δ̃_c)` constants, length `K+1` — each order is one
-    /// dense `n×n · n×d` product. Kept for gradient checking and the
-    /// `ChebKernel::Dense` compatibility mode.
+    /// dense `n×n · n×d` product. The reference for gradient checking and
+    /// the sparse-vs-dense tests; no production path builds it.
     Dense(Vec<V>),
     /// The scaled Laplacian itself, applied `K` times per convolution and
     /// never expanded into an `n×n` intermediate.

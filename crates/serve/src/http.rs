@@ -1,15 +1,17 @@
-//! A minimal HTTP/1.1 request parser and response writer over `std::io`.
+//! A minimal HTTP/1.1 message parser and response writer over `std::io`.
 //!
 //! The serving layer speaks just enough HTTP for `curl`, the `loadgen`
-//! bench client, and the protocol tests: request line + headers + an
-//! optional `Content-Length` body. Everything is bounded — header bytes,
-//! body bytes — and every malformed input maps to a specific 4xx status
-//! instead of a panic or an unbounded read.
+//! bench client, and the protocol tests: start line + headers + an
+//! optional `Content-Length` body, read by [`read_request`] and
+//! [`read_response`] through one header loop. Everything is bounded —
+//! header bytes, body bytes — and every malformed input maps to a specific
+//! error (a 4xx status for requests) instead of a panic or an unbounded read.
 
 use std::io::{self, BufRead, Write};
 
-/// Hard cap on the request line plus all header lines, in bytes. Requests
-/// whose head section exceeds this are rejected with `431`.
+/// Hard cap on the start line plus all header lines, in bytes. Requests
+/// whose head section exceeds this are rejected with `431`; responses fail
+/// with [`ParseError::HeadTooLarge`].
 pub const MAX_HEAD_BYTES: usize = 8 * 1024;
 
 /// A parsed request: method, path (query string split off), and body.
@@ -36,13 +38,27 @@ impl Request {
     }
 }
 
-/// Why a request could not be parsed, each mapping to one response status.
+/// A parsed response: status line, the headers a client acts on, and body.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Response {
+    pub status: u16,
+    /// Reason phrase with whitespace runs collapsed; empty if none was sent.
+    pub reason: String,
+    /// False when the server announced it will close the connection.
+    pub keep_alive: bool,
+    pub retry_after: Option<String>,
+    pub body: Vec<u8>,
+}
+
+/// Why a message could not be parsed; on the request side each maps to one
+/// response status.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ParseError {
-    /// The peer closed the connection before sending a request line.
+    /// The peer closed the connection before sending a start line.
     /// Not an error worth answering — the handler just drops the socket.
     ConnectionClosed,
-    /// Malformed request line or header (400).
+    /// Malformed start line or header, or conflicting `Content-Length`
+    /// headers (400).
     Malformed(String),
     /// Head section exceeded [`MAX_HEAD_BYTES`] (431).
     HeadTooLarge,
@@ -75,10 +91,10 @@ impl ParseError {
 impl std::fmt::Display for ParseError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            ParseError::ConnectionClosed => write!(f, "connection closed before request"),
-            ParseError::Malformed(m) => write!(f, "malformed request: {m}"),
+            ParseError::ConnectionClosed => write!(f, "connection closed before a message"),
+            ParseError::Malformed(m) => write!(f, "malformed message: {m}"),
             ParseError::HeadTooLarge => {
-                write!(f, "request head exceeds {MAX_HEAD_BYTES} bytes")
+                write!(f, "message head exceeds {MAX_HEAD_BYTES} bytes")
             }
             ParseError::BodyTooLarge { declared, limit } => {
                 write!(f, "declared body of {declared} bytes exceeds the {limit}-byte limit")
@@ -120,7 +136,7 @@ fn read_line(
             return if line.is_empty() {
                 Ok(None)
             } else {
-                Err(ParseError::Malformed("eof inside request head".into()))
+                Err(ParseError::Malformed("eof inside message head".into()))
             };
         }
         // One byte past the budget is enough to prove the head is
@@ -137,7 +153,7 @@ fn read_line(
             }
             return match String::from_utf8(line) {
                 Ok(s) => Ok(Some(s)),
-                Err(_) => Err(ParseError::Malformed("request head is not valid utf-8".into())),
+                Err(_) => Err(ParseError::Malformed("message head is not valid utf-8".into())),
             };
         }
     }
@@ -150,10 +166,7 @@ pub fn read_request(
     max_body_bytes: usize,
 ) -> Result<Request, ParseError> {
     let mut budget = MAX_HEAD_BYTES;
-    let request_line = match read_line(reader, &mut budget)? {
-        None => return Err(ParseError::ConnectionClosed),
-        Some(l) => l,
-    };
+    let request_line = read_line(reader, &mut budget)?.ok_or(ParseError::ConnectionClosed)?;
     let mut parts = request_line.split_whitespace();
     let (method, target, version) = match (parts.next(), parts.next(), parts.next()) {
         (Some(m), Some(t), Some(v)) if parts.next().is_none() => (m, t, v),
@@ -174,11 +187,50 @@ pub fn read_request(
         None => (target.to_string(), String::new()),
     };
 
-    let mut content_length: usize = 0;
-    // HTTP/1.1 defaults to keep-alive; HTTP/1.0 to close.
+    let rest = read_rest(reader, &mut budget, version, max_body_bytes)?;
+    Ok(Request {
+        method: method.to_string(),
+        path,
+        query,
+        body: rest.body,
+        keep_alive: rest.keep_alive,
+    })
+}
+
+/// Parses one response from `reader` under the same head budget and
+/// body-cap discipline as [`read_request`].
+pub fn read_response(
+    reader: &mut impl BufRead,
+    max_body_bytes: usize,
+) -> Result<Response, ParseError> {
+    let mut budget = MAX_HEAD_BYTES;
+    let status_line = read_line(reader, &mut budget)?.ok_or(ParseError::ConnectionClosed)?;
+    let mut parts = status_line.split_whitespace();
+    let version = parts.next().filter(|v| v.starts_with("HTTP/1."));
+    let code = parts.next().filter(|c| c.len() == 3 && c.bytes().all(|b| b.is_ascii_digit()));
+    let (Some(version), Some(Ok(status))) = (version, code.map(str::parse)) else {
+        return Err(ParseError::Malformed(format!("bad status line `{status_line}`")));
+    };
+    let reason = parts.collect::<Vec<_>>().join(" ");
+    Ok(Response { status, reason, ..read_rest(reader, &mut budget, version, max_body_bytes)? })
+}
+
+/// Everything after the start line: the headers, charged to `budget`, and
+/// the body, refused over `max_body_bytes` before allocating. Returned as a
+/// [`Response`] whose status line the caller fills in. `version` sets the
+/// keep-alive default (HTTP/1.1 on, HTTP/1.0 off); repeated
+/// `Content-Length` headers must agree (RFC 9112 §6.3).
+fn read_rest(
+    reader: &mut impl BufRead,
+    budget: &mut usize,
+    version: &str,
+    max_body_bytes: usize,
+) -> Result<Response, ParseError> {
+    let mut content_length: Option<usize> = None;
     let mut keep_alive = version != "HTTP/1.0";
+    let mut retry_after = None;
     loop {
-        let header = match read_line(reader, &mut budget)? {
+        let header = match read_line(reader, budget)? {
             None => return Err(ParseError::Malformed("eof inside headers".into())),
             Some(l) => l,
         };
@@ -192,9 +244,13 @@ pub fn read_request(
         let value = value.trim();
         match name.as_str() {
             "content-length" => {
-                content_length = value
+                let len = value
                     .parse()
                     .map_err(|_| ParseError::Malformed(format!("bad content-length `{value}`")))?;
+                if content_length.is_some_and(|prev| prev != len) {
+                    return Err(ParseError::Malformed("conflicting content-length headers".into()));
+                }
+                content_length = Some(len);
             }
             "connection" => {
                 if value.eq_ignore_ascii_case("close") {
@@ -203,26 +259,17 @@ pub fn read_request(
                     keep_alive = true;
                 }
             }
+            "retry-after" => retry_after = Some(value.to_string()),
             _ => {}
         }
     }
-
-    if content_length > max_body_bytes {
-        return Err(ParseError::BodyTooLarge {
-            declared: content_length,
-            limit: max_body_bytes,
-        });
+    let declared = content_length.unwrap_or(0);
+    if declared > max_body_bytes {
+        return Err(ParseError::BodyTooLarge { declared, limit: max_body_bytes });
     }
-    let mut body = vec![0u8; content_length];
+    let mut body = vec![0u8; declared];
     io::Read::read_exact(reader, &mut body).map_err(io_error)?;
-
-    Ok(Request {
-        method: method.to_string(),
-        path,
-        query,
-        body,
-        keep_alive,
-    })
+    Ok(Response { status: 0, reason: String::new(), keep_alive, retry_after, body })
 }
 
 /// Writes a complete response; `extra_headers` are `name: value` pairs.
@@ -245,6 +292,11 @@ pub fn write_response(
     }
     write!(writer, "\r\n{body}")?;
     writer.flush()
+}
+
+/// The shed answer: `503` with `Retry-After: 1`.
+pub fn write_shed(writer: &mut (impl Write + ?Sized), body: &str, keep_alive: bool) -> io::Result<()> {
+    write_response(writer, 503, "Service Unavailable", &[("Retry-After", "1")], body, keep_alive)
 }
 
 #[cfg(test)]
@@ -356,6 +408,78 @@ mod tests {
         let err = read_request(&mut BufReader::new(AlwaysTimesOut), 64).unwrap_err();
         assert_eq!(err, ParseError::TimedOut);
         assert!(err.status().is_none(), "the handler answers 408 itself");
+    }
+
+    #[test]
+    fn conflicting_content_lengths_are_400_and_agreeing_ones_parse() {
+        let raw = "POST /x HTTP/1.1\r\nContent-Length: 3\r\nContent-Length: 5\r\n\r\nhello";
+        let err = parse(raw, 64).unwrap_err();
+        assert_eq!(err, ParseError::Malformed("conflicting content-length headers".into()));
+        assert_eq!(err.status(), Some((400, "Bad Request")));
+        let raw = "POST /x HTTP/1.1\r\nContent-Length: 5\r\ncontent-length: 5\r\n\r\nhello";
+        assert_eq!(parse(raw, 64).unwrap().body, b"hello");
+    }
+
+    fn parse_response(raw: &str, max_body: usize) -> Result<Response, ParseError> {
+        read_response(&mut raw.as_bytes(), max_body)
+    }
+
+    #[test]
+    fn parses_a_response_with_retry_after_and_close() {
+        let raw = "HTTP/1.1 503 Service  Unavailable\r\nRetry-After: 1\r\nConnection: close\r\nContent-Length: 5\r\n\r\nshed\n";
+        let resp = parse_response(raw, 64).unwrap();
+        assert_eq!(
+            resp,
+            Response {
+                status: 503,
+                reason: "Service Unavailable".into(),
+                keep_alive: false,
+                retry_after: Some("1".into()),
+                body: b"shed\n".to_vec(),
+            }
+        );
+        let resp = parse_response("HTTP/1.1 200\r\n\r\n", 0).unwrap();
+        assert_eq!((resp.status, resp.reason.as_str(), resp.keep_alive), (200, "", true));
+        assert!(!parse_response("HTTP/1.0 200 OK\r\n\r\n", 0).unwrap().keep_alive);
+    }
+
+    #[test]
+    fn conflicting_response_content_lengths_are_malformed() {
+        let raw = "HTTP/1.1 200 OK\r\nContent-Length: 2\r\nContent-Length: 3\r\n\r\nabc";
+        assert!(matches!(parse_response(raw, 64), Err(ParseError::Malformed(_))));
+        let raw = "HTTP/1.1 200 OK\r\nContent-Length: 3\r\nContent-Length: 3\r\n\r\nabc";
+        assert_eq!(parse_response(raw, 64).unwrap().body, b"abc");
+    }
+
+    #[test]
+    fn malformed_status_lines_are_rejected() {
+        for raw in [
+            "garbage\r\n\r\n",
+            "HTTP/1.1\r\n\r\n",
+            "SPDY/3 200 OK\r\n\r\n",
+            "HTTP/1.1 2000 OK\r\n\r\n",
+            "HTTP/1.1 +20 OK\r\n\r\n",
+            "HTTP/1.1 200 OK\r\nno-colon\r\n\r\n",
+            "HTTP/1.1 200 OK\r\nContent-Length: -1\r\n\r\n",
+        ] {
+            assert!(matches!(parse_response(raw, 64), Err(ParseError::Malformed(_))), "{raw:?}");
+        }
+        assert_eq!(parse_response("", 64).unwrap_err(), ParseError::ConnectionClosed);
+    }
+
+    #[test]
+    fn oversized_response_body_fails_before_any_body_byte_is_read() {
+        let raw = "HTTP/1.1 200 OK\r\nContent-Length: 10000000000\r\n\r\nbody";
+        let mut rest = raw.as_bytes();
+        let err = read_response(&mut rest, 1 << 20).unwrap_err();
+        assert_eq!(err, ParseError::BodyTooLarge { declared: 10_000_000_000, limit: 1 << 20 });
+        assert_eq!(rest, b"body", "no body byte consumed");
+    }
+
+    #[test]
+    fn endless_status_line_fails_within_the_head_budget() {
+        let err = read_response(&mut BufReader::new(EndlessLine), 64).unwrap_err();
+        assert_eq!(err, ParseError::HeadTooLarge);
     }
 
     #[test]

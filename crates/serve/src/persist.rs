@@ -25,7 +25,7 @@ use std::fmt;
 use std::path::Path;
 use std::sync::Arc;
 
-use cascn::{atomic_write, fnv1a64, CascnConfig, ChebKernel, LambdaMax, LaplacianKind};
+use cascn::{atomic_write, fnv1a64, CascnConfig, LambdaMax, LaplacianKind};
 use cascn_cascades::{Cascade, Event};
 use cascn_graph::SpectralBasis;
 use cascn_tensor::{Csr, SparseOp};
@@ -118,10 +118,10 @@ fn kernel_fingerprint(kernel_version: u32, cfg: &CascnConfig) -> u64 {
         LaplacianKind::Directed => 0,
         LaplacianKind::Undirected => 1,
     });
-    bytes.push(match cfg.cheb_kernel {
-        ChebKernel::Sparse => 0,
-        ChebKernel::Dense => 1,
-    });
+    // The byte that once named the runtime Chebyshev kernel. Every replica
+    // ran the sparse one (0); hashing it unchanged keeps every deployed
+    // snapshot's fingerprint valid.
+    bytes.push(0);
     fnv1a64(&bytes)
 }
 
@@ -670,6 +670,29 @@ mod tests {
             snapshot_from_text(&text, fp).expect_err("previous kernel refused"),
             SnapshotError::FingerprintMismatch { found: v2, expected: fp }
         );
+    }
+
+    /// Fingerprints pinned to the values replicas have written into their
+    /// snapshots so far: a change here cold-starts every deployed cache.
+    #[test]
+    fn basis_fingerprints_match_the_deployed_values() {
+        for (name, c, want) in [
+            ("default", CascnConfig::default(), 0x2453_1179_ec99_f249),
+            ("paper_scale", CascnConfig::paper_scale(), 0x12b3_e745_bf4d_650b),
+            (
+                "undirected",
+                CascnConfig { laplacian: LaplacianKind::Undirected, ..CascnConfig::default() },
+                0x244f_ab79_ec97_0f20,
+            ),
+            (
+                "approx2",
+                CascnConfig { lambda_max: LambdaMax::Approx2, ..CascnConfig::default() },
+                0x1ba9_9679_e7b1_f39e,
+            ),
+            ("test", cfg(), 0x9d34_89bd_3d6a_38dd),
+        ] {
+            assert_eq!(basis_fingerprint(&c), want, "{name}: {:#018x}", basis_fingerprint(&c));
+        }
     }
 
     #[test]

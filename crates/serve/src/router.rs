@@ -34,7 +34,7 @@
 //! asking that replica directly — and every replica is bit-identical to
 //! `predict_log` by the existing serving contract.
 
-use std::io::{self, BufRead, BufReader, Read, Write};
+use std::io::{self, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -44,7 +44,9 @@ use cascn::resolve_threads;
 use cascn_cascades::stream::{parse_cascades, parse_observe_body, StreamLimits};
 
 use crate::cache::cascade_key;
-use crate::http::{read_request, write_response, ParseError, Request};
+use crate::http::{
+    read_request, read_response, write_response, write_shed, ParseError, Request, Response,
+};
 use crate::metrics::RouterMetrics;
 use crate::server::ConnQueue;
 use crate::sync::{lock_recover, wait_timeout_recover};
@@ -324,20 +326,20 @@ pub fn route_order(fp: u64, n: usize) -> Vec<usize> {
     order
 }
 
-/// A parsed backend response, relayed verbatim to the client.
-struct BackendResponse {
-    status: u16,
-    reason: String,
-    retry_after: Option<String>,
-    body: String,
-}
+/// Cap on a backend response body the router reads. The largest
+/// legitimate replica answer is a `/predict` reply: at most 48 bytes per
+/// cascade, for a request that spends at least 24 bytes per cascade — about
+/// 2 MiB at the default 1 MiB request cap. 16 MiB leaves room for raised
+/// request caps while bounding what a misbehaving replica can make a
+/// router worker allocate.
+pub const MAX_BACKEND_BODY_BYTES: usize = 16 << 20;
 
 /// Why one backend attempt produced no relayable response.
 enum AttemptError {
     /// TCP connect/read/write failure — counts against replica health.
     Transport(String),
     /// The backend shed with 503 — fail over, but the replica is healthy.
-    Shed(BackendResponse),
+    Shed(Response),
 }
 
 /// A bound-but-not-yet-running router.
@@ -423,14 +425,7 @@ impl Router {
                 if let Err(rejected) = conns.push(stream) {
                     metrics.requests_shed.fetch_add(1, Ordering::Relaxed);
                     let mut w = io::BufWriter::new(rejected);
-                    let _ = write_response(
-                        &mut w,
-                        503,
-                        "Service Unavailable",
-                        &[("Retry-After", "1")],
-                        "overloaded: connection queue full\n",
-                        false,
-                    );
+                    let _ = write_shed(&mut w, "overloaded: connection queue full\n", false);
                 }
             }
             conns.close();
@@ -523,7 +518,7 @@ fn send_backend(
     body: &str,
     connect_timeout: Duration,
     read_timeout: Duration,
-) -> Result<BackendResponse, String> {
+) -> Result<Response, String> {
     let sockaddr = resolve_addr(addr).map_err(|e| format!("resolve {addr}: {e}"))?;
     let stream = TcpStream::connect_timeout(&sockaddr, connect_timeout)
         .map_err(|e| format!("connect {addr}: {e}"))?;
@@ -537,50 +532,7 @@ fn send_backend(
         .get_mut()
         .write_all(raw.as_bytes())
         .map_err(|e| format!("send {addr}: {e}"))?;
-    read_backend_response(&mut reader).map_err(|e| format!("read {addr}: {e}"))
-}
-
-/// Reads one HTTP/1.1 response with a `Content-Length` body.
-fn read_backend_response(reader: &mut BufReader<TcpStream>) -> Result<BackendResponse, String> {
-    let mut status_line = String::new();
-    reader.read_line(&mut status_line).map_err(|e| format!("status: {e}"))?;
-    let mut parts = status_line.split_whitespace();
-    let status: u16 = match (parts.next(), parts.next()) {
-        (Some(v), Some(code)) if v.starts_with("HTTP/1.") => code
-            .parse()
-            .map_err(|_| format!("bad status code in `{}`", status_line.trim()))?,
-        _ => return Err(format!("bad status line `{}`", status_line.trim())),
-    };
-    let reason = parts.collect::<Vec<_>>().join(" ");
-    let mut content_length = 0usize;
-    let mut retry_after = None;
-    loop {
-        let mut header = String::new();
-        let n = reader.read_line(&mut header).map_err(|e| format!("header: {e}"))?;
-        if n == 0 {
-            return Err("eof inside headers".into());
-        }
-        let header = header.trim_end();
-        if header.is_empty() {
-            break;
-        }
-        if let Some((name, value)) = header.split_once(':') {
-            if name.eq_ignore_ascii_case("content-length") {
-                content_length =
-                    value.trim().parse().map_err(|e| format!("bad content-length: {e}"))?;
-            } else if name.eq_ignore_ascii_case("retry-after") {
-                retry_after = Some(value.trim().to_string());
-            }
-        }
-    }
-    let mut body = vec![0u8; content_length];
-    reader.read_exact(&mut body).map_err(|e| format!("body: {e}"))?;
-    Ok(BackendResponse {
-        status,
-        reason: if reason.is_empty() { "Unknown".into() } else { reason },
-        retry_after,
-        body: String::from_utf8_lossy(&body).into_owned(),
-    })
+    read_response(&mut reader, MAX_BACKEND_BODY_BYTES).map_err(|e| format!("read {addr}: {e}"))
 }
 
 /// Shared references a router connection handler needs.
@@ -663,15 +615,7 @@ fn respond(req: &Request, ctx: &RouterCtx<'_>, writer: &mut impl io::Write) -> b
                 write_response(writer, 200, "OK", &[], "ok\n", keep).is_ok()
             } else {
                 m.no_backend.fetch_add(1, Ordering::Relaxed);
-                write_response(
-                    writer,
-                    503,
-                    "Service Unavailable",
-                    &[("Retry-After", "1")],
-                    "no live replicas\n",
-                    keep,
-                )
-                .is_ok()
+                write_shed(writer, "no live replicas\n", keep).is_ok()
             }
         }
         ("GET", "/metrics") => {
@@ -717,11 +661,11 @@ fn fan_out(path: &str, ctx: &RouterCtx<'_>, writer: &mut impl io::Write, keep: b
         targeted += 1;
         match send_backend(&addr, "POST", path, "", ctx.config.connect_timeout, ctx.config.deadline) {
             Ok(resp) if resp.status == 200 => {
-                lines.push_str(&format!("replica {i}: {}", ensure_newline(&resp.body)));
+                lines.push_str(&format!("replica {i}: {}", body_line(&resp)));
             }
             Ok(resp) => {
                 failures += 1;
-                lines.push_str(&format!("replica {i}: status {} {}", resp.status, ensure_newline(&resp.body)));
+                lines.push_str(&format!("replica {i}: status {} {}", resp.status, body_line(&resp)));
             }
             Err(e) => {
                 failures += 1;
@@ -738,9 +682,11 @@ fn fan_out(path: &str, ctx: &RouterCtx<'_>, writer: &mut impl io::Write, keep: b
     }
 }
 
-fn ensure_newline(s: &str) -> String {
+/// A backend body as text, newline-terminated.
+fn body_line(resp: &Response) -> String {
+    let s = String::from_utf8_lossy(&resp.body);
     if s.ends_with('\n') {
-        s.to_string()
+        s.into_owned()
     } else {
         format!("{s}\n")
     }
@@ -799,15 +745,7 @@ fn route_observe(req: &Request, ctx: &RouterCtx<'_>, writer: &mut impl io::Write
     let Some((idx, addr)) = order.iter().find_map(|&i| ctx.replicas.routable(i).map(|a| (i, a)))
     else {
         m.no_backend.fetch_add(1, Ordering::Relaxed);
-        return write_response(
-            writer,
-            503,
-            "Service Unavailable",
-            &[("Retry-After", "1")],
-            "no live replicas\n",
-            keep,
-        )
-        .is_ok();
+        return write_shed(writer, "no live replicas\n", keep).is_ok();
     };
 
     match send_backend(&addr, "POST", &target, text, ctx.config.connect_timeout, ctx.config.deadline)
@@ -883,7 +821,7 @@ fn route_predict(req: &Request, ctx: &RouterCtx<'_>, writer: &mut impl io::Write
     let deadline = started + ctx.config.deadline;
 
     let mut owner: Option<usize> = None;
-    let mut last_shed: Option<BackendResponse> = None;
+    let mut last_shed: Option<Response> = None;
     let mut last_transport: Option<String> = None;
     let mut saw_backend = false;
     for attempt in 0..ctx.config.max_attempts.max(1) {
@@ -983,17 +921,19 @@ fn route_predict(req: &Request, ctx: &RouterCtx<'_>, writer: &mut impl io::Write
     } else {
         "no replica answered within the retry/deadline budget\n".to_string()
     };
-    write_response(writer, 503, "Service Unavailable", &[("Retry-After", "1")], &body, keep).is_ok()
+    write_shed(writer, &body, keep).is_ok()
 }
 
-/// Relays a backend response to the client byte-for-byte (status, reason,
-/// `Retry-After`, body).
-fn relay(writer: &mut impl io::Write, resp: &BackendResponse, keep: bool) -> bool {
+/// Relays a backend response to the client (status, reason, `Retry-After`,
+/// body); a body that is not UTF-8 is relayed lossily.
+fn relay(writer: &mut impl io::Write, resp: &Response, keep: bool) -> bool {
     let extra: Vec<(&str, &str)> = match &resp.retry_after {
         Some(v) => vec![("Retry-After", v.as_str())],
         None => Vec::new(),
     };
-    write_response(writer, resp.status, &resp.reason, &extra, &resp.body, keep).is_ok()
+    let reason = if resp.reason.is_empty() { "Unknown" } else { &resp.reason };
+    let body = String::from_utf8_lossy(&resp.body);
+    write_response(writer, resp.status, reason, &extra, &body, keep).is_ok()
 }
 
 #[cfg(test)]

@@ -40,7 +40,7 @@ use cascn_cascades::stream::{parse_cascades, parse_observe_body, StreamLimits};
 
 use crate::batch::{Batcher, EnqueueError, JobKind, PredictJob, PredictOutput, ResponseSlot};
 use crate::cache::BasisCache;
-use crate::http::{read_request, write_response, ParseError, Request};
+use crate::http::{read_request, write_response, write_shed, ParseError, Request};
 use crate::live::{LiveRegistry, ObserveError};
 use crate::metrics::ServeMetrics;
 use crate::persist;
@@ -332,14 +332,7 @@ impl Server {
                     // Connection queue full: shed at the door.
                     metrics.requests_shed.fetch_add(1, Ordering::Relaxed);
                     let mut w = io::BufWriter::new(rejected);
-                    let _ = write_response(
-                        &mut w,
-                        503,
-                        "Service Unavailable",
-                        &[("Retry-After", "1")],
-                        "overloaded: connection queue full\n",
-                        false,
-                    );
+                    let _ = write_shed(&mut w, "overloaded: connection queue full\n", false);
                 }
             }
             conns.close();
@@ -510,8 +503,7 @@ fn respond_predict(req: &Request, ctx: &HandlerCtx<'_>, writer: &mut impl io::Wr
             }
             EnqueueError::Closed => "server shutting down\n".to_string(),
         };
-        return write_response(writer, 503, "Service Unavailable", &[("Retry-After", "1")], &body, keep)
-            .is_ok();
+        return write_shed(writer, &body, keep).is_ok();
     }
     match slot.wait() {
         Ok(preds) => {
@@ -599,8 +591,7 @@ fn respond_predict_next(req: &Request, ctx: &HandlerCtx<'_>, writer: &mut impl i
             }
             EnqueueError::Closed => "server shutting down\n".to_string(),
         };
-        return write_response(writer, 503, "Service Unavailable", &[("Retry-After", "1")], &body, keep)
-            .is_ok();
+        return write_shed(writer, &body, keep).is_ok();
     }
     match slot.wait() {
         Ok(outs) => {
@@ -681,15 +672,8 @@ fn respond_observe(req: &Request, ctx: &HandlerCtx<'_>, writer: &mut impl io::Wr
             // Shed like an overloaded `/predict`: streaming is off, the
             // client should fall back to one-shot prediction.
             m.requests_shed.fetch_add(1, Ordering::Relaxed);
-            write_response(
-                writer,
-                503,
-                "Service Unavailable",
-                &[("Retry-After", "1")],
-                "streaming ingestion disabled (start with --live-capacity N)\n",
-                keep,
-            )
-            .is_ok()
+            let body = "streaming ingestion disabled (start with --live-capacity N)\n";
+            write_shed(writer, body, keep).is_ok()
         }
         Err(e) => fail(writer, format!("observe rejected: {e}\n"), m),
     }

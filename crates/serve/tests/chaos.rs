@@ -27,7 +27,10 @@ use cascn::{CascnConfig, CascnModel, CheckpointPolicy, FaultInjector, TrainCheck
 use cascn_cascades::synth::{WeiboConfig, WeiboGenerator};
 use cascn_cascades::{Cascade, Dataset, Split};
 use cascn_serve::cache::cascade_key;
-use cascn_serve::router::{payload_fingerprint, route_order, ReplicaSet, Router, RouterConfig};
+use cascn_serve::http::read_response;
+use cascn_serve::router::{
+    payload_fingerprint, route_order, ReplicaSet, Router, RouterConfig, MAX_BACKEND_BODY_BYTES,
+};
 use cascn_serve::supervisor::{ReplicaCommand, Supervisor, SupervisorConfig};
 use cascn_serve::{ModelRegistry, Server, ServerConfig};
 
@@ -190,34 +193,13 @@ fn wait_until(timeout: Duration, mut pred: impl FnMut() -> bool) -> bool {
 fn raw_request(addr: std::net::SocketAddr, raw: &str) -> (u16, String) {
     let mut stream = TcpStream::connect(addr).expect("connect");
     stream.write_all(raw.as_bytes()).expect("send");
-    read_response(&mut BufReader::new(stream))
+    read_reply(&mut BufReader::new(stream))
 }
 
-fn read_response(reader: &mut BufReader<TcpStream>) -> (u16, String) {
-    let mut status_line = String::new();
-    reader.read_line(&mut status_line).expect("status line");
-    let status: u16 = status_line
-        .split_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or_else(|| panic!("bad status line {status_line:?}"));
-    let mut content_length = 0usize;
-    loop {
-        let mut header = String::new();
-        reader.read_line(&mut header).expect("header");
-        let header = header.trim_end();
-        if header.is_empty() {
-            break;
-        }
-        if let Some((name, value)) = header.split_once(':') {
-            if name.eq_ignore_ascii_case("content-length") {
-                content_length = value.trim().parse().expect("content-length");
-            }
-        }
-    }
-    let mut body = vec![0u8; content_length];
-    reader.read_exact(&mut body).expect("body");
-    (status, String::from_utf8(body).expect("utf-8 body"))
+/// One response off `reader` as (status code, UTF-8 body).
+fn read_reply(reader: &mut impl BufRead) -> (u16, String) {
+    let resp = read_response(reader, MAX_BACKEND_BODY_BYTES).expect("well-formed response");
+    (resp.status, String::from_utf8(resp.body).expect("utf-8 body"))
 }
 
 fn predict(addr: std::net::SocketAddr, body: &str) -> (u16, String) {
@@ -527,4 +509,79 @@ fn stalled_backend_is_deadlined_failed_over_and_ejected() {
     let _ = child.kill();
     let _ = child.wait();
     drop(stall_thread);
+}
+
+/// A backend that answers every connection with `reply`, then either holds
+/// the socket open or (with `endless`) streams `a` bytes until the peer
+/// hangs up.
+fn misbehaving_backend(reply: &'static [u8], endless: bool) -> String {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind fake backend");
+    let addr = listener.local_addr().expect("addr").to_string();
+    std::thread::spawn(move || {
+        for sock in listener.incoming().take(64) {
+            let Ok(mut sock) = sock else { return };
+            std::thread::spawn(move || {
+                if sock.write_all(reply).is_err() {
+                    return;
+                }
+                let chunk = [b'a'; 4096];
+                while endless && sock.write_all(&chunk).is_ok() {}
+                // Hold the connection: a reader waiting on the declared
+                // body would block here until its deadline.
+                std::thread::sleep(Duration::from_secs(5));
+            });
+        }
+    });
+    addr
+}
+
+#[test]
+fn misbehaving_backend_responses_are_bounded_transport_failures() {
+    let giant: &'static [u8] = b"HTTP/1.1 200 OK\r\nContent-Length: 10000000000\r\n\r\nprediction";
+    let endless: &'static [u8] = b"HTTP/1.1 200 OK\r\nX-Pad: ";
+    for (reply, is_endless, want) in [
+        (giant, false, "exceeds the 16777216-byte limit"),
+        (endless, true, "message head exceeds 8192 bytes"),
+    ] {
+        assert_eq!(MAX_BACKEND_BODY_BYTES, 16_777_216);
+        let backend = misbehaving_backend(reply, is_endless);
+        let config = RouterConfig {
+            failure_threshold: 2,
+            probe_interval: Duration::from_secs(60),
+            ..fast_router_config()
+        };
+        let replicas = Arc::new(ReplicaSet::with_backends(&[backend], config.failure_threshold));
+        let router = Router::bind(config.clone(), Arc::clone(&replicas)).expect("bind router");
+        let addr = router.local_addr();
+        let join = std::thread::spawn(move || router.run());
+
+        let t0 = Instant::now();
+        let body = "cascade 1 0\nevent 1 - 0\nevent 2 0 1\n";
+        let mut stream = TcpStream::connect(addr).expect("connect router");
+        write!(
+            stream,
+            "POST /predict HTTP/1.1\r\nConnection: close\r\nContent-Length: {}\r\n\r\n{body}",
+            body.len()
+        )
+        .expect("send");
+        let resp = read_response(&mut BufReader::new(stream), MAX_BACKEND_BODY_BYTES)
+            .expect("the router answers");
+        let text = String::from_utf8_lossy(&resp.body);
+        assert_eq!(resp.status, 503, "{text}");
+        assert_eq!(resp.retry_after.as_deref(), Some("1"));
+        assert!(text.contains(want), "{text}");
+        assert!(
+            t0.elapsed() < config.deadline,
+            "the router waited {:?} on a response it had already refused",
+            t0.elapsed()
+        );
+        assert_eq!(
+            replicas.views()[0].state,
+            cascn_serve::ReplicaState::Ejected,
+            "each refused response counts against the replica"
+        );
+
+        let _ = raw_request(addr, "POST /shutdown HTTP/1.1\r\nConnection: close\r\nContent-Length: 0\r\n\r\n");
+        join.join().expect("no panic").expect("clean exit");
+    }
 }

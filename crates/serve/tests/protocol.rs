@@ -2,7 +2,7 @@
 //! sockets, and the parity contract — served predictions are byte-identical
 //! to direct `CascnModel::predict_log` on the same checkpoint.
 
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::path::PathBuf;
 use std::sync::OnceLock;
@@ -10,6 +10,8 @@ use std::sync::OnceLock;
 use cascn::{CascnConfig, CascnModel, CheckpointPolicy, TrainCheckpoint, TrainOpts};
 use cascn_cascades::synth::{WeiboConfig, WeiboGenerator};
 use cascn_cascades::{Cascade, Dataset, Split};
+use cascn_serve::http::read_response;
+use cascn_serve::router::MAX_BACKEND_BODY_BYTES;
 use cascn_serve::{ModelRegistry, Server, ServerConfig};
 
 const WINDOW: f64 = 25.0;
@@ -90,34 +92,13 @@ impl Drop for ServerHandle {
 fn raw_request(addr: std::net::SocketAddr, raw: &str) -> (u16, String) {
     let mut stream = TcpStream::connect(addr).expect("connect");
     stream.write_all(raw.as_bytes()).expect("send");
-    read_response(&mut BufReader::new(stream))
+    read_reply(&mut BufReader::new(stream))
 }
 
-fn read_response(reader: &mut BufReader<TcpStream>) -> (u16, String) {
-    let mut status_line = String::new();
-    reader.read_line(&mut status_line).expect("status line");
-    let status: u16 = status_line
-        .split_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or_else(|| panic!("bad status line {status_line:?}"));
-    let mut content_length = 0usize;
-    loop {
-        let mut header = String::new();
-        reader.read_line(&mut header).expect("header");
-        let header = header.trim_end();
-        if header.is_empty() {
-            break;
-        }
-        if let Some((name, value)) = header.split_once(':') {
-            if name.eq_ignore_ascii_case("content-length") {
-                content_length = value.trim().parse().expect("content-length");
-            }
-        }
-    }
-    let mut body = vec![0u8; content_length];
-    reader.read_exact(&mut body).expect("body");
-    (status, String::from_utf8(body).expect("utf-8 body"))
+/// One response off `reader` as (status code, UTF-8 body).
+fn read_reply(reader: &mut impl BufRead) -> (u16, String) {
+    let resp = read_response(reader, MAX_BACKEND_BODY_BYTES).expect("well-formed response");
+    (resp.status, String::from_utf8(resp.body).expect("utf-8 body"))
 }
 
 /// One `POST /predict` over its own connection.
@@ -196,7 +177,7 @@ fn invalid_cascade_payloads_get_400_with_line_numbers() {
     let raw_bytes: &[u8] = b"POST /predict HTTP/1.1\r\nConnection: close\r\nContent-Length: 4\r\n\r\n\xff\xfe\xfd\xfc";
     let mut stream = TcpStream::connect(h.addr).unwrap();
     stream.write_all(raw_bytes).unwrap();
-    let (status, body) = read_response(&mut BufReader::new(stream));
+    let (status, body) = read_reply(&mut BufReader::new(stream));
     assert_eq!(status, 400);
     assert!(body.contains("utf-8"), "{body}");
 }
@@ -264,7 +245,7 @@ fn keep_alive_serves_sequential_requests_on_one_connection() {
         );
         stream.write_all(raw.as_bytes()).expect("send");
         let mut reader = BufReader::new(stream.try_clone().expect("clone"));
-        let (status, got) = read_response(&mut reader);
+        let (status, got) = read_reply(&mut reader);
         assert_eq!(status, 200);
         assert_eq!(got, expected_lines(cascades));
     }
@@ -325,7 +306,7 @@ fn slow_and_idle_clients_time_out_and_never_block_shutdown() {
     // worker forever.
     let mut slow = TcpStream::connect(h.addr).expect("connect");
     slow.write_all(b"GET /heal").expect("partial send");
-    let (status, body) = read_response(&mut BufReader::new(slow));
+    let (status, body) = read_reply(&mut BufReader::new(slow));
     assert_eq!(status, 408, "{body}");
     // An idle keep-alive client that stays connected and sends nothing.
     let idle = TcpStream::connect(h.addr).expect("connect");
