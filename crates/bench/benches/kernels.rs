@@ -6,7 +6,7 @@
 //! O(K·n²·d) → O(K·nnz·d) margin the kernel layer promises.
 
 use cascn_autograd::Tape;
-use cascn_graph::{DiGraph, IncrementalSpectral, SpectralBasis};
+use cascn_graph::{DiGraph, SpectralBasis};
 use cascn_nn::ChebOperands;
 use cascn_tensor::Matrix;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -39,8 +39,7 @@ fn cascade_graph(n: usize, extra: usize) -> DiGraph {
 
 /// The production directed pipeline: teleportation makes the scaled
 /// Laplacian itself dense, so the basis carries a sparse adjacency core
-/// plus a rank-1 teleport correction (`from_laplacian` on the dense matrix
-/// would hand the "sparse" kernel an n² operator and benchmark nothing).
+/// plus a rank-1 teleport correction.
 fn basis_for(g: &DiGraph) -> SpectralBasis {
     SpectralBasis::directed(g, 0.85, None, K)
 }
@@ -110,47 +109,5 @@ fn bench_conv_stack_density(c: &mut Criterion) {
     group.finish();
 }
 
-/// One streamed adoption event vs. rebuilding the spectral operator from
-/// scratch — the `/observe` economics. The incremental arm pays a state
-/// clone plus one `push_child` (rank-1 teleport fix-up + warm-started
-/// power iteration); the cold arm pays full `from_graph` preprocessing.
-/// The gap is the reason the live registry exists, so it stays visible in
-/// CI output.
-fn bench_incremental_vs_cold(c: &mut Criterion) {
-    let mut group = c.benchmark_group("observe_update");
-    for n in [20usize, 80, 160] {
-        let g = cascade_graph(n, 0);
-        // Warm state one node short of `n`; the benched event appends the
-        // final node, exactly what one `/observe` does at steady state.
-        let prefix = {
-            let mut p = DiGraph::new(n - 1);
-            for (u, v, w) in g.edges().filter(|&(_, v, _)| v < n - 1) {
-                p.add_edge(u, v, w);
-            }
-            p
-        };
-        let parent = g
-            .edges()
-            .find(|&(_, v, _)| v == n - 1)
-            .map(|(u, _, _)| u)
-            .expect("last node has a parent");
-        let warm = IncrementalSpectral::from_graph(&prefix, 0.85, None, K);
-        group.bench_with_input(BenchmarkId::new("incremental", n), &n, |b, _| {
-            b.iter(|| {
-                let mut inc = warm.clone();
-                inc.push_child(parent);
-                std::hint::black_box(inc.basis())
-            })
-        });
-        group.bench_with_input(BenchmarkId::new("cold", n), &n, |b, _| {
-            b.iter(|| {
-                let inc = IncrementalSpectral::from_graph(&g, 0.85, None, K);
-                std::hint::black_box(inc.basis())
-            })
-        });
-    }
-    group.finish();
-}
-
-criterion_group!(benches, bench_conv_stack_sizes, bench_conv_stack_density, bench_incremental_vs_cold);
+criterion_group!(benches, bench_conv_stack_sizes, bench_conv_stack_density);
 criterion_main!(benches);

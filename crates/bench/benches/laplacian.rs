@@ -1,8 +1,8 @@
 //! Micro-benchmarks of the spectral machinery: CasLaplacian construction,
 //! exact λ_max vs. the ≈2 shortcut (the Table V cost trade-off), Chebyshev
 //! basis expansion as K grows (the Table V "bigger K costs more" claim),
-//! and the whole directed operator build — sparse φ, λ_max and CSR rows —
-//! beside the dense pipeline it replaced.
+//! and the whole operator build of both Laplacian kinds — sparse core,
+//! λ_max and CSR rows — beside the dense oracle it replaced.
 
 use cascn_graph::{laplacian, DiGraph, SpectralBasis};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -59,19 +59,30 @@ fn bench_chebyshev(c: &mut Criterion) {
     group.finish();
 }
 
-/// `SpectralBasis::directed` (what every cold request and training sample
-/// pays) against the dense oracle for the same constants: transition
-/// matrix, power-iteration φ, CasLaplacian and dense λ_max.
-fn bench_spectral_basis_directed(c: &mut Criterion) {
-    let mut group = c.benchmark_group("spectral_basis_directed");
+/// `spectral_basis` as every cold request, training sample and live
+/// `/observe` refresh pays it, for both Laplacian kinds: the sparse
+/// builder against the dense oracle for the same quantities — for
+/// `directed`, transition matrix, power-iteration φ, CasLaplacian and
+/// dense λ_max; for `undirected`, the dense Eq. 9 Laplacian and its λ_max.
+fn bench_spectral_basis(c: &mut Criterion) {
+    let mut group = c.benchmark_group("spectral_basis");
     for &n in &[30usize, 100] {
         let g = random_cascade(n, 17);
-        group.bench_with_input(BenchmarkId::new("sparse", n), &g, |b, g| {
+        group.bench_with_input(BenchmarkId::new("directed_sparse", n), &g, |b, g| {
             b.iter(|| SpectralBasis::directed(std::hint::black_box(g), 0.85, None, 2))
         });
-        group.bench_with_input(BenchmarkId::new("dense_oracle", n), &g, |b, g| {
+        group.bench_with_input(BenchmarkId::new("directed_dense_oracle", n), &g, |b, g| {
             b.iter(|| {
                 let lap = laplacian::cas_laplacian(std::hint::black_box(g), 0.85);
+                laplacian::largest_eigenvalue(&lap)
+            })
+        });
+        group.bench_with_input(BenchmarkId::new("undirected_sparse", n), &g, |b, g| {
+            b.iter(|| SpectralBasis::undirected(std::hint::black_box(g), None, 2))
+        });
+        group.bench_with_input(BenchmarkId::new("undirected_dense_oracle", n), &g, |b, g| {
+            b.iter(|| {
+                let lap = laplacian::undirected_normalized_laplacian(std::hint::black_box(g));
                 laplacian::largest_eigenvalue(&lap)
             })
         });
@@ -84,6 +95,6 @@ criterion_group!(
     bench_cas_laplacian,
     bench_lambda_max,
     bench_chebyshev,
-    bench_spectral_basis_directed
+    bench_spectral_basis
 );
 criterion_main!(benches);

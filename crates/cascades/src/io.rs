@@ -289,6 +289,9 @@ fn parse_dataset(
 /// predecessor — the incremental form of [`crate::validate_events`].
 /// Shared with the streaming request parser (`crate::stream`).
 pub(crate) fn check_follow_on(prev: &Event, event: &Event, idx: usize) -> Option<CascadeFault> {
+    if !event.time.is_finite() {
+        return Some(CascadeFault::NonFiniteTime { index: idx, time: event.time });
+    }
     if event.time < 0.0 {
         return Some(CascadeFault::NegativeTime { index: idx, time: event.time });
     }

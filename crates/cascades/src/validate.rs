@@ -21,6 +21,13 @@ pub enum CascadeFault {
         /// The offending root time.
         time: f64,
     },
+    /// An event carries a NaN or infinite timestamp.
+    NonFiniteTime {
+        /// 0-based event index.
+        index: usize,
+        /// The offending time.
+        time: f64,
+    },
     /// An event carries a negative timestamp.
     NegativeTime {
         /// 0-based event index.
@@ -56,6 +63,9 @@ impl std::fmt::Display for CascadeFault {
             CascadeFault::RootTimeNonZero { time } => {
                 write!(f, "root must be at t=0 (got {time})")
             }
+            CascadeFault::NonFiniteTime { index, time } => {
+                write!(f, "event {index} has non-finite time {time}")
+            }
             CascadeFault::NegativeTime { index, time } => {
                 write!(f, "event {index} has negative time {time}")
             }
@@ -86,6 +96,9 @@ pub fn validate_events(events: &[Event]) -> Result<(), CascadeFault> {
         return Err(CascadeFault::RootTimeNonZero { time: root.time });
     }
     for (i, e) in events.iter().enumerate().skip(1) {
+        if !e.time.is_finite() {
+            return Err(CascadeFault::NonFiniteTime { index: i, time: e.time });
+        }
         if e.time < 0.0 {
             return Err(CascadeFault::NegativeTime { index: i, time: e.time });
         }

@@ -1,0 +1,293 @@
+//! Property tests for the decoders that read untrusted request bodies,
+//! `stream::parse_cascades` (`/predict`) and `stream::parse_observe_body`
+//! (`/observe`): every valid body decodes to exactly what was encoded, and
+//! no corruption of one — truncation, byte flips, giant numbers, NaN/±inf
+//! times, out-of-order timestamps, forward parents — panics, breaks a
+//! limit, or yields a cascade that fails validation.
+
+use cascn_cascades::io::{dataset_from_str, dataset_to_string};
+use cascn_cascades::stream::{parse_cascades, parse_observe_body, StreamLimits};
+use cascn_cascades::{validate_events, Cascade, Dataset, Event, ObserveBody};
+use proptest::prelude::*;
+
+const LIMITS: StreamLimits = StreamLimits { max_cascades: 4, max_events: 24 };
+
+/// Tokens a corrupted numeric field is replaced with: overflowing and
+/// giant counts, non-finite and negative floats, and garbage.
+const BAD_NUMBERS: &[&str] = &[
+    "18446744073709551616",
+    "99999999999999999999999",
+    "1e308",
+    "1e400",
+    "NaN",
+    "nan",
+    "inf",
+    "-inf",
+    "-1",
+    "-0",
+    "0x10",
+    "",
+    "-",
+];
+
+/// Bytes a flipped position is overwritten with: the grammar's own
+/// delimiters and keywords' letters, digits, and float syntax.
+const FLIP_BYTES: &[u8] = b"0123456789-.+eE \n\t#acdentvNIinf";
+
+/// Strategy: a valid event list of `1..=max` events (root first, parents
+/// earlier, times non-decreasing and sometimes tied).
+fn events(max: usize) -> impl Strategy<Value = Vec<Event>> {
+    (1..=max).prop_flat_map(|n| {
+        proptest::collection::vec((0u64..1_000_000, 0.0f64..1.0, 0u32..40), n).prop_map(
+            |draws| {
+                let mut time = 0.0f64;
+                draws
+                    .into_iter()
+                    .enumerate()
+                    .map(|(i, (user, u, gap))| {
+                        if i > 0 {
+                            time += f64::from(gap / 4) * 0.75;
+                        }
+                        let parent = (i > 0).then(|| ((u * i as f64) as usize).min(i - 1));
+                        Event { user, parent, time }
+                    })
+                    .collect()
+            },
+        )
+    })
+}
+
+/// Strategy: a valid `/predict` body as the cascades it encodes.
+fn cascades() -> impl Strategy<Value = Vec<Cascade>> {
+    proptest::collection::vec((0u64..1000, 0u32..100_000, events(LIMITS.max_events)), 1..=4)
+        .prop_map(|specs| {
+            specs
+                .into_iter()
+                .map(|(id, start, ev)| Cascade::new(id, f64::from(start) * 0.5, ev))
+                .collect()
+        })
+}
+
+fn encode_cascades(cascades: &[Cascade]) -> String {
+    dataset_to_string(&Dataset { name: "prop".into(), cascades: cascades.to_vec() })
+}
+
+/// Strategy: a valid `/observe` body extending `base_len` resident events
+/// whose last time is `base_end`: a suffix whose parents index the whole
+/// cascade.
+fn observe_body(base_len: usize, base_end: f64) -> impl Strategy<Value = ObserveBody> {
+    (0u64..1000, events(LIMITS.max_events)).prop_map(move |(id, ev)| ObserveBody {
+        id,
+        start_time: 0.0,
+        events: ev
+            .into_iter()
+            .map(|e| Event {
+                user: e.user,
+                parent: Some(e.parent.map_or(base_len - 1, |p| p + base_len)),
+                time: base_end + e.time,
+            })
+            .collect(),
+    })
+}
+
+fn encode_observe(body: &ObserveBody) -> String {
+    let mut out = format!("cascade {} {}\n", body.id, body.start_time);
+    for e in &body.events {
+        match e.parent {
+            Some(p) => out.push_str(&format!("event {} {} {}\n", e.user, p, e.time)),
+            None => out.push_str(&format!("event {} - {}\n", e.user, e.time)),
+        }
+    }
+    out
+}
+
+/// The resident cascade observe bodies are appended to.
+fn resident() -> Cascade {
+    Cascade::new(
+        9,
+        0.0,
+        vec![
+            Event { user: 1, parent: None, time: 0.0 },
+            Event { user: 2, parent: Some(0), time: 3.0 },
+            Event { user: 3, parent: Some(0), time: 7.5 },
+        ],
+    )
+}
+
+/// One corruption of a valid body, chosen and placed by `pick` and `at`
+/// (both uniform in `[0, 1)`).
+fn mutate(text: &str, pick: f64, at: f64, byte: usize) -> String {
+    let pos = |len: usize| ((at * len as f64) as usize).min(len.saturating_sub(1));
+    let lines: Vec<&str> = text.lines().collect();
+    let event_lines: Vec<usize> =
+        (0..lines.len()).filter(|&i| lines[i].starts_with("event")).collect();
+    let with_field = |field: usize, value: &dyn Fn(&str) -> String| -> String {
+        let Some(&line) = event_lines.get(pos(event_lines.len())) else {
+            return text.to_string();
+        };
+        let mut out: Vec<String> = lines.iter().map(|l| l.to_string()).collect();
+        let mut toks: Vec<String> = out[line].split(' ').map(str::to_string).collect();
+        if field < toks.len() {
+            toks[field] = value(&toks[field]);
+        }
+        out[line] = toks.join(" ");
+        out.join("\n")
+    };
+    match (pick * 7.0) as usize {
+        // Truncation anywhere, mid-token included.
+        0 => text[..pos(text.len() + 1).min(text.len())].to_string(),
+        // One flipped byte.
+        1 => {
+            let mut bytes = text.as_bytes().to_vec();
+            if !bytes.is_empty() {
+                let i = pos(bytes.len());
+                bytes[i] = FLIP_BYTES[byte % FLIP_BYTES.len()];
+            }
+            String::from_utf8(bytes).expect("ASCII in, ASCII out")
+        }
+        // A giant, non-finite or garbage number in a user/parent/time
+        // field, or in the header's id/start.
+        2 => with_field(1 + byte % 3, &|_| BAD_NUMBERS[byte / 3 % BAD_NUMBERS.len()].to_string()),
+        3 => {
+            let mut out: Vec<String> = lines.iter().map(|l| l.to_string()).collect();
+            if let Some(h) = out.iter_mut().find(|l| l.starts_with("cascade")) {
+                let bad = BAD_NUMBERS[byte % BAD_NUMBERS.len()];
+                *h = if byte.is_multiple_of(2) {
+                    format!("cascade {bad} 0")
+                } else {
+                    format!("cascade 1 {bad}")
+                };
+            }
+            out.join("\n")
+        }
+        // NaN / ±inf event times.
+        4 => with_field(3, &|_| ["NaN", "inf", "-inf", "+inf"][byte % 4].to_string()),
+        // A time moved back, often before its predecessor's.
+        5 => with_field(3, &|t| {
+            let t: f64 = t.parse().unwrap_or(0.0);
+            format!("{}", t * 0.5 - 0.25 * (byte % 5) as f64)
+        }),
+        // A parent at or after the event's own index.
+        _ => with_field(2, &|p| {
+            let p: usize = p.parse().unwrap_or(0);
+            format!("{}", p + 1000 + byte)
+        }),
+    }
+}
+
+/// What every accepted cascade must satisfy: the loader's invariants and
+/// finite times.
+fn assert_valid(c: &Cascade) -> Result<(), String> {
+    prop_assert!(validate_events(&c.events).is_ok(), "{:?}", validate_events(&c.events));
+    prop_assert!(c.events.iter().all(|e| e.time.is_finite()), "non-finite time accepted");
+    Ok(())
+}
+
+/// What every accepted observe body must satisfy: within the limits, with
+/// finite times, and — appended to a resident cascade — either refused or
+/// leaving a cascade that passes validation.
+fn assert_valid_observe(body: &ObserveBody) -> Result<(), String> {
+    prop_assert!(!body.events.is_empty() && body.events.len() <= LIMITS.max_events);
+    prop_assert!(body.events.iter().all(|e| e.time.is_finite()), "non-finite time accepted");
+    let mut c = resident();
+    if body.events.iter().all(|e| c.try_append(e.clone()).is_ok()) {
+        assert_valid(&c)?;
+    }
+    Ok(())
+}
+
+/// Regression found by `corrupted_cascade_bodies_are_refused_or_valid`:
+/// `parse_cascades` — and the strict loader and `Cascade::try_append`,
+/// which share its checks — accepted NaN and ±inf event times, because
+/// every ordering check compares false against NaN and `+inf` sorts last.
+#[test]
+fn non_finite_event_times_are_refused() {
+    for t in ["NaN", "inf", "+inf", "-inf"] {
+        let body = format!("cascade 1 0\nevent 1 - 0\nevent 2 0 {t}\n");
+        let err = parse_cascades(&body, LIMITS).expect_err(t);
+        assert!(err.to_string().contains("non-finite time"), "{err}");
+        assert!(dataset_from_str(&body, "x").is_err(), "{t}");
+        assert!(parse_observe_body(&body, LIMITS).is_err(), "{t}");
+        let time: f64 = t.parse().expect("a float token");
+        let mut c = resident();
+        assert!(c.try_append(Event { user: 4, parent: Some(0), time }).is_err(), "{t}");
+        assert!(validate_events(&[c.events[0].clone(), Event { user: 4, parent: Some(0), time }])
+            .is_err());
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn valid_cascade_bodies_decode_exactly(cs in cascades()) {
+        match parse_cascades(&encode_cascades(&cs), LIMITS) {
+            Ok(parsed) => prop_assert_eq!(parsed, cs),
+            Err(e) => prop_assert!(false, "valid body refused: {}", e),
+        }
+    }
+
+    #[test]
+    fn valid_observe_bodies_decode_exactly(body in observe_body(3, 7.5)) {
+        match parse_observe_body(&encode_observe(&body), LIMITS) {
+            Ok(parsed) => prop_assert_eq!(&parsed, &body),
+            Err(e) => prop_assert!(false, "valid body refused: {}", e),
+        }
+        let mut c = resident();
+        for e in &body.events {
+            prop_assert!(c.try_append(e.clone()).is_ok(), "valid suffix refused");
+        }
+        assert_valid(&c)?;
+    }
+
+    #[test]
+    fn corrupted_cascade_bodies_are_refused_or_valid(
+        cs in cascades(),
+        pick in 0.0f64..1.0,
+        at in 0.0f64..1.0,
+        byte in 0usize..1000,
+    ) {
+        let text = mutate(&encode_cascades(&cs), pick, at, byte);
+        if let Ok(parsed) = parse_cascades(&text, LIMITS) {
+            prop_assert!(parsed.len() <= LIMITS.max_cascades);
+            for c in &parsed {
+                prop_assert!(c.events.len() <= LIMITS.max_events);
+                assert_valid(c)?;
+            }
+        }
+    }
+
+    #[test]
+    fn corrupted_observe_bodies_are_refused_or_valid(
+        body in observe_body(3, 7.5),
+        pick in 0.0f64..1.0,
+        at in 0.0f64..1.0,
+        byte in 0usize..1000,
+    ) {
+        let text = mutate(&encode_observe(&body), pick, at, byte);
+        if let Ok(parsed) = parse_observe_body(&text, LIMITS) {
+            assert_valid_observe(&parsed)?;
+        }
+    }
+
+    #[test]
+    fn bodies_over_the_limits_are_refused(
+        cs in cascades(),
+        extra in 1usize..4,
+    ) {
+        // One cascade past `max_cascades`, or one event past `max_events`.
+        let mut many = cs.clone();
+        while many.len() <= LIMITS.max_cascades {
+            many.push(cs[0].clone());
+        }
+        prop_assert!(parse_cascades(&encode_cascades(&many), LIMITS).is_err());
+        let long = ObserveBody {
+            id: 1,
+            start_time: 0.0,
+            events: (0..LIMITS.max_events + extra)
+                .map(|i| Event { user: i as u64, parent: Some(0), time: 8.0 })
+                .collect(),
+        };
+        prop_assert!(parse_observe_body(&encode_observe(&long), LIMITS).is_err());
+    }
+}

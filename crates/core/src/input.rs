@@ -1,4 +1,4 @@
-//! Cascade preprocessing: snapshots, CasLaplacian, Chebyshev bases.
+//! Cascade preprocessing: snapshots and the scaled-Laplacian operator.
 //!
 //! Preprocessing is deterministic and model-independent, so trainers run it
 //! once per cascade and cache the result across epochs.
@@ -7,7 +7,7 @@ use std::sync::Arc;
 
 use cascn_autograd::Exec;
 use cascn_cascades::{Cascade, CascadeFault, Event};
-use cascn_graph::{laplacian, DiGraph, IncrementalSpectral, SpectralBasis};
+use cascn_graph::{laplacian, DiGraph, SpectralBasis};
 use cascn_nn::ChebOperands;
 use cascn_tensor::{Csr, Matrix};
 
@@ -43,8 +43,6 @@ pub struct PreprocessedCascade {
     pub label_log: f32,
     /// Raw increment label `ΔS`.
     pub increment: usize,
-    /// The exact λ_max used for scaling (2.0 under [`LambdaMax::Approx2`]).
-    pub lambda_max: f32,
 }
 
 impl PreprocessedCascade {
@@ -95,7 +93,8 @@ impl PreprocessedCascade {
 ///
 /// 1. truncate the observed prefix to `cfg.max_nodes` adopters;
 /// 2. build the cascade graph and its (directed or undirected) Laplacian;
-/// 3. scale by `λ_max` and expand Chebyshev bases to order `K`;
+/// 3. scale by `λ_max` into the sparse operator `Δ̃` the order-`K`
+///    Chebyshev recurrence runs on;
 /// 4. record the Fig. 3 adjacency snapshot sequence as one edge list with a
 ///    prefix length per step.
 pub fn preprocess(cascade: &Cascade, window: f64, cfg: &CascnConfig) -> PreprocessedCascade {
@@ -104,23 +103,31 @@ pub fn preprocess(cascade: &Cascade, window: f64, cfg: &CascnConfig) -> Preproce
 }
 
 /// Step 2–3 of [`preprocess`] in isolation: the cascade's spectral handle
-/// (Laplacian → scaling → Chebyshev bases).
+/// (Laplacian → `λ_max` → scaled sparse operator), built in `O(nnz)` by
+/// [`SpectralBasis::directed`] or [`SpectralBasis::undirected`] as
+/// `cfg.laplacian` says.
 ///
 /// This is the expensive, model-parameter-independent part of
 /// preprocessing, so serving layers compute it once per (cascade, window)
 /// and reuse it across requests via [`preprocess_with_basis`].
 pub fn spectral_basis(cascade: &Cascade, window: f64, cfg: &CascnConfig) -> SpectralBasis {
+    spectral_solve(cascade, window, cfg).0
+}
+
+/// [`spectral_basis`] plus whether its φ solve stopped at the sweep cap
+/// without converging (never for the undirected Laplacian, which has no φ).
+fn spectral_solve(cascade: &Cascade, window: f64, cfg: &CascnConfig) -> (SpectralBasis, bool) {
     let g = observed_graph(cascade, window, cfg);
-    let lambda_max = lambda_mode(cfg);
+    let lambda_max = match cfg.lambda_max {
+        LambdaMax::Exact => None,
+        LambdaMax::Approx2 => Some(2.0),
+    };
     match cfg.laplacian {
-        // The directed scaled Laplacian is dense (teleportation touches
-        // every entry), so it is kept as sparse-core + rank-1 teleport
-        // instead of a materialized matrix.
-        LaplacianKind::Directed => SpectralBasis::directed(&g, cfg.alpha, lambda_max, cfg.k),
-        LaplacianKind::Undirected => {
-            let lap = laplacian::undirected_normalized_laplacian(&g);
-            SpectralBasis::from_laplacian(&lap, lambda_max, cfg.k)
+        LaplacianKind::Directed => {
+            let (basis, phi) = laplacian::directed_operator(&g, cfg.alpha, lambda_max, cfg.k);
+            (basis, !phi.converged)
         }
+        LaplacianKind::Undirected => (SpectralBasis::undirected(&g, lambda_max, cfg.k), false),
     }
 }
 
@@ -140,13 +147,6 @@ fn observed_graph(cascade: &Cascade, window: f64, cfg: &CascnConfig) -> DiGraph 
         }
     }
     g
-}
-
-fn lambda_mode(cfg: &CascnConfig) -> Option<f32> {
-    match cfg.lambda_max {
-        LambdaMax::Exact => None,
-        LambdaMax::Approx2 => Some(2.0),
-    }
 }
 
 /// [`preprocess`] with the spectral work already done — the cache-hit path
@@ -180,7 +180,6 @@ fn assemble(
     let (edges, prefix_lens, times) = snapshot_edges(&cascade.events[..n], cfg.max_steps);
     let increment = cascade.increment_size(window);
     PreprocessedCascade {
-        lambda_max: basis.lambda_max,
         basis,
         dense_bases: None,
         edges,
@@ -195,34 +194,31 @@ fn assemble(
 
 /// Streaming preprocessor for one growing cascade.
 ///
-/// Keeps the cascade's spectral state warm across appended adoption events
-/// and overlapping observation windows: the directed operator advances via
-/// [`IncrementalSpectral::push_child`] instead of a cold rebuild, and only
-/// an observed event refreshes it (a push-style refresh at window
-/// crossings — events beyond the window touch only the label side, so the
-/// spectral handle is reused untouched).
+/// Holds the cascade, its observation window and the spectral handle of
+/// the observed, truncated prefix. Appends and window moves rebuild the
+/// handle through [`spectral_basis`] whenever the observed node count
+/// changes — the observed prefix only ever grows or shrinks at its end, so
+/// an unchanged count means an unchanged graph — and events beyond the
+/// window touch only the label side.
 ///
 /// Parity contract (tested here and in the workspace property suite):
-/// [`WindowedPreprocessor::current`] matches [`preprocess`] on the same
+/// [`WindowedPreprocessor::current`] equals [`preprocess`] on the same
 /// `(cascade, window, cfg)` — snapshot edges, times, labels and the
-/// operator bit-identical, since the incremental operator runs the cold
-/// pipeline.
+/// operator bit-identical, for both Laplacian kinds.
 pub struct WindowedPreprocessor {
     cascade: Cascade,
     cfg: CascnConfig,
     window: f64,
-    /// Incremental spectral state — populated only for the directed
-    /// CasLaplacian; the undirected variant rebuilds cold on refresh.
-    spectral: Option<IncrementalSpectral>,
     basis: SpectralBasis,
+    /// φ solves that stopped at the sweep cap, over every rebuild.
+    warm_fallbacks: u64,
 }
 
 impl WindowedPreprocessor {
-    /// Registers a live cascade: one cold preprocessing pass, after which
-    /// appends and window advances are incremental.
+    /// Registers a live cascade: one cold preprocessing pass.
     pub fn new(cascade: Cascade, window: f64, cfg: &CascnConfig) -> Self {
-        let (spectral, basis) = cold_state(&cascade, window, cfg);
-        Self { cascade, cfg: *cfg, window, spectral, basis }
+        let (basis, unconverged) = spectral_solve(&cascade, window, cfg);
+        Self { cascade, cfg: *cfg, window, basis, warm_fallbacks: u64::from(unconverged) }
     }
 
     /// The cascade as currently observed (input prefix plus future events).
@@ -242,63 +238,47 @@ impl WindowedPreprocessor {
 
     /// Observed-and-truncated node count — the operator's dimension.
     pub fn num_nodes(&self) -> usize {
-        self.nodes()
+        self.nodes_at(self.window)
     }
 
-    /// φ solves that stopped at the sweep cap without converging (0 for
-    /// the undirected variant, which has no φ).
+    /// φ solves that stopped at the sweep cap without converging, summed
+    /// over every rebuild (0 for the undirected variant, which has no φ).
     pub fn warm_fallbacks(&self) -> u64 {
-        self.spectral.as_ref().map_or(0, IncrementalSpectral::warm_fallbacks)
+        self.warm_fallbacks
     }
 
     /// Approximate heap footprint for registry memory accounting.
     pub fn approx_bytes(&self) -> usize {
-        let events = self.cascade.final_size() * std::mem::size_of::<Event>();
-        let spectral = match &self.spectral {
-            Some(s) => s.approx_bytes(),
-            None => self.basis.approx_bytes(),
-        };
-        events + spectral
+        self.cascade.final_size() * std::mem::size_of::<Event>() + self.basis.approx_bytes()
     }
 
-    /// Appends one adoption event, validated with the same invariants as
-    /// the strict loader. Returns `Ok(true)` when the event landed inside
-    /// the window (the operator was refreshed incrementally) and
-    /// `Ok(false)` when it is label-side only or truncated past
-    /// `max_nodes` (spectral state reused as-is).
-    pub fn observe_event(&mut self, event: Event) -> Result<bool, CascadeFault> {
-        let before = self.nodes();
-        self.cascade.try_append(event)?;
-        let after = self.nodes();
-        if after == before {
-            return Ok(false);
-        }
-        self.push_range(before, after);
-        Ok(true)
-    }
-
-    /// Moves the observation window, pushing every event that crossed into
-    /// it through the incremental operator. Returns the number of nodes
-    /// that entered the observed prefix. A shrinking window has no
-    /// push-style form and falls back to one cold rebuild.
-    pub fn advance_window(&mut self, window: f64) -> usize {
-        let before = self.nodes();
-        if window < self.window {
-            self.window = window;
-            if self.nodes() != before {
-                let (spectral, basis) = cold_state(&self.cascade, window, &self.cfg);
-                self.spectral = spectral;
-                self.basis = basis;
+    /// Moves the observation window to `window` and appends `events`
+    /// atomically: each is validated against the cascade with the same
+    /// invariants as the strict loader, and if one fails, nothing is
+    /// applied and `Err((index, fault))` names it. On success the spectral
+    /// handle is rebuilt once if the observed node count changed.
+    ///
+    /// Returns how many nodes entered the observed prefix: those a growing
+    /// window pulls in plus the appended events that land inside the new
+    /// window and below `max_nodes`. A shrinking window contributes none.
+    pub fn append(&mut self, window: f64, events: &[Event]) -> Result<usize, (usize, CascadeFault)> {
+        let before = self.nodes_at(self.window);
+        let moved = self.nodes_at(window);
+        let len = self.cascade.events.len();
+        for (i, e) in events.iter().enumerate() {
+            if let Err(fault) = self.cascade.try_append(e.clone()) {
+                self.cascade.events.truncate(len);
+                return Err((i, fault));
             }
-            return 0;
         }
         self.window = window;
-        let after = self.nodes();
-        if after == before {
-            return 0;
+        let after = self.nodes_at(window);
+        if after != before {
+            let (basis, unconverged) = spectral_solve(&self.cascade, window, &self.cfg);
+            self.basis = basis;
+            self.warm_fallbacks += u64::from(unconverged);
         }
-        self.push_range(before, after);
-        after - before
+        Ok(after - moved.min(before))
     }
 
     /// The model input at the current `(cascade, window)`: the live
@@ -308,49 +288,8 @@ impl WindowedPreprocessor {
         assemble(&self.cascade, self.window, &self.cfg, self.basis.clone())
     }
 
-    fn nodes(&self) -> usize {
-        self.cascade.observed_size(self.window).max(1).min(self.cfg.max_nodes)
-    }
-
-    /// Pushes nodes `before..after` (already appended and observed) through
-    /// the incremental operator, or rebuilds cold for the undirected
-    /// variant, then republishes the basis.
-    fn push_range(&mut self, before: usize, after: usize) {
-        match &mut self.spectral {
-            Some(inc) => {
-                for idx in before..after {
-                    // Cascade validation guarantees non-root events carry
-                    // in-range parents; the guard mirrors `observed_graph`.
-                    if let Some(p) = self.cascade.events[idx].parent {
-                        if p < idx {
-                            inc.push_child(p);
-                        }
-                    }
-                }
-                self.basis = inc.basis();
-            }
-            None => {
-                self.basis = spectral_basis(&self.cascade, self.window, &self.cfg);
-            }
-        }
-    }
-}
-
-/// Cold spectral state for a `(cascade, window, cfg)` triple: incremental
-/// handle for the directed CasLaplacian, plain basis otherwise.
-fn cold_state(
-    cascade: &Cascade,
-    window: f64,
-    cfg: &CascnConfig,
-) -> (Option<IncrementalSpectral>, SpectralBasis) {
-    match cfg.laplacian {
-        LaplacianKind::Directed => {
-            let g = observed_graph(cascade, window, cfg);
-            let inc = IncrementalSpectral::from_graph(&g, cfg.alpha, lambda_mode(cfg), cfg.k);
-            let basis = inc.basis();
-            (Some(inc), basis)
-        }
-        LaplacianKind::Undirected => (None, spectral_basis(cascade, window, cfg)),
+    fn nodes_at(&self, window: f64) -> usize {
+        self.cascade.observed_size(window).max(1).min(self.cfg.max_nodes)
     }
 }
 
@@ -579,9 +518,9 @@ mod tests {
             ..cfg()
         };
         let p = preprocess(&fig1(), 60.0, &c);
-        assert_eq!(p.lambda_max, 2.0);
+        assert_eq!(p.basis.lambda_max, 2.0);
         let exact = preprocess(&fig1(), 60.0, &cfg());
-        assert_ne!(exact.lambda_max, 2.0);
+        assert_ne!(exact.basis.lambda_max, 2.0);
     }
 
     #[test]
@@ -613,7 +552,7 @@ mod tests {
         // The oracle is exactly basis.materialize() of the same handle, and
         // touches nothing else of the sample.
         assert_eq!(p.basis, sparse.basis);
-        assert_eq!(p.lambda_max.to_bits(), sparse.lambda_max.to_bits());
+        assert_eq!(p.basis.lambda_max.to_bits(), sparse.basis.lambda_max.to_bits());
         assert_eq!((&p.edges, &p.prefix_lens), (&sparse.edges, &sparse.prefix_lens));
         for (a, b) in sparse.basis.materialize().iter().zip(bases) {
             assert_eq!(a.as_slice(), b.as_slice());
@@ -633,7 +572,7 @@ mod tests {
             let basis = spectral_basis(&fig1(), window, &cfg());
             let cached = preprocess_with_basis(&fig1(), window, &cfg(), &basis);
             assert_eq!(direct.n, cached.n);
-            assert_eq!(direct.lambda_max.to_bits(), cached.lambda_max.to_bits());
+            assert_eq!(direct.basis.lambda_max.to_bits(), cached.basis.lambda_max.to_bits());
             assert_eq!(
                 direct.basis.scaled_dense().as_slice(),
                 cached.basis.scaled_dense().as_slice(),
@@ -680,12 +619,54 @@ mod tests {
         let mut wp = WindowedPreprocessor::new(seed, window, &cfg());
         assert_matches_cold(&wp.current(), wp.cascade(), window, &cfg());
         for e in &full.events[3..] {
-            assert!(wp.observe_event(e.clone()).unwrap(), "in-window event refreshes");
+            assert_eq!(wp.append(window, std::slice::from_ref(e)), Ok(1), "in-window event");
             let snapshot = wp.cascade().clone();
             assert_matches_cold(&wp.current(), &snapshot, window, &cfg());
         }
         assert_eq!(wp.num_nodes(), 6);
         assert_eq!(wp.warm_fallbacks(), 0, "cascade trees never hit the φ sweep cap");
+    }
+
+    #[test]
+    fn append_matches_cold_over_random_orders() {
+        // Random cascade trees streamed in random-size chunks, for both
+        // Laplacian kinds and both λ modes: after every append the handle
+        // is exactly the cold one, truncation at max_nodes included.
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut below = |n: usize| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % n as u64) as usize
+        };
+        for id in 0..8u64 {
+            let n = 4 + below(20);
+            let events: Vec<Event> = (0..n)
+                .map(|i| Event {
+                    user: i as u64,
+                    parent: (i > 0).then(|| below(i)),
+                    time: i as f64,
+                })
+                .collect();
+            for laplacian in [LaplacianKind::Directed, LaplacianKind::Undirected] {
+                for lambda_max in [LambdaMax::Exact, LambdaMax::Approx2] {
+                    let c = CascnConfig { laplacian, lambda_max, max_nodes: 16, ..cfg() };
+                    let seed = Cascade::new(id, 0.0, events[..1].to_vec());
+                    let mut wp = WindowedPreprocessor::new(seed, 1e9, &c);
+                    let mut at = 1;
+                    while at < n {
+                        let end = (at + 1 + below(3)).min(n);
+                        let before = wp.num_nodes();
+                        let entered = wp.append(1e9, &events[at..end]).expect("valid events");
+                        assert_eq!(entered, wp.num_nodes() - before);
+                        let snapshot = wp.cascade().clone();
+                        assert_matches_cold(&wp.current(), &snapshot, 1e9, &c);
+                        at = end;
+                    }
+                    assert_eq!(wp.warm_fallbacks(), 0, "cascade trees solve φ in two sweeps");
+                }
+            }
+        }
     }
 
     #[test]
@@ -695,9 +676,7 @@ mod tests {
         let window = 25.0; // events at t=30,40,50 stay label-side
         let mut wp = WindowedPreprocessor::new(seed, window, &cfg());
         let before = wp.current();
-        for e in &full.events[3..] {
-            assert!(!wp.observe_event(e.clone()).unwrap(), "beyond-window event must not refresh");
-        }
+        assert_eq!(wp.append(window, &full.events[3..]), Ok(0), "beyond-window events");
         let after = wp.current();
         assert_eq!(after.n, before.n);
         assert_eq!(after.increment, 3, "label side saw all three future events");
@@ -708,14 +687,24 @@ mod tests {
         );
         assert_matches_cold(&after, wp.cascade(), window, &cfg());
         // A window crossing then refreshes the operator to the cold result.
-        assert!(wp.advance_window(60.0) > 0);
+        assert_eq!(wp.append(60.0, &[]), Ok(3));
         let snapshot = wp.cascade().clone();
         assert_matches_cold(&wp.current(), &snapshot, 60.0, &cfg());
         // Out-of-order or second-root appends are rejected, state untouched.
-        wp.observe_event(Event { user: 10, parent: Some(2), time: 49.9 }).unwrap_err();
-        wp.observe_event(Event { user: 10, parent: None, time: 70.0 }).unwrap_err();
-        assert_eq!(wp.cascade().events, snapshot.events);
-        assert_matches_cold(&wp.current(), &snapshot, 60.0, &cfg());
+        let valid = Event { user: 10, parent: Some(2), time: 70.0 };
+        for bad in [
+            Event { user: 10, parent: Some(2), time: 49.9 },
+            Event { user: 10, parent: None, time: 70.0 },
+            Event { user: 10, parent: Some(7), time: 70.0 },
+        ] {
+            // A rejected event anywhere in the body applies nothing, the
+            // window move included.
+            let err = wp.append(80.0, &[valid.clone(), bad]).unwrap_err();
+            assert_eq!(err.0, 1, "{}", err.1);
+            assert_eq!(wp.cascade().events, snapshot.events);
+            assert_eq!(wp.window(), 60.0);
+            assert_matches_cold(&wp.current(), &snapshot, 60.0, &cfg());
+        }
     }
 
     #[test]
@@ -724,17 +713,25 @@ mod tests {
         let mut wp = WindowedPreprocessor::new(full.clone(), 25.0, &cfg());
         assert_eq!(wp.num_nodes(), 3);
         // Crossing to t=45 pulls events at 30 and 40 into the prefix.
-        assert_eq!(wp.advance_window(45.0), 2);
+        assert_eq!(wp.append(45.0, &[]), Ok(2));
         assert_matches_cold(&wp.current(), &full, 45.0, &cfg());
         // A boundary-exact crossing pulls the t=50 event (inclusive).
-        assert_eq!(wp.advance_window(50.0), 1);
+        assert_eq!(wp.append(50.0, &[]), Ok(1));
         assert_matches_cold(&wp.current(), &full, 50.0, &cfg());
         // No-op advance refreshes nothing.
-        assert_eq!(wp.advance_window(60.0), 0);
+        assert_eq!(wp.append(60.0, &[]), Ok(0));
         // Shrinking rebuilds cold and still matches.
-        wp.advance_window(25.0);
+        assert_eq!(wp.append(25.0, &[]), Ok(0));
         assert_matches_cold(&wp.current(), &full, 25.0, &cfg());
         assert_eq!(wp.num_nodes(), 3);
+        // A shrink with appends counts only the appends that land inside
+        // the new window.
+        let mut wp = WindowedPreprocessor::new(full.clone(), 60.0, &cfg());
+        let late = Event { user: 6, parent: Some(0), time: 55.0 };
+        assert_eq!(wp.append(45.0, std::slice::from_ref(&late)), Ok(0));
+        assert_eq!(wp.num_nodes(), 5);
+        let snapshot = wp.cascade().clone();
+        assert_matches_cold(&wp.current(), &snapshot, 45.0, &cfg());
     }
 
     #[test]
@@ -743,9 +740,7 @@ mod tests {
         let full = fig1();
         let seed = Cascade::new(1, 0.0, full.events[..2].to_vec());
         let mut wp = WindowedPreprocessor::new(seed, 100.0, &und);
-        for e in &full.events[2..] {
-            wp.observe_event(e.clone()).unwrap();
-        }
+        assert_eq!(wp.append(100.0, &full.events[2..]), Ok(4));
         let snapshot = wp.cascade().clone();
         assert_matches_cold(&wp.current(), &snapshot, 100.0, &und);
 
@@ -753,7 +748,7 @@ mod tests {
         let small = CascnConfig { max_nodes: 4, ..cfg() };
         let mut wp = WindowedPreprocessor::new(full.clone(), 100.0, &small);
         assert_eq!(wp.num_nodes(), 4);
-        assert!(!wp.observe_event(Event { user: 11, parent: Some(3), time: 70.0 }).unwrap());
+        assert_eq!(wp.append(100.0, &[Event { user: 11, parent: Some(3), time: 70.0 }]), Ok(0));
         assert_eq!(wp.num_nodes(), 4);
         let snapshot = wp.cascade().clone();
         assert_matches_cold(&wp.current(), &snapshot, 100.0, &small);

@@ -137,46 +137,18 @@ pub fn stationary_distribution_checked(p: &Matrix) -> StationaryOutcome {
     }
 }
 
-/// [`stationary_distribution_checked`] collapsed to the distribution alone,
-/// warning on stderr when the result is a fallback or unconverged — the
-/// compatibility surface for callers that only need φ.
-///
-/// # Panics
-/// Panics if `p` is not square or empty.
-pub fn stationary_distribution(p: &Matrix) -> Vec<f32> {
-    let out = stationary_distribution_checked(p);
-    if out.fallback {
-        eprintln!(
-            "warning: stationary_distribution: degenerate or non-finite P \
-             ({}x{}); falling back to the uniform distribution",
-            p.rows(),
-            p.cols()
-        );
-    } else if !out.converged {
-        // Benign slow convergence can recur on every cascade of a training
-        // run; report it once per process instead of flooding stderr.
-        static NONCONVERGENCE_WARNED: std::sync::Once = std::sync::Once::new();
-        NONCONVERGENCE_WARNED.call_once(|| {
-            eprintln!(
-                "warning: stationary_distribution: power iteration did not \
-                 converge within {STATIONARY_MAX_ITERS} rounds; using the last \
-                 iterate (reported once; callers needing per-matrix outcomes \
-                 should use stationary_distribution_checked)"
-            );
-        });
-    }
-    out.phi
-}
-
-/// Computes the CasLaplacian of Eq. 8 / Algorithm 1:
+/// Computes the CasLaplacian of Eq. 8 / Algorithm 1 densely:
 /// `Δ_c = Φ^{1/2} (I − P_c) Φ^{-1/2}` with `Φ = diag(φ)`.
 ///
 /// Unlike the undirected normalized Laplacian (Eq. 9), `Δ_c` preserves the
 /// directionality of the cascade — the property Table IV's
 /// `CasCN-Undirected` ablation shows to matter.
+///
+/// Test oracle: [`SpectralBasis::directed`] builds the same operator in
+/// `O(nnz)` without forming this `n×n` matrix.
 pub fn cas_laplacian(g: &DiGraph, alpha: f32) -> Matrix {
     let p = transition_matrix(g, alpha);
-    let phi = stationary_distribution(&p);
+    let phi = stationary_distribution_checked(&p).phi;
     let n = p.rows();
     let mut lap = Matrix::zeros(n, n);
     for r in 0..n {
@@ -194,7 +166,8 @@ pub fn cas_laplacian(g: &DiGraph, alpha: f32) -> Matrix {
 /// vector by construction — a fact the property tests exploit.
 pub fn sqrt_stationary(g: &DiGraph, alpha: f32) -> Vec<f32> {
     let p = transition_matrix(g, alpha);
-    stationary_distribution(&p)
+    stationary_distribution_checked(&p)
+        .phi
         .into_iter()
         .map(|x| x.max(0.0).sqrt())
         .collect()
@@ -202,9 +175,13 @@ pub fn sqrt_stationary(g: &DiGraph, alpha: f32) -> Vec<f32> {
 
 /// The symmetric normalized Laplacian of Eq. 9,
 /// `L = I − D^{-1/2} W_sym D^{-1/2}`, after symmetrizing the cascade
-/// (`W_sym = W + Wᵀ`). Used by the `CasCN-Undirected` variant.
+/// (`W_sym = W + Wᵀ`), densely.
 ///
 /// Isolated nodes get a self-loop so `D^{-1/2}` is defined.
+///
+/// Test oracle: the `CasCN-Undirected` variant runs
+/// [`SpectralBasis::undirected`], which builds the same operator in
+/// `O(nnz)`.
 pub fn undirected_normalized_laplacian(g: &DiGraph) -> Matrix {
     let n = g.node_count();
     let w = g.adjacency();
@@ -244,6 +221,8 @@ pub fn undirected_normalized_laplacian(g: &DiGraph) -> Matrix {
 /// largest-magnitude) one.
 ///
 /// Returns 2.0 (the paper's `λ_max ≈ 2` shortcut) for degenerate inputs.
+///
+/// Test oracle of the sparse estimator both [`SpectralBasis`] builders run.
 pub fn largest_eigenvalue(lap: &Matrix) -> f32 {
     let n = lap.rows();
     assert_eq!(n, lap.cols(), "largest_eigenvalue: non-square input");
@@ -294,7 +273,8 @@ pub fn largest_eigenvalue(lap: &Matrix) -> f32 {
 }
 
 /// Scales a Laplacian to the Chebyshev domain `[-1, 1]`:
-/// `Δ̃ = (2/λ_max)·Δ − I` (Eq. 2).
+/// `Δ̃ = (2/λ_max)·Δ − I` (Eq. 2). Test oracle of the row scaling both
+/// [`SpectralBasis`] builders share.
 ///
 /// # Panics
 /// Panics if `lambda_max <= 0`.
@@ -351,21 +331,63 @@ impl Adjacency {
         Self { rows }
     }
 
-    /// Appends a new node as a unit-weight child of `parent`. The new index
-    /// exceeds every existing one, so the parent's row stays ascending.
-    pub(crate) fn push_child(&mut self, parent: usize) {
-        let new = self.rows.len();
-        self.rows[parent].push((new, 1.0));
-        self.rows.push(Vec::new());
-    }
-
-    pub(crate) fn node_count(&self) -> usize {
+    fn node_count(&self) -> usize {
         self.rows.len()
     }
 
-    pub(crate) fn approx_bytes(&self) -> usize {
-        self.rows.iter().map(|r| r.len() * std::mem::size_of::<(usize, f32)>()).sum()
+    /// The symmetrized adjacency `W + Wᵀ` of Eq. 9, rows ascending, with a
+    /// unit self-loop on every isolated node so `D^{-1/2}` is defined —
+    /// the sparse image of what [`undirected_normalized_laplacian`] forms.
+    fn symmetrized(&self) -> Vec<Vec<(usize, f32)>> {
+        let mut rows = self.rows.clone();
+        for (r, row) in self.rows.iter().enumerate() {
+            for &(c, w) in row {
+                rows[c].push((r, w));
+            }
+        }
+        for (i, row) in rows.iter_mut().enumerate() {
+            // Each column appears at most twice (once per direction), so the
+            // merge is one commutative addition: `w_rc + w_cr` bit for bit.
+            row.sort_by_key(|&(c, _)| c);
+            row.dedup_by(|next, kept| {
+                let same = next.0 == kept.0;
+                if same {
+                    kept.1 += next.1;
+                }
+                same
+            });
+            // lint: allow(float-eq) — exact-zero sparsity test: only true zeros leave the adjacency
+            row.retain(|&(_, w)| w != 0.0);
+            let degree: f32 = row.iter().map(|&(_, w)| w).sum();
+            // lint: allow(float-eq) — isolated nodes have an exactly-zero degree; NaN falls through to the general path
+            if degree == 0.0 {
+                set_diagonal(row, i, 1.0);
+            }
+        }
+        rows
     }
+}
+
+/// Sets entry `(r, r)` of an ascending row to `value`, inserting it if
+/// absent.
+fn set_diagonal(row: &mut Vec<(usize, f32)>, r: usize, value: f32) {
+    match row.binary_search_by_key(&r, |&(c, _)| c) {
+        Ok(i) => row[i].1 = value,
+        Err(i) => row.insert(i, (r, value)),
+    }
+}
+
+/// One ascending row of an unscaled Laplacian `I − M` from the row's
+/// entries of `M`. The identity diagonal is stored even where `M` has none,
+/// so a row's structure — and the persisted text form — never depends on
+/// its values (it stays when scaling by a pinned `λ_max = 2` zeroes it).
+fn identity_minus(r: usize, m: impl Iterator<Item = (usize, f32)>) -> Vec<(usize, f32)> {
+    let mut entries: Vec<(usize, f32)> =
+        m.map(|(c, v)| (c, if c == r { 1.0 - v } else { -v })).collect();
+    if let Err(pos) = entries.binary_search_by_key(&r, |&(c, _)| c) {
+        entries.insert(pos, (r, 1.0));
+    }
+    entries
 }
 
 /// The sparse part `α·D⁻¹W` of Eq. 7's `P_c` over the self-loop-patched
@@ -397,10 +419,7 @@ impl Transition {
                 // lint: allow(float-eq) — dangling nodes have an exactly-zero out-degree by construction
                 if out == 0.0 {
                     // Self-loop for dangling nodes, as in `transition_matrix`.
-                    match row.binary_search_by_key(&r, |&(c, _)| c) {
-                        Ok(i) => row[i].1 = 1.0,
-                        Err(i) => row.insert(i, (r, 1.0)),
-                    }
+                    set_diagonal(&mut row, r, 1.0);
                 }
                 let row_sum: f32 = row.iter().map(|&(_, w)| w).sum();
                 row.into_iter().map(|(c, w)| (c, alpha * w / row_sum)).collect()
@@ -462,36 +481,28 @@ impl Transition {
 
     /// The sparse core `Φ^{1/2}(I − α·D⁻¹W)Φ^{-1/2}` of the unscaled
     /// CasLaplacian (`s = φ^{1/2}`): `Δ_c` without its rank-1 teleport
-    /// term `−teleport·s·(1/s)ᵀ`. Every row stores its identity diagonal,
-    /// even when it ends up exactly zero after scaling (λ_max pinned to 2),
-    /// so the operator's row structure — and the persisted text form — is
-    /// independent of the pin.
+    /// term `−teleport·s·(1/s)ᵀ`, identity diagonal stored on every row.
     fn laplacian_core(&self, s: &[f32]) -> Csr {
         let rows: Vec<Vec<(usize, f32)>> = self
             .rows
             .iter()
             .enumerate()
             .map(|(r, row)| {
-                let mut entries: Vec<(usize, f32)> = row
-                    .iter()
-                    .map(|&(c, a)| (c, if c == r { 1.0 - a } else { -(s[r] * a / s[c]) }))
-                    .collect();
-                if let Err(pos) = entries.binary_search_by_key(&r, |&(c, _)| c) {
-                    entries.insert(pos, (r, 1.0));
-                }
-                entries
+                let m = row.iter().map(|&(c, a)| (c, if c == r { a } else { s[r] * a / s[c] }));
+                identity_minus(r, m)
             })
             .collect();
         Csr::from_rows(self.rows.len(), &rows)
     }
 }
 
-/// Sparse counterpart of [`largest_eigenvalue`] for `Δ_c = core −
-/// teleport·s·(1/s)ᵀ` (see [`Transition::laplacian_core`]): power
-/// iteration on the positively shifted symmetric part, `O(nnz + n)` per
-/// round. The Gershgorin shift is computed exactly from `Δ_c`'s sign
-/// structure (positive diagonal, negative off-diagonals), so no dense
-/// matrix is formed.
+/// Sparse counterpart of [`largest_eigenvalue`] for `Δ = core −
+/// teleport·s·(1/s)ᵀ` (see [`Transition::laplacian_core`]; the undirected
+/// Laplacian passes `s = 1`, `teleport = 0`): power iteration on the
+/// positively shifted symmetric part, `O(nnz + n)` per round. The
+/// Gershgorin shift is computed exactly from `Δ`'s sign structure
+/// (non-negative diagonal, non-positive off-diagonals), so no dense matrix
+/// is formed.
 fn largest_eigenvalue_sparse(core: &Csr, s: &[f32], teleport: f32) -> f32 {
     let n = core.rows();
     let inv_s: Vec<f32> = s.iter().map(|&x| 1.0 / x).collect();
@@ -577,27 +588,46 @@ pub fn stationary_distribution_sparse(g: &DiGraph, alpha: f32) -> StationaryOutc
     Transition::new(&Adjacency::from_graph(g), alpha).stationary()
 }
 
-/// The one directed spectral pipeline: φ, λ_max (unless pinned) and the
-/// scaled operator from a cascade adjacency, all in `O(nnz)` per step with
-/// no `n×n` matrix. Shared by [`SpectralBasis::directed`] and
-/// [`crate::IncrementalSpectral`], so the two agree bit for bit.
-pub(crate) fn directed_operator(
-    adj: &Adjacency,
+/// The directed spectral pipeline: φ, λ_max (unless pinned) and the scaled
+/// CasLaplacian operator of a cascade graph, all in `O(nnz)` per step with
+/// no `n×n` matrix, plus what the φ solve did. [`SpectralBasis::directed`]
+/// is this without the solve report.
+///
+/// # Panics
+/// Panics if the graph is empty or `alpha` is outside `(0, 1)` (the
+/// [`transition_matrix`] contract), or a pinned `lambda_max` is not
+/// positive.
+pub fn directed_operator(
+    g: &DiGraph,
     alpha: f32,
     lambda_max: Option<f32>,
     k: usize,
 ) -> (SpectralBasis, StationaryOutcome) {
-    let t = Transition::new(adj, alpha);
+    let t = Transition::new(&Adjacency::from_graph(g), alpha);
     let stationary = t.stationary();
     let s: Vec<f32> = stationary.phi.iter().map(|&x| x.max(1e-12).sqrt()).collect();
     let core = t.laplacian_core(&s);
     let lambda_max =
         lambda_max.unwrap_or_else(|| largest_eigenvalue_sparse(&core, &s, t.teleport));
+    let csr = scale_rows(&core, lambda_max);
+    // The teleport term scales into the rank-1 coefficient.
+    let v: Vec<f32> = s.iter().map(|&x| 1.0 / x).collect();
+    let coeff = -(2.0 / lambda_max * t.teleport);
+    let op = Arc::new(SparseOp::new(csr, Some((coeff, s, v))));
+    (SpectralBasis { lambda_max, k, op }, stationary)
+}
+
+/// `Δ̃ = (2/λ)·Δ − I` (Eq. 2) row by row over an unscaled Laplacian core
+/// that stores every diagonal entry — [`scale_laplacian`] without the
+/// dense matrix, and with the same arithmetic per entry.
+///
+/// # Panics
+/// Panics if `lambda_max` is not positive.
+fn scale_rows(core: &Csr, lambda_max: f32) -> Csr {
     assert!(
         lambda_max > 0.0,
-        "directed operator: lambda_max must be positive, got {lambda_max}"
+        "spectral basis: lambda_max must be positive, got {lambda_max}"
     );
-    // Δ̃ = (2/λ)·Δ_c − I on the core; the teleport term scales into coeff.
     let two_over = 2.0 / lambda_max;
     let rows: Vec<Vec<(usize, f32)>> = (0..core.rows())
         .map(|r| {
@@ -607,11 +637,7 @@ pub(crate) fn directed_operator(
             core.row(r).iter().map(scale).collect()
         })
         .collect();
-    let csr = Csr::from_rows(core.cols(), &rows);
-    let v: Vec<f32> = s.iter().map(|&x| 1.0 / x).collect();
-    let coeff = -(two_over * t.teleport);
-    let op = Arc::new(SparseOp::new(csr, Some((coeff, s, v))));
-    (SpectralBasis { lambda_max, k, op }, stationary)
+    Csr::from_rows(core.cols(), &rows)
 }
 
 /// The spectral quantity CasCN derives from one cascade Laplacian: the
@@ -619,16 +645,17 @@ pub(crate) fn directed_operator(
 /// operator-form Chebyshev recurrence — bundled into a single cacheable
 /// handle.
 ///
-/// Earlier revisions materialized the `K + 1` dense `n×n` bases
-/// `T_0(Δ̃)..T_K(Δ̃)` here. The operator form stores only `Δ̃` itself
-/// (`O(nnz + n)` instead of `O(K·n²)`) and the convolution layer carries the
-/// recurrence on `n×d` feature blocks: `T_k·X = 2·Δ̃·(T_{k-1}·X) − T_{k-2}·X`.
-/// That drops per-gate convolution cost from `O(K·n²·d)` to `O(K·nnz·d)` and
-/// shrinks the serve-cache/snapshot footprint by the same factor.
-/// [`SpectralBasis::materialize`] still produces the dense bases for the
-/// legacy kernel path, gradient checking, and tests.
+/// Every basis comes from one `O(nnz)` pipeline: a Laplacian core built
+/// from the cascade's sparse adjacency — the directed CasLaplacian of
+/// Eq. 8 ([`SpectralBasis::directed`]) or the undirected normalized
+/// Laplacian of Eq. 9 ([`SpectralBasis::undirected`]) — a sparse `λ_max`
+/// estimate, and one row scaling (Eq. 2). The handle stores only `Δ̃`
+/// (`O(nnz + n)`), and the convolution layer carries the recurrence on
+/// `n×d` feature blocks: `T_k·X = 2·Δ̃·(T_{k-1}·X) − T_{k-2}·X`.
+/// [`SpectralBasis::materialize`] produces the dense bases `T_k(Δ̃)` for
+/// the dense test oracle and gradient checking.
 ///
-/// Building the operator (Eq. 2–8) dominates inference preprocessing, yet it
+/// Building the operator (Eq. 2–9) dominates inference preprocessing, yet it
 /// depends only on the observed cascade structure, never on model
 /// parameters. A cascade re-queried across requests therefore reuses the
 /// same handle: the serving layer's spectral cache stores
@@ -646,27 +673,6 @@ pub struct SpectralBasis {
 }
 
 impl SpectralBasis {
-    /// Builds the handle from an (unscaled) dense Laplacian. `lambda_max:
-    /// None` estimates the scaling constant with [`largest_eigenvalue`];
-    /// `Some(v)` pins it (the paper's `λ_max ≈ 2` shortcut).
-    ///
-    /// The operator is the exact CSR form of the dense scaled Laplacian
-    /// (no rank-1 split), so [`SparseOp::apply`] on a finite block is
-    /// bit-identical to the dense `matmul` it replaces. Undirected
-    /// Laplacians are genuinely sparse and benefit directly; for directed
-    /// cascades prefer [`SpectralBasis::directed`], which keeps the teleport
-    /// mass in a rank-1 term instead of densifying the core.
-    ///
-    /// # Panics
-    /// Panics if `lap` is not square or a pinned `lambda_max` is not
-    /// positive (the [`scale_laplacian`] contract).
-    pub fn from_laplacian(lap: &Matrix, lambda_max: Option<f32>, k: usize) -> Self {
-        let lambda_max = lambda_max.unwrap_or_else(|| largest_eigenvalue(lap));
-        let scaled = scale_laplacian(lap, lambda_max);
-        let op = Arc::new(SparseOp::from_csr(Csr::from_dense(&scaled)));
-        Self { lambda_max, k, op }
-    }
-
     /// Builds the scaled **directed** CasLaplacian operator straight from
     /// the cascade graph, without forming any `n×n` matrix:
     ///
@@ -687,7 +693,43 @@ impl SpectralBasis {
     /// [`transition_matrix`] contract), or a pinned `lambda_max` is not
     /// positive.
     pub fn directed(g: &DiGraph, alpha: f32, lambda_max: Option<f32>, k: usize) -> Self {
-        directed_operator(&Adjacency::from_graph(g), alpha, lambda_max, k).0
+        directed_operator(g, alpha, lambda_max, k).0
+    }
+
+    /// Builds the scaled **undirected** normalized Laplacian operator of
+    /// Eq. 9 (the `CasCN-Undirected` variant) straight from the cascade
+    /// graph: `Δ̃ = (2/λ)·(I − D^{-1/2}·W_sym·D^{-1/2}) − I` over the
+    /// symmetrized adjacency `W_sym = W + Wᵀ`, isolated nodes patched with a
+    /// self-loop. The operator is as sparse as the cascade (no rank-1
+    /// part).
+    ///
+    /// When `lambda_max` is `None`, `λ_max` comes from the same sparse
+    /// estimator the directed operator uses (unit `s`, no teleport term).
+    /// Every entry is computed exactly as the dense oracle
+    /// ([`undirected_normalized_laplacian`] → [`scale_laplacian`]) computes
+    /// it, so under a pinned `λ_max` the two agree entry for entry.
+    ///
+    /// # Panics
+    /// Panics if a pinned `lambda_max` is not positive.
+    pub fn undirected(g: &DiGraph, lambda_max: Option<f32>, k: usize) -> Self {
+        let sym = Adjacency::from_graph(g).symmetrized();
+        let n = sym.len();
+        let dinv_sqrt: Vec<f32> = sym
+            .iter()
+            .map(|row| 1.0 / row.iter().map(|&(_, w)| w).sum::<f32>().sqrt())
+            .collect();
+        let rows: Vec<Vec<(usize, f32)>> = sym
+            .iter()
+            .enumerate()
+            .map(|(r, row)| {
+                identity_minus(r, row.iter().map(|&(c, w)| (c, dinv_sqrt[r] * w * dinv_sqrt[c])))
+            })
+            .collect();
+        let core = Csr::from_rows(n, &rows);
+        let lambda_max =
+            lambda_max.unwrap_or_else(|| largest_eigenvalue_sparse(&core, &vec![1.0; n], 0.0));
+        let op = Arc::new(SparseOp::from_csr(scale_rows(&core, lambda_max)));
+        Self { lambda_max, k, op }
     }
 
     /// Rebuilds a handle from persisted parts (the snapshot loader).
@@ -778,7 +820,7 @@ mod tests {
     #[test]
     fn stationary_is_a_fixed_point() {
         let p = transition_matrix(&fig1(), 0.85);
-        let phi = stationary_distribution(&p);
+        let phi = stationary_distribution_checked(&p).phi;
         assert!((phi.iter().sum::<f32>() - 1.0).abs() < 1e-5);
         // φᵀ P ≈ φᵀ
         let n = p.rows();
@@ -799,7 +841,6 @@ mod tests {
         assert!(out.converged, "Eq. 7 transition matrices converge geometrically");
         assert!(!out.fallback);
         assert!(out.iterations < 10_000, "converged after {} rounds", out.iterations);
-        assert_eq!(out.phi, stationary_distribution(&p));
         assert!((out.phi.iter().sum::<f32>() - 1.0).abs() < 1e-5);
     }
 
@@ -815,8 +856,7 @@ mod tests {
         assert!(!out.converged);
         let n = p.rows();
         assert_eq!(out.phi, vec![1.0 / n as f32; n]);
-        let phi = stationary_distribution(&p);
-        assert!(phi.iter().all(|x| x.is_finite()), "fallback φ must be finite");
+        assert!(out.phi.iter().all(|x| x.is_finite()), "fallback φ must be finite");
     }
 
     #[test]
@@ -972,33 +1012,63 @@ mod tests {
         let _ = transition_matrix(&fig1(), 1.5);
     }
 
+    /// Fig. 1 plus the shapes Eq. 9's patching exists for: an isolated
+    /// node, a self-loop, parallel edges and a back edge.
+    fn irregular() -> DiGraph {
+        let mut g = DiGraph::new(8);
+        for &(u, v, w) in &[(0, 1, 1.0), (0, 2, 0.5), (1, 3, 1.0), (3, 1, 2.0), (2, 4, 1.0)] {
+            g.add_edge(u, v, w);
+        }
+        g.add_edge(2, 4, 1.5);
+        g.add_edge(5, 5, 0.7);
+        g.add_edge(4, 6, 1.0); // node 7 stays isolated
+        g
+    }
+
+    /// The undirected operator against the dense Eq. 9 oracle: λ within
+    /// 1e-3 relative, entries within 1e-4, exactly the oracle's entries
+    /// under the same λ, and a core no denser than the cascade.
+    fn assert_undirected_matches_oracle(g: &DiGraph) {
+        let lap = undirected_normalized_laplacian(g);
+        let handle = SpectralBasis::undirected(g, None, 3);
+        let dense_lmax = largest_eigenvalue(&lap);
+        let rel = (handle.lambda_max - dense_lmax).abs() / dense_lmax;
+        assert!(rel < 1e-3, "sparse λ {} vs dense {dense_lmax}", handle.lambda_max);
+        let got = handle.scaled_dense();
+        assert_matrix_eq(&got, &scale_laplacian(&lap, dense_lmax), 1e-4);
+        assert_matrix_eq(&got, &scale_laplacian(&lap, handle.lambda_max), 0.0);
+        assert!(handle.op.rank1().is_none(), "Eq. 9 has no teleport term");
+        assert!(
+            handle.op.nnz() <= 2 * g.edge_count() + g.node_count(),
+            "core nnz {} is not sparse",
+            handle.op.nnz()
+        );
+    }
+
     #[test]
     fn spectral_basis_matches_manual_pipeline() {
-        let lap = cas_laplacian(&fig1(), 0.85);
-        let handle = SpectralBasis::from_laplacian(&lap, None, 3);
-        let lmax = largest_eigenvalue(&lap);
-        assert_eq!(handle.lambda_max, lmax);
-        let scaled = scale_laplacian(&lap, lmax);
-        assert_matrix_eq(&handle.scaled_dense(), &scaled, 0.0);
-        let bases = handle.materialize();
-        let manual = chebyshev_bases(&scaled, 3);
-        assert_eq!(bases.len(), manual.len());
-        for (b, m) in bases.iter().zip(&manual) {
-            assert_matrix_eq(b, m, 0.0);
-        }
+        assert_undirected_matches_oracle(&fig1());
+        assert_undirected_matches_oracle(&irregular());
+        assert_undirected_matches_oracle(&DiGraph::new(1));
+        let handle = SpectralBasis::undirected(&fig1(), None, 3);
+        let manual = chebyshev_bases(&handle.scaled_dense(), 3);
+        assert_eq!(handle.materialize(), manual);
         assert_eq!(handle.num_nodes(), 6);
         assert_eq!(handle.order(), 3);
-        // Operator storage beats the 5 dense 6x6 bases the old handle held.
-        assert!(handle.approx_bytes() < 5 * 6 * 6 * 4);
+        // Operator storage beats the 4 dense 6x6 bases the old handle held.
+        assert!(handle.approx_bytes() < 4 * 6 * 6 * 4);
     }
 
     #[test]
     fn spectral_basis_pins_lambda_max() {
-        let lap = cas_laplacian(&fig1(), 0.85);
-        let handle = SpectralBasis::from_laplacian(&lap, Some(2.0), 2);
-        assert_eq!(handle.lambda_max, 2.0);
-        assert_matrix_eq(&handle.scaled_dense(), &scale_laplacian(&lap, 2.0), 0.0);
-        assert_eq!(handle.materialize().len(), 3, "K + 1 bases");
+        for g in [fig1(), irregular()] {
+            let lap = undirected_normalized_laplacian(&g);
+            let handle = SpectralBasis::undirected(&g, Some(2.0), 2);
+            assert_eq!(handle.lambda_max, 2.0);
+            // Same arithmetic per entry as the dense oracle: exactly equal.
+            assert_eq!(handle.scaled_dense(), scale_laplacian(&lap, 2.0));
+            assert_eq!(handle.materialize().len(), 3, "K + 1 bases");
+        }
     }
 
     #[test]

@@ -4,38 +4,37 @@
 //!
 //! * [`DiGraph`] — a compact directed graph with CSR adjacency in both
 //!   directions, degree queries, DAG checks and topological order;
-//! * [`Csr`] — a minimal sparse matrix supporting dense conversion and
-//!   matrix–vector products;
-//! * transition matrices with teleportation (Eq. 7), stationary
-//!   distributions, the **CasLaplacian** `Δ_c = Φ^{1/2}(I − P_c)Φ^{-1/2}`
-//!   (Eq. 8, Algorithm 1), the undirected normalized Laplacian (Eq. 9), the
-//!   scaled Laplacian `Δ̃_c = 2Δ_c/λ_max − I` and Chebyshev polynomial bases
-//!   `T_k(Δ̃_c)` (Eq. 2–4);
+//! * [`SpectralBasis`] — the scaled Laplacian operator `Δ̃ = 2Δ/λ_max − I`
+//!   (Eq. 2) of a cascade, built in `O(nnz)` from either the
+//!   **CasLaplacian** `Δ_c = Φ^{1/2}(I − P_c)Φ^{-1/2}` (Eq. 7–8,
+//!   Algorithm 1) or the undirected normalized Laplacian (Eq. 9), with
+//!   dense Chebyshev bases `T_k(Δ̃)` (Eq. 3–4) on demand;
+//! * the dense transition matrix, stationary distribution and Laplacians
+//!   as test oracles of that pipeline (module [`laplacian`]);
 //! * uniform and node2vec-biased random walks (used by the DeepCas /
 //!   Node2Vec baselines and the CasCN-Path variant).
 //!
-//! # Example: CasLaplacian of a small cascade
+//! The sparse matrix types [`Csr`] and [`SparseOp`] live in `cascn-tensor`
+//! and are re-exported here.
+//!
+//! # Example: the scaled CasLaplacian of a small cascade
 //!
 //! ```
-//! use cascn_graph::{laplacian, DiGraph};
+//! use cascn_graph::{DiGraph, SpectralBasis};
 //!
 //! // The Fig. 1 cascade: V0→V1, V0→V2, V1→V3, V1→V4, V3→V5.
 //! let mut g = DiGraph::new(6);
 //! for &(u, v) in &[(0, 1), (0, 2), (1, 3), (1, 4), (3, 5)] {
 //!     g.add_edge(u, v, 1.0);
 //! }
-//! let lap = laplacian::cas_laplacian(&g, 0.85);
-//! assert_eq!(lap.rows(), 6);
+//! let basis = SpectralBasis::directed(&g, 0.85, None, 2);
+//! assert_eq!(basis.num_nodes(), 6);
 //! ```
 
 mod digraph;
-pub mod incremental;
 pub mod laplacian;
 pub mod walks;
 
-// `Csr` moved into `cascn-tensor` so the autograd tape can apply sparse
-// operators; re-exported here for the adjacency-traversal call sites.
 pub use cascn_tensor::{Csr, SparseOp};
 pub use digraph::DiGraph;
-pub use incremental::IncrementalSpectral;
 pub use laplacian::SpectralBasis;

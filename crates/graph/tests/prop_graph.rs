@@ -2,7 +2,7 @@
 //! (not just cascade trees): CSR correctness, topological order, and the
 //! spectral invariants of the CasLaplacian pipeline.
 
-use cascn_graph::{laplacian, walks, Csr, DiGraph};
+use cascn_graph::{laplacian, walks, Csr, DiGraph, SpectralBasis};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -74,6 +74,26 @@ fn assert_sparse_phi_matches_oracle(g: &DiGraph) -> Result<(), String> {
     Ok(())
 }
 
+/// The sparse undirected operator against the dense Eq. 9 oracle: λ within
+/// 1e-3 relative, entries within 1e-4, entries exactly the oracle's under
+/// a pinned `λ_max = 2`, and a core no denser than `2·edges + n`.
+fn assert_undirected_matches_oracle(g: &DiGraph) -> Result<(), String> {
+    let lap = laplacian::undirected_normalized_laplacian(g);
+    let sparse = SpectralBasis::undirected(g, None, 2);
+    let dense_lmax = laplacian::largest_eigenvalue(&lap);
+    let rel = (sparse.lambda_max - dense_lmax).abs() / dense_lmax;
+    prop_assert!(rel < 1e-3, "sparse λ {} vs dense {}", sparse.lambda_max, dense_lmax);
+    let got = sparse.scaled_dense();
+    let want = laplacian::scale_laplacian(&lap, dense_lmax);
+    for (a, b) in got.as_slice().iter().zip(want.as_slice()) {
+        prop_assert!((a - b).abs() <= 1e-4, "entry {} vs dense {}", a, b);
+    }
+    prop_assert!(sparse.op.nnz() <= 2 * g.edge_count() + g.node_count());
+    let pinned = SpectralBasis::undirected(g, Some(2.0), 2);
+    prop_assert_eq!(pinned.scaled_dense(), laplacian::scale_laplacian(&lap, 2.0));
+    Ok(())
+}
+
 #[test]
 fn sparse_phi_converges_where_dense_oracle_stalls() {
     // Regression: the dense power iteration stops only below a 1e-10
@@ -127,6 +147,16 @@ proptest! {
     fn sparse_phi_takes_exactly_two_sweeps_on_cascade_trees(g in arbitrary_tree(60)) {
         assert_sparse_phi_matches_oracle(&g)?;
         prop_assert_eq!(laplacian::stationary_distribution_sparse(&g, 0.85).iterations, 2);
+    }
+
+    #[test]
+    fn undirected_operator_matches_dense_oracle_on_cascade_trees(g in arbitrary_tree(60)) {
+        assert_undirected_matches_oracle(&g)?;
+    }
+
+    #[test]
+    fn undirected_operator_matches_dense_oracle_on_any_digraph(g in arbitrary_digraph(16)) {
+        assert_undirected_matches_oracle(&g)?;
     }
 
     #[test]
@@ -184,7 +214,7 @@ proptest! {
             prop_assert!(p.row(r).iter().all(|&x| x > 0.0));
         }
         // Stationary distribution is a positive fixed point.
-        let phi = laplacian::stationary_distribution(&p);
+        let phi = laplacian::stationary_distribution_checked(&p).phi;
         prop_assert!((phi.iter().sum::<f32>() - 1.0).abs() < 1e-4);
         prop_assert!(phi.iter().all(|&x| x > 0.0));
     }

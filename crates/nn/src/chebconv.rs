@@ -706,15 +706,13 @@ mod tests {
         );
     }
 
-    /// The fig. 1 spectral handle whose operator path matches the dense
-    /// bases exactly in structure (same Laplacian, same λ_max estimate).
+    /// The fig. 1 spectral handle (sparse core + rank-1 teleport term).
     fn fig1_basis(k: usize) -> SpectralBasis {
         let mut g = DiGraph::new(6);
         for &(u, v) in &[(0, 1), (0, 2), (1, 3), (1, 4), (3, 5)] {
             g.add_edge(u, v, 1.0);
         }
-        let lap = laplacian::cas_laplacian(&g, 0.85);
-        SpectralBasis::from_laplacian(&lap, None, k)
+        SpectralBasis::directed(&g, 0.85, None, k)
     }
 
     #[test]

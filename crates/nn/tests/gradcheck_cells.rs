@@ -6,7 +6,7 @@
 use std::sync::Arc;
 
 use cascn_autograd::{assert_gradients_close, ParamStore, Tape, Var};
-use cascn_graph::{laplacian, DiGraph, SpectralBasis};
+use cascn_graph::{DiGraph, SpectralBasis};
 use cascn_nn::{ChebConvGruCell, ChebConvLstmCell, ChebOperands, GruCell, LstmCell};
 use cascn_tensor::{Csr, Matrix};
 
@@ -15,8 +15,7 @@ fn chain_basis(n: usize, k: usize) -> SpectralBasis {
     for i in 0..n - 1 {
         g.add_edge(i, i + 1, 1.0);
     }
-    let lap = laplacian::cas_laplacian(&g, 0.85);
-    SpectralBasis::from_laplacian(&lap, None, k)
+    SpectralBasis::directed(&g, 0.85, None, k)
 }
 
 /// Sparse snapshot signals with general real values (not a 0/1

@@ -251,8 +251,8 @@ impl BasisCache {
     }
 
     /// Publishes a precomputed basis for `(cascade, window)`, replacing any
-    /// occupant of the slot — the seeding path of `POST /observe`, which has
-    /// just advanced a live cascade's operator incrementally and wants the
+    /// occupant of the slot — the seeding path of `POST /observe`, which
+    /// already holds the live cascade's current operator and wants the
     /// next `/predict` on the same content to hit instead of recomputing.
     /// Counted as neither hit nor miss; evicts LRU at capacity like a miss.
     pub fn put(&self, cascade: &Cascade, window: f64, basis: SpectralBasis) {
@@ -371,11 +371,13 @@ impl BasisCache {
 mod tests {
     use super::*;
     use cascn_cascades::Event;
-    use cascn_tensor::Matrix;
+    use cascn_tensor::{Csr, Matrix, SparseOp};
 
+    /// The 2-node operator `diag(value − 1, −1)`: Laplacian `diag(value, 0)`
+    /// scaled by `λ_max = 2`.
     fn tiny_basis(value: f32) -> SpectralBasis {
-        let lap = Matrix::from_fn(2, 2, |r, c| if r == 0 && c == 0 { value } else { 0.0 });
-        SpectralBasis::from_laplacian(&lap, Some(2.0), 1)
+        let scaled = Matrix::diag(&[value - 1.0, -1.0]);
+        SpectralBasis::from_parts(2.0, 1, Arc::new(SparseOp::from_csr(Csr::from_dense(&scaled))))
     }
 
     /// A one-plus-`extra`-event cascade whose content is a function of `id`.

@@ -2,17 +2,18 @@
 //!
 //! A live cascade is one still unfolding at request time: clients stream
 //! adoption events as they happen and ask for predictions between appends.
-//! Rebuilding the spectral pipeline from scratch on every append wastes the
-//! structure of the update (one node, one edge), so each registered cascade
-//! holds a [`WindowedPreprocessor`] whose directed operator advances
-//! incrementally and whose window crossings are push-style refreshes.
+//! Each registered cascade holds a [`WindowedPreprocessor`], which rebuilds
+//! the cascade's spectral handle through the same `O(nnz)` pipeline as a
+//! cold `/predict` — at most once per request, and only when the observed
+//! prefix grew or shrank.
 //!
 //! The registry is bounded like the spectral cache: at capacity the
 //! least-recently-observed cascade is evicted (its next append must restart
 //! from the root), and a zero capacity disables streaming entirely.
-//! Appends are atomic per request — every event in an `/observe` body is
-//! validated against the resident prefix *before* any of them is applied,
-//! so a rejected payload leaves the cascade exactly as it was.
+//! Appends are atomic per request — if any event in an `/observe` body
+//! fails validation against the resident prefix, none is applied and the
+//! window stays where it was, so a rejected payload leaves the cascade
+//! exactly as it was.
 //!
 //! Entries live behind one `Mutex`: appends mutate spectral state, so they
 //! serialize with each other (but never with `/predict`, which runs off the
@@ -89,8 +90,9 @@ pub struct ObserveOutcome {
     pub window: f64,
     /// Events appended by this request.
     pub appended: usize,
-    /// How many of them landed inside the window and advanced the
-    /// incremental operator (the rest only grew the label side).
+    /// Nodes that entered the observed prefix: those a wider window pulled
+    /// in plus the appended events that landed inside the window (the rest
+    /// only grew the label side).
     pub refreshed: usize,
     /// Observed-and-truncated node count after the append.
     pub num_nodes: usize,
@@ -110,7 +112,7 @@ pub struct LiveStats {
     pub events: usize,
     /// φ solves that stopped at the sweep cap across resident cascades.
     pub warm_fallbacks: u64,
-    /// Approximate resident bytes (operators + adjacency + events).
+    /// Approximate resident bytes (operators + events).
     pub approx_bytes: usize,
 }
 
@@ -137,13 +139,11 @@ impl LiveRegistry {
 
     /// Applies one parsed `/observe` body at observation window `window`.
     ///
-    /// Resident key: the window is advanced (push-style) if it moved, then
-    /// every event is pre-validated against the resident prefix and — only
-    /// if all pass — appended, advancing the incremental operator for
-    /// in-window events. Unknown key: a payload that starts at the root
-    /// registers the cascade (evicting the least-recently-observed entry
-    /// at capacity); a suffix payload is refused with
-    /// [`ObserveError::UnknownCascade`].
+    /// Resident key: the window moves and the events are appended in one
+    /// atomic [`WindowedPreprocessor::append`]. Unknown key: a payload that
+    /// starts at the root registers the cascade (evicting the
+    /// least-recently-observed entry at capacity); a suffix payload is
+    /// refused with [`ObserveError::UnknownCascade`].
     pub fn observe(
         &self,
         body: &ObserveBody,
@@ -161,29 +161,10 @@ impl LiveRegistry {
             Ok(idx) => {
                 let entry = &mut entries[idx];
                 entry.last_used = now;
-                // lint: allow(float-eq) — identical windows share state as-is; any
-                // other value is a crossing handled by advance_window
-                let refreshed_by_window = if window == entry.state.window() {
-                    0
-                } else {
-                    entry.state.advance_window(window)
-                };
-                // Pre-validate the whole body against the resident prefix so
-                // a mid-body rejection cannot leave a half-applied append.
-                let mut probe = entry.state.cascade().clone();
-                for (i, e) in body.events.iter().enumerate() {
-                    probe
-                        .try_append(e.clone())
-                        .map_err(|fault| ObserveError::Append { index: i, fault })?;
-                }
-                let mut refreshed = refreshed_by_window;
-                for e in &body.events {
-                    // Validation above makes this infallible; the flag says
-                    // whether the event landed inside the window.
-                    if entry.state.observe_event(e.clone()).unwrap_or(false) {
-                        refreshed += 1;
-                    }
-                }
+                let refreshed = entry
+                    .state
+                    .append(window, &body.events)
+                    .map_err(|(index, fault)| ObserveError::Append { index, fault })?;
                 Ok(ObserveOutcome {
                     cascade: entry.state.cascade().clone(),
                     basis: entry.state.basis(),
@@ -267,8 +248,8 @@ impl LiveRegistry {
     }
 
     /// Re-registers snapshot-restored live cascades, oldest first, paying
-    /// one cold preprocessing pass each (the incremental operator state is
-    /// derived, not persisted). Intended for startup; entries beyond
+    /// one cold preprocessing pass each (the spectral handle is derived,
+    /// not persisted). Intended for startup; entries beyond
     /// capacity and duplicate keys are dropped. Returns how many were
     /// installed.
     pub fn seed(&self, restored: Vec<(Cascade, f64)>, cfg: &CascnConfig) -> usize {
@@ -339,17 +320,35 @@ mod tests {
         assert_eq!(out.num_nodes, 2);
         assert_eq!(out.cascade.final_size(), 3);
 
-        // The published basis matches one-shot preprocessing of the same
-        // content within the streaming tolerance.
-        let cold = cascn::spectral_basis(&out.cascade, window, &cfg());
-        let (a, b) = (out.basis.scaled_dense(), cold.scaled_dense());
-        let gap = a
-            .as_slice()
-            .iter()
-            .zip(b.as_slice())
-            .map(|(x, y)| (x - y).abs())
-            .fold(0.0f32, f32::max);
-        assert!(gap < 5e-4, "incremental basis drifted {gap}");
+        // The published basis is exactly one-shot preprocessing of the
+        // same content.
+        assert_eq!(out.basis, cascn::spectral_basis(&out.cascade, window, &cfg()));
+    }
+
+    #[test]
+    fn multi_event_observe_equals_cold_preprocessing() {
+        use cascn::LaplacianKind;
+        for laplacian in [LaplacianKind::Directed, LaplacianKind::Undirected] {
+            let c = CascnConfig { laplacian, ..cfg() };
+            let reg = LiveRegistry::new(4);
+            reg.observe(&root_body(3), 20.0, &c).unwrap();
+            let events = vec![
+                Event { user: 4, parent: Some(0), time: 5.0 },
+                Event { user: 5, parent: Some(1), time: 15.0 },
+                Event { user: 6, parent: Some(0), time: 25.0 },
+                Event { user: 7, parent: Some(2), time: 30.0 },
+            ];
+            // Window 20 → 28 in the same request: three events land inside.
+            let out = reg.observe(&suffix(3, events), 28.0, &c).unwrap();
+            assert_eq!((out.appended, out.refreshed, out.num_nodes), (4, 3, 4));
+            let cold = cascn::preprocess(&out.cascade, 28.0, &c);
+            assert_eq!(out.basis, cold.basis, "{laplacian:?}");
+            assert_eq!(out.num_nodes, cold.n);
+            // A wider window then pulls in the t=30 event alone.
+            let out = reg.observe(&suffix(3, vec![]), 40.0, &c).unwrap();
+            assert_eq!((out.refreshed, out.num_nodes), (1, 5));
+            assert_eq!(out.basis, cascn::spectral_basis(&out.cascade, 40.0, &c));
+        }
     }
 
     #[test]
@@ -368,10 +367,18 @@ mod tests {
             )
             .unwrap_err();
         assert!(matches!(err, ObserveError::Append { index: 1, .. }), "{err}");
+        // A rejected body at a new window leaves the window alone too.
+        let err = reg
+            .observe(&suffix(1, vec![Event { user: 3, parent: Some(0), time: -1.0 }]), 80.0, &cfg())
+            .unwrap_err();
+        assert!(matches!(err, ObserveError::Append { index: 0, .. }), "{err}");
+        assert_eq!(reg.export(), vec![(Cascade::new(1, 0.0, root_body(1).events), 50.0)]);
         let out = reg
             .observe(&suffix(1, vec![Event { user: 2, parent: Some(0), time: 1.0 }]), 50.0, &cfg())
             .expect("the cascade is untouched by the rejected body");
         assert_eq!(out.cascade.final_size(), 2, "rejected events were never applied");
+        assert_eq!(out.refreshed, 1);
+        assert_eq!(out.basis, cascn::spectral_basis(&out.cascade, 50.0, &cfg()));
     }
 
     #[test]

@@ -32,8 +32,8 @@ use cascn_tensor::{Csr, SparseOp};
 
 /// First line of every snapshot file. v3 appends a live-cascade section
 /// (the streaming `/observe` registry: each resident cascade and its
-/// window) after the cache entries; the incremental operator state itself
-/// is derived, not persisted, and is rebuilt cold on restore. v2 stored
+/// window) after the cache entries; the live operator itself is derived,
+/// not persisted, and is rebuilt cold on restore. v2 stored
 /// the sparse operator form of each basis (CSR core + optional rank-1
 /// teleport term) instead of the materialized dense Chebyshev matrices v1
 /// carried. Older versions are rejected as [`SnapshotError::VersionSkew`]
@@ -44,10 +44,11 @@ const CHECKSUM_PREFIX: &str = "# checksum fnv1a64 ";
 /// Version of the spectral *compute kernel* whose outputs populate the
 /// cache. Bumped whenever the kernel changes numerics (v2: materialized
 /// dense bases → sparse operator recurrence; v3: dense power-iteration φ
-/// and dense λ_max → exact sparse φ solve and sparse λ_max), so a
+/// and dense λ_max → exact sparse φ solve and sparse λ_max; v4: the
+/// undirected Laplacian on the same sparse pipeline, sparse λ_max), so a
 /// restarted replica can never mix bases produced by a different kernel
 /// generation — the fingerprint folds this in.
-pub const SPECTRAL_KERNEL_VERSION: u32 = 3;
+pub const SPECTRAL_KERNEL_VERSION: u32 = 4;
 
 /// One restored cache entry: the cascade, its window, and the basis.
 pub type SnapshotEntry = (Cascade, f64, SpectralBasis);
@@ -677,19 +678,19 @@ mod tests {
     #[test]
     fn basis_fingerprints_match_the_deployed_values() {
         for (name, c, want) in [
-            ("default", CascnConfig::default(), 0x2453_1179_ec99_f249),
-            ("paper_scale", CascnConfig::paper_scale(), 0x12b3_e745_bf4d_650b),
+            ("default", CascnConfig::default(), 0x6395_a66a_3e88_68b8),
+            ("paper_scale", CascnConfig::paper_scale(), 0x09b0_bdda_4190_a296),
             (
                 "undirected",
                 CascnConfig { laplacian: LaplacianKind::Undirected, ..CascnConfig::default() },
-                0x244f_ab79_ec97_0f20,
+                0x6399_0c6a_3e8b_4be1,
             ),
             (
                 "approx2",
                 CascnConfig { lambda_max: LambdaMax::Approx2, ..CascnConfig::default() },
-                0x1ba9_9679_e7b1_f39e,
+                0x6c3f_216a_4370_6763,
             ),
-            ("test", cfg(), 0x9d34_89bd_3d6a_38dd),
+            ("test", cfg(), 0x438b_2225_cb26_a7e4),
         ] {
             assert_eq!(basis_fingerprint(&c), want, "{name}: {:#018x}", basis_fingerprint(&c));
         }

@@ -12,7 +12,7 @@
 //!   affinity — while losing a replica only remaps the keys it owned.
 //!   `POST /observe` routes by cascade *identity* (id + start time) rather
 //!   than content, so every append in a cascade's lifetime reaches the one
-//!   replica holding its live incremental state; appends are not
+//!   replica holding its live state; appends are not
 //!   idempotent, so observe never fails over to a different replica.
 //! - **Failover** — a connect or read failure against the chosen replica
 //!   is retried against the next replica in rendezvous order, with

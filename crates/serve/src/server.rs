@@ -18,7 +18,7 @@
 //! |                            | (next-user checkpoints only; infected      |
 //! |                            | users are masked out of the ranking)       |
 //! | `POST /observe?window=W`   | append events to a live cascade, keep its  |
-//! |                            | incremental spectral basis warm            |
+//! |                            | current spectral basis resident            |
 //! | `POST /reload`             | re-read the checkpoint, bump the version   |
 //! | `POST /snapshot`           | persist the spectral cache to disk now     |
 //! | `POST /shutdown`           | graceful stop (also saves a snapshot)      |
@@ -619,7 +619,7 @@ fn respond_predict_next(req: &Request, ctx: &HandlerCtx<'_>, writer: &mut impl i
 /// `POST /observe`: append adoption events to a server-resident cascade.
 ///
 /// The body is a single-cascade suffix (see [`parse_observe_body`]); the
-/// registry keeps its incremental spectral state warm, so the follow-up
+/// registry keeps the cascade's current spectral basis, so the follow-up
 /// `/predict` for the same content hits the basis cache instead of paying
 /// a cold preprocessing pass.
 fn respond_observe(req: &Request, ctx: &HandlerCtx<'_>, writer: &mut impl io::Write) -> bool {
@@ -648,7 +648,7 @@ fn respond_observe(req: &Request, ctx: &HandlerCtx<'_>, writer: &mut impl io::Wr
     match ctx.live.observe(&body, window, ctx.registry.config()) {
         Ok(out) => {
             // Seed the basis cache so an immediate `/predict` carrying the
-            // same full cascade content reuses the warm incremental basis.
+            // same full cascade content reuses the live cascade's basis.
             ctx.cache.put(&out.cascade, out.window, out.basis);
             m.observe_events.fetch_add(out.appended as u64, Ordering::Relaxed);
             if out.refreshed > 0 {

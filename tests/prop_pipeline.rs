@@ -2,10 +2,15 @@
 //! preprocessing pipeline must uphold its invariants for *any* valid
 //! cascade, not just the synthetic generators' output.
 
-use cascn::{preprocess, CascnConfig, CascnModel, LambdaMax, LaplacianKind, WindowedPreprocessor};
+use std::sync::Arc;
+
+use cascn::{
+    preprocess, CascnConfig, CascnModel, LambdaMax, LaplacianKind, PreprocessedCascade,
+    WindowedPreprocessor,
+};
 use cascn_cascades::{Cascade, Event};
-use cascn_graph::laplacian;
-use cascn_tensor::Matrix;
+use cascn_graph::{laplacian, DiGraph, SpectralBasis};
+use cascn_tensor::{Csr, Matrix, SparseOp};
 use proptest::prelude::*;
 
 /// The dense snapshot sampler preprocessing used before snapshots became an
@@ -201,7 +206,7 @@ proptest! {
                     prop_assert!((t0[(r, c)] - expect).abs() < 1e-6);
                 }
             }
-            prop_assert!(p.lambda_max > 0.0);
+            prop_assert!(p.basis.lambda_max > 0.0);
         }
     }
 
@@ -211,73 +216,101 @@ proptest! {
         window in 1.0f64..200.0,
         seed_frac in 0.0f64..1.0,
         crossings in proptest::collection::vec(0.05f64..0.95, 0..3),
+        chunks in proptest::collection::vec(1usize..4, 16),
     ) {
         // The streaming gate: seed a live preprocessor with a random prefix,
-        // push the remaining events one at a time (optionally crossing a few
-        // intermediate window boundaries on the way), and the incremental
-        // state must predict within 5e-4 of one-shot preprocessing — at
-        // every thread count.
-        let cfg = CascnConfig {
-            hidden: 4,
-            mlp_hidden: 4,
-            max_nodes: 12,
-            max_steps: 5,
-            k: 2,
-            threads: 1,
-            ..CascnConfig::default()
-        };
+        // append the remaining events in random-size chunks (optionally
+        // crossing a few intermediate window boundaries on the way), and the
+        // streamed basis must equal one-shot preprocessing exactly, for both
+        // Laplacian kinds — and predict within 5e-4 of it at every thread
+        // count.
         let n = cascade.final_size();
         let split = 1 + ((n - 1) as f64 * seed_frac) as usize;
-        let seed = Cascade::new(cascade.id, cascade.start_time, cascade.events[..split].to_vec());
 
         // Random earlier windows to cross on the way to the final one.
         let mut windows: Vec<f64> = crossings.iter().map(|f| f * window).collect();
         windows.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
         windows.push(window);
 
-        let mut pp = WindowedPreprocessor::new(seed, windows[0], &cfg);
-        let mut next_window = 1;
-        for (i, ev) in cascade.events[split..].iter().enumerate() {
-            // Spread the window crossings across the streamed events.
-            if next_window < windows.len() && i == (n - split) / 2 {
-                pp.advance_window(windows[next_window]);
-                next_window += 1;
+        for laplacian in [LaplacianKind::Directed, LaplacianKind::Undirected] {
+            let cfg = CascnConfig {
+                hidden: 4,
+                mlp_hidden: 4,
+                max_nodes: 12,
+                max_steps: 5,
+                k: 2,
+                threads: 1,
+                laplacian,
+                ..CascnConfig::default()
+            };
+            let seed =
+                Cascade::new(cascade.id, cascade.start_time, cascade.events[..split].to_vec());
+            let mut pp = WindowedPreprocessor::new(seed, windows[0], &cfg);
+            let mut bounds = vec![split];
+            for &len in &chunks {
+                bounds.push((bounds[bounds.len() - 1] + len).min(n));
             }
-            prop_assert!(pp.observe_event(ev.clone()).is_ok());
-        }
-        while next_window < windows.len() {
-            pp.advance_window(windows[next_window]);
-            next_window += 1;
-        }
-        let sample = pp.current();
-        let cold = preprocess(&cascade, window, &cfg);
-
-        prop_assert_eq!(sample.n, cold.n);
-        prop_assert_eq!(sample.increment, cold.increment);
-        let warm_bases = sample.basis.materialize();
-        let cold_bases = cold.basis.materialize();
-        for (w, c) in warm_bases.iter().zip(&cold_bases) {
-            for r in 0..w.rows() {
-                for col in 0..w.cols() {
-                    prop_assert!((w[(r, col)] - c[(r, col)]).abs() < 5e-4,
-                        "basis drift {} vs {}", w[(r, col)], c[(r, col)]);
-                }
+            // Spread the window crossings across the appends; the last one
+            // lands on the final window.
+            for (j, b) in bounds.windows(2).enumerate() {
+                let w = windows[j * windows.len() / bounds.len()];
+                prop_assert!(pp.append(w, &cascade.events[b[0]..b[1]]).is_ok());
             }
-        }
+            prop_assert!(pp.append(window, &cascade.events[bounds[bounds.len() - 1]..]).is_ok());
+            let sample = pp.current();
+            let cold = preprocess(&cascade, window, &cfg);
 
-        // Model-level parity: the streamed sample predicts within the gate
-        // of one-shot preprocessing, identically at 1, 2, and 4 threads.
-        let mut preds = Vec::new();
-        for threads in [1usize, 2, 4] {
-            let model = CascnModel::new(CascnConfig { threads, ..cfg });
-            let warm = model.predict_log_sample(&sample);
-            let one_shot = model.predict_logs(std::slice::from_ref(&cascade), window)[0];
-            prop_assert!((warm - one_shot).abs() < 5e-4,
-                "threads {}: warm {} vs one-shot {}", threads, warm, one_shot);
-            preds.push(warm);
+            prop_assert_eq!(sample.n, cold.n);
+            prop_assert_eq!(sample.increment, cold.increment);
+            prop_assert_eq!(&sample.basis, &cold.basis, "{:?} basis drifted", laplacian);
+
+            // Model-level parity: the streamed sample predicts within the
+            // gate of one-shot preprocessing, identically at 1, 2, and 4
+            // threads.
+            let mut preds = Vec::new();
+            for threads in [1usize, 2, 4] {
+                let model = CascnModel::new(CascnConfig { threads, ..cfg });
+                let warm = model.predict_log_sample(&sample);
+                let one_shot = model.predict_logs(std::slice::from_ref(&cascade), window)[0];
+                prop_assert!((warm - one_shot).abs() < 5e-4,
+                    "threads {}: warm {} vs one-shot {}", threads, warm, one_shot);
+                preds.push(warm);
+            }
+            prop_assert_eq!(preds[0].to_bits(), preds[1].to_bits());
+            prop_assert_eq!(preds[0].to_bits(), preds[2].to_bits());
         }
-        prop_assert_eq!(preds[0].to_bits(), preds[1].to_bits());
-        prop_assert_eq!(preds[0].to_bits(), preds[2].to_bits());
+    }
+
+    #[test]
+    fn undirected_predictions_match_dense_oracle_bases(cascade in arbitrary_cascade(12)) {
+        // CasCN-Undirected on the sparse Eq. 9 operator predicts within
+        // 5e-4 of the same model on the dense oracle's basis (dense
+        // Laplacian, dense λ_max).
+        let cfg = CascnConfig {
+            hidden: 4,
+            mlp_hidden: 4,
+            max_nodes: 12,
+            max_steps: 4,
+            k: 2,
+            laplacian: LaplacianKind::Undirected,
+            ..CascnConfig::default()
+        };
+        let sample = preprocess(&cascade, 1e6, &cfg);
+        let mut g = DiGraph::new(sample.n);
+        for &(p, c) in &sample.edges[1..] {
+            g.add_edge(p, c, 1.0);
+        }
+        let lap = laplacian::undirected_normalized_laplacian(&g);
+        let lmax = laplacian::largest_eigenvalue(&lap);
+        let dense = Csr::from_dense(&laplacian::scale_laplacian(&lap, lmax));
+        let op = Arc::new(SparseOp::from_csr(dense));
+        let oracle = PreprocessedCascade {
+            basis: SpectralBasis::from_parts(lmax, cfg.k, op),
+            ..sample.clone()
+        };
+        let model = CascnModel::new(cfg);
+        let (got, want) = (model.predict_log_sample(&sample), model.predict_log_sample(&oracle));
+        prop_assert!((got - want).abs() < 5e-4, "sparse {} vs dense oracle {}", got, want);
     }
 
     #[test]
