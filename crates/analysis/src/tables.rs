@@ -32,11 +32,6 @@ impl Table {
         self.rows.push(row);
     }
 
-    /// Convenience: appends a row of displayable cells.
-    pub fn push_display(&mut self, cells: &[&dyn std::fmt::Display]) {
-        self.push(cells.iter().map(|c| c.to_string()).collect());
-    }
-
     /// Number of data rows.
     pub fn len(&self) -> usize {
         self.rows.len()

@@ -65,6 +65,8 @@ pub trait Exec<'s> {
     fn concat_cols(&mut self, a: &Self::Value, b: &Self::Value) -> Self::Value;
     /// Columns `start..start + len` of `a`.
     fn slice_cols(&mut self, a: &Self::Value, start: usize, len: usize) -> Self::Value;
+    /// Entry `(r, c)` of `a` as a `1x1` value.
+    fn pick(&mut self, a: &Self::Value, r: usize, c: usize) -> Self::Value;
     /// `op · x` for a fixed square sparse operator.
     fn sparse_apply(&mut self, op: Arc<SparseOp>, x: &Self::Value) -> Self::Value;
     /// `a · x` for a fixed rectangular sparse matrix.
@@ -134,6 +136,9 @@ impl<'s> Exec<'s> for Tape {
     }
     fn slice_cols(&mut self, a: &Var, start: usize, len: usize) -> Var {
         Tape::slice_cols(self, *a, start, len)
+    }
+    fn pick(&mut self, a: &Var, r: usize, c: usize) -> Var {
+        Tape::pick(self, *a, r, c)
     }
     fn sparse_apply(&mut self, op: Arc<SparseOp>, x: &Var) -> Var {
         Tape::sparse_apply(self, op, *x)
@@ -292,6 +297,9 @@ impl<'s> Exec<'s> for Eval<'s> {
     }
     fn slice_cols(&mut self, a: &EvalVar<'s>, start: usize, len: usize) -> EvalVar<'s> {
         self.own(kernel::slice_cols(a.get(), start, len))
+    }
+    fn pick(&mut self, a: &EvalVar<'s>, r: usize, c: usize) -> EvalVar<'s> {
+        self.own(kernel::pick(a.get(), r, c))
     }
     fn sparse_apply(&mut self, op: Arc<SparseOp>, x: &EvalVar<'s>) -> EvalVar<'s> {
         self.own(op.apply(x.get()))

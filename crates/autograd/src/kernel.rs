@@ -24,6 +24,16 @@ pub(crate) fn scalar_mul(s: &Matrix, a: &Matrix) -> Matrix {
     a.scale(s[(0, 0)])
 }
 
+/// Entry `(r, c)` of `a` as a `1x1` matrix.
+pub(crate) fn pick(a: &Matrix, r: usize, c: usize) -> Matrix {
+    assert!(
+        r < a.rows() && c < a.cols(),
+        "pick: ({r}, {c}) out of bounds for {:?}",
+        a.shape()
+    );
+    Matrix::from_vec(1, 1, vec![a[(r, c)]])
+}
+
 pub(crate) fn gather(table: &Matrix, rows: &[usize]) -> Matrix {
     let mut value = Matrix::zeros(rows.len(), table.cols());
     for (i, &r) in rows.iter().enumerate() {

@@ -178,12 +178,6 @@ impl ParamStore {
         self.values.iter().any(|v| !v.all_finite()) || self.grads.iter().any(|g| !g.all_finite())
     }
 
-    /// True if any parameter *or* gradient contains NaN/inf — the anomaly
-    /// guard's per-batch health check.
-    pub fn has_non_finite(&self) -> bool {
-        self.any_non_finite()
-    }
-
     /// True if any accumulated gradient contains NaN/inf (checked before an
     /// optimizer step so a poisoned batch can be discarded).
     pub fn grads_non_finite(&self) -> bool {

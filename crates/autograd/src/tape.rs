@@ -321,13 +321,7 @@ impl Tape {
     /// Extracts the single entry at `(r, c)` as a `1x1` variable; the
     /// backward pass scatters the incoming gradient back into that entry.
     pub fn pick(&mut self, a: Var, r: usize, c: usize) -> Var {
-        let v = self.value(a);
-        assert!(
-            r < v.rows() && c < v.cols(),
-            "pick: ({r}, {c}) out of bounds for {:?}",
-            v.shape()
-        );
-        let value = Matrix::from_vec(1, 1, vec![v[(r, c)]]);
+        let value = kernel::pick(self.value(a), r, c);
         let rg = self.requires(a);
         self.push(Op::PickEntry(a, r, c), value, rg)
     }
@@ -430,11 +424,7 @@ impl Tape {
             Op::Leaf => {}
             Op::MatMul(a, b) => {
                 if self.requires(*a) {
-                    // `g·bᵀ` through the row-axpy matmul kernel on an explicit
-                    // transpose: `b` is the small operand (a weight block),
-                    // and the axpy kernel vectorizes where the dot-product
-                    // form of `matmul_a_bt` runs latency-bound.
-                    let da = g.matmul(&self.value(*b).transpose());
+                    let da = g.matmul_a_bt(self.value(*b));
                     self.add_grad(*a, da);
                 }
                 if self.requires(*b) {
@@ -710,6 +700,29 @@ mod tests {
         let db = t.grad(b).unwrap();
         assert_matrix_eq(da, &Matrix::from_rows(&[&[11.0, 15.0], &[11.0, 15.0]]), 1e-5);
         assert_matrix_eq(db, &Matrix::from_rows(&[&[4.0, 4.0], &[6.0, 6.0]]), 1e-5);
+    }
+
+    #[test]
+    fn matmul_backward_equals_explicit_transpose_products_bit_for_bit() {
+        // loss = sum(A·B ⊙ W), so ∂(A·B) = W, ∂A = W·Bᵀ and ∂B = Aᵀ·W. The
+        // shapes leave remainders in every tile dimension.
+        let value = |rows: usize, cols: usize, seed: usize| {
+            Matrix::from_fn(rows, cols, |r, c| {
+                ((r * 37 + c * 11 + seed) % 19) as f32 * 0.173 - 1.4
+            })
+        };
+        let (a_val, b_val, w_val) = (value(7, 13, 1), value(13, 11, 2), value(7, 11, 3));
+        let mut t = Tape::new();
+        let a = t.leaf(a_val.clone());
+        let b = t.leaf(b_val.clone());
+        let w = t.constant(w_val.clone());
+        let c = t.matmul(a, b);
+        let weighted = t.hadamard(c, w);
+        let loss = t.sum_all(weighted);
+        t.backward(loss);
+        let bits = |m: &Matrix| m.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(t.grad(a).unwrap()), bits(&w_val.matmul(&b_val.transpose())));
+        assert_eq!(bits(t.grad(b).unwrap()), bits(&a_val.transpose().matmul(&w_val)));
     }
 
     #[test]

@@ -258,9 +258,13 @@ impl TopoLstm {
         let loss = move |tape: &mut Tape, store: &ParamStore, s: &TopoNextSample| {
             model.next_loss(tape, store, s)
         };
+        let score = |store: &ParamStore, s: &TopoNextSample| trainer::predict_with(store, &loss, s);
         trainer::run(
             &mut self.store,
-            &trainer::Objective::Ranked { loss: &loss },
+            &trainer::Objective::Ranked {
+                loss: &loss,
+                score: &score,
+            },
             &train_samples,
             &val_samples,
             opts,

@@ -7,6 +7,8 @@
 //! default sparse Chebyshev kernel — plus the dense-oracle comparison
 //! (speedup and max prediction delta), the forward-only `Eval` against the
 //! same forward on the training tape (speedup and max prediction delta),
+//! the matmul micro-kernel against the naive triple loop on one gate
+//! step's products (speedup and max entry delta),
 //! and the microscopic next-user
 //! scores (Hit@10 / MAP after a short deterministic train), plus the
 //! number of corpus cascades whose directed φ solve did not converge, and
@@ -15,9 +17,9 @@
 //! `--check` additionally gates the run against the checked-in
 //! `bench-baseline.json` (the perf analogue of the `lint-baseline.json`
 //! ratchet): hard machine-independent gates on `sparse_speedup`,
-//! `accuracy_delta`, `eval_speedup`, `eval_max_abs_delta`,
-//! `next_user_hit10` and `phi_unconverged`, and generous
-//! ratio bands on the wall-clock numbers so only catastrophic regressions
+//! `accuracy_delta`, `eval_speedup`, `eval_max_abs_delta`, `gemm_speedup`,
+//! `gemm_max_abs_delta`, `next_user_hit10` and `phi_unconverged`, and
+//! generous ratio bands on the wall-clock numbers so only catastrophic regressions
 //! (a kernel silently falling back to the dense path, preprocessing
 //! re-materializing bases) trip CI rather than scheduler noise.
 
@@ -131,6 +133,79 @@ fn conv_stack_p50(sample: &PreprocessedCascade, dense: bool, d: usize) -> u64 {
     percentile(&lat, 0.5)
 }
 
+/// The dense products of one LSTM gate step at the forward configuration:
+/// `n × hidden` states times the `hidden × 4·hidden` packed gate weights
+/// (`A·B`), and its two backward products `∂C·Bᵀ` and `Aᵀ·∂C`, for a
+/// 44-node cascade.
+const GEMM_NODES: usize = 44;
+const GEMM_HIDDEN: usize = 32;
+const GEMM_GATES: usize = 4 * GEMM_HIDDEN;
+const GEMM_REPS: usize = 100;
+
+/// The textbook product of an `m × k` and a `k × n` operand given as
+/// element accessors: every sum in ascending `p` from `+0.0` — the order
+/// the micro-kernel promises to reproduce bit for bit.
+fn naive_gemm(
+    (m, k, n): (usize, usize, usize),
+    a: impl Fn(usize, usize) -> f32,
+    b: impl Fn(usize, usize) -> f32,
+) -> Matrix {
+    Matrix::from_fn(m, n, |i, j| {
+        let mut acc = 0.0f32;
+        for p in 0..k {
+            acc += a(i, p) * b(p, j);
+        }
+        acc
+    })
+}
+
+/// p50 latency (ns) of `f` over [`GEMM_REPS`] calls, after one untimed
+/// call.
+fn gemm_p50(f: impl Fn() -> Matrix) -> u64 {
+    std::hint::black_box(f());
+    let mut lat: Vec<u64> = (0..GEMM_REPS)
+        .map(|_| {
+            let t0 = Instant::now();
+            std::hint::black_box(f());
+            t0.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64
+        })
+        .collect();
+    lat.sort_unstable();
+    percentile(&lat, 0.5)
+}
+
+/// The shared matmul micro-kernel against [`naive_gemm`] on the gate-step
+/// products: the speedup of the summed p50 latencies, and the largest
+/// absolute difference of any output entry (0 when the kernel keeps the
+/// naive summation order).
+fn gemm_vs_naive() -> (f64, f64) {
+    let value = |rows: usize, cols: usize, seed: usize| {
+        Matrix::from_fn(rows, cols, |r, c| ((r * 31 + c * 17 + seed) % 23) as f32 / 11.0 - 1.0)
+    };
+    let h = value(GEMM_NODES, GEMM_HIDDEN, 1);
+    let u = value(GEMM_HIDDEN, GEMM_GATES, 2);
+    let g = value(GEMM_NODES, GEMM_GATES, 3);
+    let forward = (GEMM_NODES, GEMM_HIDDEN, GEMM_GATES);
+    let grad_h = (GEMM_NODES, GEMM_GATES, GEMM_HIDDEN);
+    let grad_u = (GEMM_HIDDEN, GEMM_NODES, GEMM_GATES);
+    let (mut kernel_ns, mut naive_ns, mut max_delta) = (0u64, 0u64, 0.0f64);
+    let mut compare = |kernel: &dyn Fn() -> Matrix, naive: &dyn Fn() -> Matrix| {
+        kernel_ns += gemm_p50(kernel);
+        naive_ns += gemm_p50(naive);
+        for (&x, &y) in kernel().as_slice().iter().zip(naive().as_slice()) {
+            max_delta = max_delta.max(f64::from((x - y).abs()));
+        }
+    };
+    compare(&|| h.matmul(&u), &|| naive_gemm(forward, |i, p| h[(i, p)], |p, j| u[(p, j)]));
+    compare(&|| g.matmul_a_bt(&u), &|| {
+        naive_gemm(grad_h, |i, p| g[(i, p)], |p, j| u[(j, p)])
+    });
+    compare(&|| h.matmul_at_b(&g), &|| {
+        naive_gemm(grad_u, |i, p| h[(p, i)], |p, j| g[(p, j)])
+    });
+    (naive_ns as f64 / kernel_ns.max(1) as f64, max_delta)
+}
+
 struct Record {
     preprocess_cascades_per_s: f64,
     epoch_seconds: f64,
@@ -144,6 +219,8 @@ struct Record {
     conv_dense_p50_ns: u64,
     sparse_speedup: f64,
     accuracy_delta: f64,
+    gemm_speedup: f64,
+    gemm_max_abs_delta: f64,
     next_user_hit10: f64,
     next_user_map: f64,
     phi_unconverged: usize,
@@ -219,6 +296,8 @@ fn measure() -> Result<Record, String> {
             f64::from((fwd_model.predict_log_sample(s) - fwd_model.predict_log_sample(d)).abs())
         })
         .fold(0.0f64, f64::max);
+
+    let (gemm_speedup, gemm_max_abs_delta) = gemm_vs_naive();
 
     // One training epoch, serial, under the sparse kernel.
     let opts = TrainOpts {
@@ -304,6 +383,8 @@ fn measure() -> Result<Record, String> {
         conv_dense_p50_ns,
         sparse_speedup,
         accuracy_delta,
+        gemm_speedup,
+        gemm_max_abs_delta,
         next_user_hit10,
         next_user_map,
         phi_unconverged,
@@ -338,6 +419,8 @@ fn to_json(r: &Record) -> String {
     let _ = writeln!(out, "  \"conv_dense_p50_ns\": {},", r.conv_dense_p50_ns);
     let _ = writeln!(out, "  \"sparse_speedup\": {:.2},", r.sparse_speedup);
     let _ = writeln!(out, "  \"accuracy_delta\": {:e},", r.accuracy_delta);
+    let _ = writeln!(out, "  \"gemm_speedup\": {:.2},", r.gemm_speedup);
+    let _ = writeln!(out, "  \"gemm_max_abs_delta\": {:e},", r.gemm_max_abs_delta);
     let _ = writeln!(out, "  \"next_user_hit10\": {:.4},", r.next_user_hit10);
     let _ = writeln!(out, "  \"next_user_map\": {:.4},", r.next_user_map);
     let _ = writeln!(out, "  \"phi_unconverged\": {}", r.phi_unconverged);
@@ -393,6 +476,20 @@ fn check(r: &Record, baseline_path: &str) -> Result<(), String> {
         failures.push(format!(
             "eval_max_abs_delta {:e} > allowed {max_eval_delta:e} (eval and tape forwards disagree)",
             r.eval_max_abs_delta
+        ));
+    }
+    let min_gemm_speedup = num("min_gemm_speedup")?;
+    if r.gemm_speedup < min_gemm_speedup {
+        failures.push(format!(
+            "gemm_speedup {:.2} < required {min_gemm_speedup:.2} (the matmul micro-kernel no longer beats the naive loop)",
+            r.gemm_speedup
+        ));
+    }
+    let max_gemm_delta = num("max_gemm_delta")?;
+    if r.gemm_max_abs_delta > max_gemm_delta {
+        failures.push(format!(
+            "gemm_max_abs_delta {:e} > allowed {max_gemm_delta:e} (the matmul micro-kernel changed the summation order)",
+            r.gemm_max_abs_delta
         ));
     }
     let min_hit10 = num("min_next_user_hit10")?;

@@ -189,7 +189,7 @@ fn parse_dataset(
                 }
                 let header = (|| -> Result<Pending, String> {
                     let id = parse_tok(parts.next(), "cascade id")?;
-                    let start = parse_tok(parts.next(), "start time")?;
+                    let start = parse_start(parts.next())?;
                     Ok(Pending { id, start, events: Vec::new(), poisoned: false })
                 })();
                 match header {
@@ -339,20 +339,21 @@ pub fn read_dataset(path: impl AsRef<Path>) -> Result<Dataset, ReadError> {
     dataset_from_str(&text, &stem_hint(path))
 }
 
-/// Reads a dataset file leniently, quarantining malformed cascades instead of
-/// failing. Only I/O errors abort.
-pub fn read_dataset_lenient(
-    path: impl AsRef<Path>,
-) -> Result<(Dataset, QuarantineReport), ReadError> {
-    let path = path.as_ref();
-    let text = fs::read_to_string(path)?;
-    Ok(dataset_from_str_lenient(&text, &stem_hint(path)))
-}
-
 fn stem_hint(path: &Path) -> String {
     path.file_stem()
         .map(|s| s.to_string_lossy().into_owned())
         .unwrap_or_else(|| "dataset".into())
+}
+
+/// Parses a `cascade` header's start time, refusing NaN and ±inf at the
+/// header line (the same fault [`Cascade::try_new`] reports).
+pub(crate) fn parse_start(tok: Option<&str>) -> Result<f64, String> {
+    let time: f64 = parse_tok(tok, "start time")?;
+    if time.is_finite() {
+        Ok(time)
+    } else {
+        Err(CascadeFault::NonFiniteStart { time }.to_string())
+    }
 }
 
 pub(crate) fn parse_tok<T: std::str::FromStr>(tok: Option<&str>, what: &str) -> Result<T, String> {

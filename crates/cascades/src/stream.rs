@@ -20,7 +20,7 @@
 //! validated incrementally with the same checks as the strict loader, so a
 //! body accepted here parses identically under [`crate::io`].
 
-use crate::io::{check_follow_on, parse_tok, ReadError};
+use crate::io::{check_follow_on, parse_start, parse_tok, ReadError};
 use crate::validate::CascadeFault;
 use crate::{Cascade, Event};
 
@@ -68,11 +68,6 @@ impl CascadeStream {
         }
     }
 
-    /// 1-based number of lines consumed so far.
-    pub fn lines_read(&self) -> usize {
-        self.lineno
-    }
-
     /// Feeds one line. Returns `Ok(Some(cascade))` when this line completed
     /// the *previous* cascade (i.e. it was the next `cascade` header), and
     /// `Ok(None)` otherwise. Errors carry the 1-based line number.
@@ -89,7 +84,7 @@ impl CascadeStream {
             Some("cascade") => {
                 let header = (|| -> Result<Pending, String> {
                     let id = parse_tok(parts.next(), "cascade id")?;
-                    let start = parse_tok(parts.next(), "start time")?;
+                    let start = parse_start(parts.next())?;
                     Ok(Pending { id, start, events: Vec::new() })
                 })()
                 .map_err(err)?;
@@ -252,7 +247,7 @@ pub fn parse_observe_body(text: &str, limits: StreamLimits) -> Result<ObserveBod
                     return Err(err("observe body carries exactly one cascade".into()));
                 }
                 let id = parse_tok(parts.next(), "cascade id").map_err(err)?;
-                let start = parse_tok(parts.next(), "start time").map_err(err)?;
+                let start = parse_start(parts.next()).map_err(err)?;
                 header = Some((id, start));
             }
             Some("event") => {

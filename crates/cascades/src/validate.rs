@@ -16,6 +16,11 @@ pub enum CascadeFault {
     Empty,
     /// Event 0 has a parent — the first event must be the root post.
     RootHasParent,
+    /// The cascade's start time is NaN or infinite.
+    NonFiniteStart {
+        /// The offending start time.
+        time: f64,
+    },
     /// The root's time is not 0.0 (times are seconds since the root).
     RootTimeNonZero {
         /// The offending root time.
@@ -60,6 +65,7 @@ impl std::fmt::Display for CascadeFault {
         match *self {
             CascadeFault::Empty => write!(f, "no events"),
             CascadeFault::RootHasParent => write!(f, "event 0 must be the root"),
+            CascadeFault::NonFiniteStart { time } => write!(f, "non-finite start time {time}"),
             CascadeFault::RootTimeNonZero { time } => {
                 write!(f, "root must be at t=0 (got {time})")
             }
@@ -119,6 +125,9 @@ impl Cascade {
     /// returns the violation instead of panicking, so loaders can quarantine
     /// bad cascades.
     pub fn try_new(id: u64, start_time: f64, events: Vec<Event>) -> Result<Self, CascadeFault> {
+        if !start_time.is_finite() {
+            return Err(CascadeFault::NonFiniteStart { time: start_time });
+        }
         validate_events(&events)?;
         Ok(Self {
             id,

@@ -5,7 +5,7 @@
 //! times, out-of-order timestamps, forward parents — panics, breaks a
 //! limit, or yields a cascade that fails validation.
 
-use cascn_cascades::io::{dataset_from_str, dataset_to_string};
+use cascn_cascades::io::{dataset_from_str, dataset_from_str_lenient, dataset_to_string};
 use cascn_cascades::stream::{parse_cascades, parse_observe_body, StreamLimits};
 use cascn_cascades::{validate_events, Cascade, Dataset, Event, ObserveBody};
 use proptest::prelude::*;
@@ -176,12 +176,28 @@ fn mutate(text: &str, pick: f64, at: f64, byte: usize) -> String {
 }
 
 /// What every accepted cascade must satisfy: the loader's invariants and
-/// finite times.
+/// finite times, its start time included.
 fn assert_valid(c: &Cascade) -> Result<(), String> {
     prop_assert!(validate_events(&c.events).is_ok(), "{:?}", validate_events(&c.events));
     prop_assert!(c.events.iter().all(|e| e.time.is_finite()), "non-finite time accepted");
+    prop_assert!(c.start_time.is_finite(), "non-finite start time {} accepted", c.start_time);
     Ok(())
 }
+
+/// `text` with its `cascade` header's start time replaced by `start`.
+fn with_start(text: &str, start: &str) -> String {
+    text.lines()
+        .map(|l| match l.strip_prefix("cascade ") {
+            Some(rest) => format!("cascade {} {start}", rest.split(' ').next().unwrap_or("1")),
+            None => l.to_string(),
+        })
+        .collect::<Vec<_>>()
+        .join("\n")
+}
+
+/// Start times every decoder must refuse: NaN and ±inf, spelled as the
+/// float parser accepts them (`1e400` overflows to `inf`).
+const NON_FINITE_STARTS: &[&str] = &["NaN", "nan", "inf", "+inf", "-inf", "1e400"];
 
 /// What every accepted observe body must satisfy: within the limits, with
 /// finite times, and — appended to a resident cascade — either refused or
@@ -189,6 +205,7 @@ fn assert_valid(c: &Cascade) -> Result<(), String> {
 fn assert_valid_observe(body: &ObserveBody) -> Result<(), String> {
     prop_assert!(!body.events.is_empty() && body.events.len() <= LIMITS.max_events);
     prop_assert!(body.events.iter().all(|e| e.time.is_finite()), "non-finite time accepted");
+    prop_assert!(body.start_time.is_finite(), "non-finite start time {} accepted", body.start_time);
     let mut c = resident();
     if body.events.iter().all(|e| c.try_append(e.clone()).is_ok()) {
         assert_valid(&c)?;
@@ -216,8 +233,81 @@ fn non_finite_event_times_are_refused() {
     }
 }
 
+/// A decoder's error for a non-finite start time names the header line.
+fn assert_start_refused(err: &dyn std::fmt::Display) {
+    let err = err.to_string();
+    assert!(err.contains("line 1") && err.contains("non-finite start time"), "{err}");
+}
+
+/// Regression: every text decoder accepted a NaN or ±inf cascade start
+/// time (`parse_tok::<f64>` takes them and nothing checked the header), so
+/// `cascn stats` loaded `cascade 1 NaN`.
+#[test]
+fn non_finite_start_time_is_refused_by_parse_cascades() {
+    for t in NON_FINITE_STARTS {
+        let body = format!("cascade 1 {t}\nevent 1 - 0\nevent 2 0 1\n");
+        let err = parse_cascades(&body, LIMITS).expect_err(t);
+        assert_start_refused(&err);
+    }
+}
+
+#[test]
+fn non_finite_start_time_is_refused_by_the_strict_loader() {
+    for t in NON_FINITE_STARTS {
+        let body = format!("cascade 1 {t}\nevent 1 - 0\nevent 2 0 1\n");
+        let err = dataset_from_str(&body, "x").expect_err(t);
+        assert_start_refused(&err);
+    }
+}
+
+#[test]
+fn non_finite_start_time_is_quarantined_by_the_lenient_loader() {
+    for t in NON_FINITE_STARTS {
+        let body = format!("cascade 1 {t}\nevent 1 - 0\nevent 2 0 1\ncascade 2 5\nevent 3 - 0\n");
+        let (dataset, report) = dataset_from_str_lenient(&body, "x");
+        assert_eq!(dataset.cascades.iter().map(|c| c.id).collect::<Vec<_>>(), [2], "{t}");
+        assert_eq!(report.quarantined.len(), 1, "{t}");
+        assert_eq!(report.quarantined[0].line, 1, "{t}");
+        assert!(report.quarantined[0].reason.contains("non-finite start time"), "{t}");
+    }
+}
+
+#[test]
+fn non_finite_start_time_is_refused_by_parse_observe_body() {
+    for t in NON_FINITE_STARTS {
+        let body = format!("cascade 9 {t}\nevent 4 0 8\n");
+        let err = parse_observe_body(&body, LIMITS).expect_err(t);
+        assert_start_refused(&err);
+    }
+}
+
+#[test]
+fn non_finite_start_time_is_refused_by_cascade_try_new() {
+    for t in NON_FINITE_STARTS {
+        let start: f64 = t.parse().expect("a float token");
+        let events = resident().events;
+        assert!(Cascade::try_new(1, start, events).is_err(), "{t}");
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn non_finite_headers_are_refused(
+        cs in cascades(),
+        body in observe_body(3, 7.5),
+        which in 0usize..6,
+    ) {
+        let start = NON_FINITE_STARTS[which];
+        let text = with_start(&encode_cascades(&cs), start);
+        prop_assert!(parse_cascades(&text, LIMITS).is_err(), "{start} accepted:\n{text}");
+        prop_assert!(dataset_from_str(&text, "x").is_err(), "{start} accepted:\n{text}");
+        let (dataset, report) = dataset_from_str_lenient(&text, "x");
+        prop_assert!(dataset.cascades.is_empty() && report.quarantined.len() == cs.len());
+        let text = with_start(&encode_observe(&body), start);
+        prop_assert!(parse_observe_body(&text, LIMITS).is_err(), "{start} accepted:\n{text}");
+    }
 
     #[test]
     fn valid_cascade_bodies_decode_exactly(cs in cascades()) {

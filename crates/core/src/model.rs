@@ -1,7 +1,7 @@
 //! The CasCN model (Fig. 2): ChebConv recurrence → time decay → sum
 //! pooling → MLP.
 
-use cascn_autograd::{AdamState, Eval, Exec, ParamId, ParamStore, Tape, Var};
+use cascn_autograd::{AdamState, Eval, Exec, ParamId, ParamStore, Tape};
 use cascn_cascades::Cascade;
 use cascn_nn::{metrics, Activation, ChebConvGruCell, ChebConvLstmCell, Mlp, NextUserHead, TimeDecay};
 use cascn_nn::train::History;
@@ -358,12 +358,16 @@ impl CascnModel {
                 let train_labels: Vec<f32> = train_samples.iter().map(|s| s.label_log).collect();
                 let val_samples = self.preprocess_all(val, window);
                 let val_increments: Vec<usize> = val_samples.iter().map(|s| s.increment).collect();
-                let model = self.clone(); // immutable view for the forward closure
-                let forward = move |tape: &mut Tape, store: &ParamStore, s: &PreprocessedCascade| {
+                let model = self.clone(); // immutable view for the closures
+                let forward = |tape: &mut Tape, store: &ParamStore, s: &PreprocessedCascade| {
                     model.forward(tape, store, s)
+                };
+                let predict = |store: &ParamStore, s: &PreprocessedCascade| {
+                    model.predict_log_with(store, s)
                 };
                 let objective = Objective::Regression {
                     forward: &forward,
+                    predict: &predict,
                     train_labels: &train_labels,
                     val_increments: &val_increments,
                 };
@@ -390,13 +394,21 @@ impl CascnModel {
                 };
                 let train_samples = collect(train);
                 let val_samples = collect(val);
-                let model = self.clone(); // immutable view for the loss closure
-                let loss = move |tape: &mut Tape, store: &ParamStore, s: &NextUserSample| {
+                let model = self.clone(); // immutable view for the closures
+                let loss = |tape: &mut Tape, store: &ParamStore, s: &NextUserSample| {
                     model.next_loss(tape, store, s)
+                };
+                let score = |store: &ParamStore, s: &NextUserSample| {
+                    let mut ex = Eval::new();
+                    let loss = model.next_loss(&mut ex, store, s);
+                    ex.value(&loss)[(0, 0)]
                 };
                 trainer::run(
                     &mut self.store,
-                    &Objective::Ranked { loss: &loss },
+                    &Objective::Ranked {
+                        loss: &loss,
+                        score: &score,
+                    },
                     &train_samples,
                     &val_samples,
                     opts,
@@ -422,8 +434,14 @@ impl CascnModel {
     /// bit-identical. Runs on an [`Eval`], bit-identical to the tape
     /// forward.
     pub fn predict_log_sample(&self, sample: &PreprocessedCascade) -> f32 {
+        self.predict_log_with(&self.store, sample)
+    }
+
+    /// [`CascnModel::predict_log_sample`] under the parameters `store`
+    /// (validation scores the parameters being trained).
+    fn predict_log_with(&self, store: &ParamStore, sample: &PreprocessedCascade) -> f32 {
         let mut ex = Eval::new();
-        let pred = self.forward(&mut ex, &self.store, sample);
+        let pred = self.forward(&mut ex, store, sample);
         ex.value(&pred)[(0, 0)]
     }
 
@@ -498,12 +516,18 @@ impl CascnModel {
         })
     }
 
-    /// Next-event cross-entropy `-log p(u_next | C(t))` for one sample
-    /// (a `1x1` variable on the tape).
-    pub fn next_loss(&self, tape: &mut Tape, store: &ParamStore, sample: &NextUserSample) -> Var {
-        let rep = self.forward_representation(tape, store, &sample.pre);
+    /// Next-event cross-entropy `-log p(u_next | C(t))` for one sample, as
+    /// a `1x1` value: on a [`Tape`] for training, on an [`Eval`] for
+    /// validation.
+    pub fn next_loss<'s, E: Exec<'s>>(
+        &self,
+        ex: &mut E,
+        store: &'s ParamStore,
+        sample: &'s NextUserSample,
+    ) -> E::Value {
+        let rep = self.forward_representation(ex, store, &sample.pre);
         self.head()
-            .loss(tape, store, rep, &sample.mask, sample.target_row)
+            .loss(ex, store, rep, &sample.mask, sample.target_row)
     }
 
     /// Masked next-user probabilities over the head's table for an
@@ -680,6 +704,7 @@ fn top_k(mut candidates: Vec<(usize, f32)>, k: usize) -> Vec<(usize, f32)> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cascn_autograd::Var;
     use cascn_cascades::synth::{WeiboConfig, WeiboGenerator};
     use cascn_cascades::Split;
 
@@ -1112,10 +1137,28 @@ mod tests {
         ];
         let cfgs = vary(cfgs, &decays, |c, v| c.decay = v);
         assert_eq!(cfgs.len(), 80);
+        let mut losses_checked = 0;
         for cfg in cfgs {
             let mut model = CascnModel::new(cfg);
             perturb(&mut model);
             for cascade in data.cascades.iter().take(3) {
+                // The next-user validation score: the training loss on an
+                // `Eval`.
+                let sample = (cfg.task == TaskKind::NextUser)
+                    .then(|| model.next_sample(cascade, window))
+                    .flatten();
+                if let Some(sample) = sample {
+                    let mut tape = Tape::new();
+                    let loss = model.next_loss(&mut tape, &model.store, &sample);
+                    let mut ex = Eval::new();
+                    let eval_loss = model.next_loss(&mut ex, &model.store, &sample);
+                    assert_eq!(
+                        tape.scalar(loss).to_bits(),
+                        ex.value(&eval_loss)[(0, 0)].to_bits(),
+                        "next-user loss under {cfg:?}"
+                    );
+                    losses_checked += 1;
+                }
                 let sparse = preprocess(cascade, window, &cfg);
                 let dense = sparse.clone().with_dense_bases();
                 assert_eq!(
@@ -1156,6 +1199,7 @@ mod tests {
                 }
             }
         }
+        assert!(losses_checked > 0, "no cascade yielded a next-user sample");
     }
 
     /// A paper-scale forward (100 nodes, 20 steps) on an `Eval` holds the
@@ -1410,9 +1454,13 @@ mod tests {
                 s.accumulate_grad(id, &g);
             }
         };
+        let score = |store: &ParamStore, s: &NextUserSample| trainer::predict_with(store, &loss, s);
         let hist = trainer::run(
             &mut model.store,
-            &Objective::Ranked { loss: &loss },
+            &Objective::Ranked {
+                loss: &loss,
+                score: &score,
+            },
             &samples,
             &[],
             &opts,

@@ -112,6 +112,11 @@ pub struct TrainHooks<'a> {
 /// read-only parameter view and returns its `1x1` output.
 pub type Forward<'a, S> = dyn Fn(&mut Tape, &ParamStore, &S) -> Var + Sync + 'a;
 
+/// A validation scorer: one sample's `1x1` output under the given
+/// parameters, as a number. Callers whose model runs on an `Eval` pass a
+/// forward-only scorer; [`predict_with`] turns a [`Forward`] into one.
+pub type Scorer<'a, S> = dyn Fn(&ParamStore, &S) -> f32 + Sync + 'a;
+
 /// What one training run minimizes and how it scores validation.
 pub enum Objective<'a, S> {
     /// Size regression: the forward pass predicts the log-increment, training
@@ -120,6 +125,8 @@ pub enum Objective<'a, S> {
     Regression {
         /// Per-sample prediction.
         forward: &'a Forward<'a, S>,
+        /// The same prediction, for validation.
+        predict: &'a Scorer<'a, S>,
         /// `ln(1 + ΔS)` target of every training sample.
         train_labels: &'a [f32],
         /// True increment `ΔS` of every validation sample.
@@ -132,6 +139,8 @@ pub enum Objective<'a, S> {
     Ranked {
         /// Per-sample `1x1` loss.
         loss: &'a Forward<'a, S>,
+        /// The same loss, for validation.
+        score: &'a Scorer<'a, S>,
     },
 }
 
@@ -147,24 +156,24 @@ impl<S: Sync> Objective<'_, S> {
                 let pred = forward(tape, store, &train[i]);
                 tape.squared_error(pred, train_labels[i])
             }
-            Objective::Ranked { loss } => loss(tape, store, &train[i]),
+            Objective::Ranked { loss, .. } => loss(tape, store, &train[i]),
         }
     }
 
     /// Validation score of the current parameters (lower is better), with
-    /// the per-sample passes fanned out across `threads` workers.
+    /// the per-sample scorer fanned out across `threads` workers.
     fn score(&self, store: &ParamStore, val: &[S], threads: usize) -> f32 {
         match self {
             Objective::Regression {
-                forward,
+                predict,
                 val_increments,
                 ..
             } => {
-                let preds = parallel_map(threads, val, |_, s| predict_with(store, *forward, s));
+                let preds = parallel_map(threads, val, |_, s| predict(store, s));
                 metrics::msle(&preds, val_increments)
             }
-            Objective::Ranked { loss } => {
-                let losses = parallel_map(threads, val, |_, s| predict_with(store, *loss, s));
+            Objective::Ranked { score, .. } => {
+                let losses = parallel_map(threads, val, |_, s| score(store, s));
                 losses.iter().sum::<f32>() / losses.len() as f32
             }
         }
@@ -228,8 +237,10 @@ pub fn train_loop_resumable<S: Sync>(
 ) -> Result<History, CascnError> {
     assert_eq!(train.len(), train_labels.len(), "train labels mismatch");
     assert_eq!(val.len(), val_increments.len(), "val labels mismatch");
+    let predict = |store: &ParamStore, s: &S| predict_with(store, forward, s);
     let objective = Objective::Regression {
         forward,
+        predict: &predict,
         train_labels,
         val_increments,
     };
@@ -552,7 +563,11 @@ mod tests {
         opts: &TrainOpts,
         hooks: TrainHooks<'_>,
     ) -> Result<History, CascnError> {
-        let objective = Objective::Ranked { loss };
+        let score = |store: &ParamStore, s: &S| predict_with(store, loss, s);
+        let objective = Objective::Ranked {
+            loss,
+            score: &score,
+        };
         run(store, &objective, train, val, opts, None, None, &mut |_, _| {}, hooks)
     }
 

@@ -44,11 +44,6 @@ impl DiGraph {
         self.edges.push((u, v, w));
     }
 
-    /// Grows the node set to at least `n` nodes.
-    pub fn ensure_nodes(&mut self, n: usize) {
-        self.n = self.n.max(n);
-    }
-
     /// Iterates over `(src, dst, weight)` triples.
     pub fn edges(&self) -> impl Iterator<Item = (usize, usize, f32)> + '_ {
         self.edges.iter().copied()

@@ -508,22 +508,24 @@ fn largest_eigenvalue_sparse(core: &Csr, s: &[f32], teleport: f32) -> f32 {
     let inv_s: Vec<f32> = s.iter().map(|&x| 1.0 / x).collect();
     let sum_s: f32 = s.iter().sum();
     let sum_inv: f32 = inv_s.iter().sum();
-    // y = ½(Δ_c + Δ_cᵀ)·x, the teleport term folded in on both sides.
-    let sym = |x: &[f32]| -> Vec<f32> {
-        let fwd = core.spmv(x);
-        let bwd = core.spmv_transpose(x);
+    // y = ½(Δ_c + Δ_cᵀ)·x, the teleport term folded in on both sides;
+    // `fwd` and `bwd` are scratch.
+    let sym_into = |x: &[f32], fwd: &mut [f32], bwd: &mut [f32], y: &mut [f32]| {
+        core.spmv_into(x, fwd);
+        core.spmv_transpose_into(x, bwd);
         let fold_fwd: f32 = inv_s.iter().zip(x).map(|(&v, &xi)| v * xi).sum();
         let fold_bwd: f32 = s.iter().zip(x).map(|(&u, &xi)| u * xi).sum();
-        (0..n)
-            .map(|i| {
-                let f = fwd[i] - teleport * s[i] * fold_fwd;
-                let b = bwd[i] - teleport * inv_s[i] * fold_bwd;
-                0.5 * (f + b)
-            })
-            .collect()
+        for i in 0..n {
+            let f = fwd[i] - teleport * s[i] * fold_fwd;
+            let b = bwd[i] - teleport * inv_s[i] * fold_bwd;
+            y[i] = 0.5 * (f + b);
+        }
     };
+    let (mut fwd, mut bwd) = (vec![0.0f32; n], vec![0.0f32; n]);
     if n == 1 {
-        let d = sym(&[1.0])[0];
+        let mut d = [0.0f32];
+        sym_into(&[1.0], &mut fwd, &mut bwd, &mut d);
+        let d = d[0];
         return if d.abs() > 1e-6 { d.abs() } else { 2.0 };
     }
     // Gershgorin bound on the symmetric part via sign structure:
@@ -549,22 +551,33 @@ fn largest_eigenvalue_sparse(core: &Csr, s: &[f32], teleport: f32) -> f32 {
     }
     shift = shift.max(0.0);
 
-    let shifted = |x: &[f32]| -> Vec<f32> {
-        sym(x).iter().zip(x).map(|(&y, &xi)| y + shift * xi).collect()
+    let mut shifted_into = |x: &[f32], y: &mut [f32]| {
+        sym_into(x, &mut fwd, &mut bwd, y);
+        for (yi, &xi) in y.iter_mut().zip(x) {
+            *yi += shift * xi;
+        }
     };
+    // `y` is the shifted image of the current `x`. A round's image of its
+    // normalized vector is the next round's `y`, so each round takes one
+    // product.
     let mut x = vec![1.0f32; n];
+    let mut y = vec![0.0f32; n];
+    let mut next_y = vec![0.0f32; n];
+    shifted_into(&x, &mut y);
     let mut lambda = 0.0f32;
     for _ in 0..200 {
-        let y = shifted(&x);
         let norm = y.iter().map(|v| v * v).sum::<f32>().sqrt();
         if norm < 1e-20 {
             return 2.0;
         }
-        let xn: Vec<f32> = y.iter().map(|v| v / norm).collect();
-        let new_lambda = dot(&shifted(&xn), &xn);
+        for (xi, &v) in x.iter_mut().zip(&y) {
+            *xi = v / norm;
+        }
+        shifted_into(&x, &mut next_y);
+        let new_lambda = dot(&next_y, &x);
         let done = (new_lambda - lambda).abs() < 1e-7 * new_lambda.abs().max(1.0);
         lambda = new_lambda;
-        x = xn;
+        std::mem::swap(&mut y, &mut next_y);
         if done {
             break;
         }

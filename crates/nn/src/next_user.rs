@@ -12,7 +12,7 @@
 //! Row 0 of the user table is the UNK bucket and is always masked: the
 //! head never predicts "some user we cannot name".
 
-use cascn_autograd::{Exec, ParamStore, Tape, Var};
+use cascn_autograd::{Exec, ParamStore};
 use rand::rngs::StdRng;
 
 use crate::linear::Linear;
@@ -101,19 +101,19 @@ impl NextUserHead {
     /// # Panics
     /// Panics if `target` is masked or out of bounds — predicting an
     /// already-infected user is a labeling bug, not a data condition.
-    pub fn loss(
+    pub fn loss<'s, E: Exec<'s>>(
         &self,
-        tape: &mut Tape,
-        store: &ParamStore,
-        h: Var,
+        ex: &mut E,
+        store: &'s ParamStore,
+        h: E::Value,
         mask: &[bool],
         target: usize,
-    ) -> Var {
+    ) -> E::Value {
         assert!(target < mask.len(), "NextUserHead: target {target} out of table");
         assert!(target != 0 && !mask[target], "NextUserHead: target {target} is masked");
-        let logp = self.masked_log_probs(tape, store, h, mask);
-        let picked = tape.pick(logp, 0, target);
-        tape.scale(picked, -1.0)
+        let logp = self.masked_log_probs(ex, store, h, mask);
+        let picked = ex.pick(&logp, 0, target);
+        ex.scale(&picked, -1.0)
     }
 
     /// Forward-only masked probability distribution for a `1 x hidden`
@@ -136,6 +136,7 @@ impl NextUserHead {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cascn_autograd::Tape;
     use cascn_tensor::Matrix;
     use rand::SeedableRng;
 

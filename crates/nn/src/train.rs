@@ -72,11 +72,6 @@ impl EarlyStopping {
         self.stale >= self.patience
     }
 
-    /// Whether the most recently observed epoch is the best so far.
-    pub fn last_was_best(&self) -> bool {
-        self.stale == 0
-    }
-
     /// Best validation loss seen.
     pub fn best(&self) -> f32 {
         self.best

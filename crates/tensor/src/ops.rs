@@ -1,29 +1,148 @@
 //! Arithmetic on matrices: matmul variants, elementwise ops, broadcasts.
 //!
-//! The three matmul variants (`matmul`, `matmul_at_b`, `matmul_a_bt`) exist so
-//! reverse-mode differentiation never has to materialize an explicit
-//! transpose: for `C = A·B`, `∂A = ∂C·Bᵀ` and `∂B = Aᵀ·∂C`.
+//! The three matmul forms (`matmul`, `matmul_at_b`, `matmul_a_bt`) are thin
+//! callers of one register-tiled micro-kernel. Each form only picks the
+//! strides through which the kernel reads its operands, so a transposed
+//! operand is read in place and never materialized: reverse-mode
+//! differentiation of `C = A·B` computes `∂A = ∂C·Bᵀ` with `matmul_a_bt`
+//! and `∂B = Aᵀ·∂C` with `matmul_at_b`.
+//!
+//! The kernel keeps an `MR × NR` tile of the output in local accumulators
+//! for the whole reduction. It reads `A` through its row/column strides
+//! and `B` from a packed `k × NR` panel. Every output element is the
+//! sequential sum of its products in ascending `p`, starting from `+0.0`,
+//! with a separate multiply and add. That order does not depend on the
+//! tile shape, the operand layout or the thread count, so all three forms
+//! give the same bits as the textbook triple loop (the payload of a NaN
+//! aside, which IEEE 754 leaves open). Products of an exact
+//! zero are added like any other: `0 · NaN = NaN` propagates, and adding
+//! `±0.0` never changes an accumulator that started from `+0.0`.
 
 use crate::Matrix;
 
+/// Output rows one micro-kernel call accumulates.
+const MR: usize = 4;
+/// Output columns one micro-kernel call accumulates: the width of a packed
+/// panel of `B`. An `MR × NR` tile is 8 SSE registers, half of x86-64's.
+const NR: usize = 8;
+
+/// A read-only strided view of a matrix operand: element `(i, j)` is
+/// `data[i * rs + j * cs]`. A row-major matrix and its transpose are the
+/// same buffer under swapped strides.
+#[derive(Clone, Copy)]
+struct Strided<'a> {
+    data: &'a [f32],
+    rs: usize,
+    cs: usize,
+}
+
+impl<'a> Strided<'a> {
+    fn of(m: &'a Matrix) -> Self {
+        Self {
+            data: m.as_slice(),
+            rs: m.cols(),
+            cs: 1,
+        }
+    }
+
+    fn transposed(m: &'a Matrix) -> Self {
+        Self {
+            data: m.as_slice(),
+            rs: 1,
+            cs: m.cols(),
+        }
+    }
+}
+
+/// `A·B` for an `m × k` view `a` and a `k × n` view `b`: the one kernel
+/// behind the three matmul forms. `B` is packed one `k × NR` panel at a
+/// time (zero-padded past column `n`), and every `MR`-row block of `A`
+/// sweeps the panel; the rows left over take one-row tiles.
+fn gemm(a: Strided<'_>, b: Strided<'_>, m: usize, k: usize, n: usize) -> Matrix {
+    let mut out = Matrix::zeros(m, n);
+    if m == 0 || k == 0 || n == 0 {
+        return out;
+    }
+    let c = out.as_mut_slice();
+    let mut panel = vec![0.0f32; k * NR];
+    for j0 in (0..n).step_by(NR) {
+        let w = NR.min(n - j0);
+        pack_panel(b, j0, w, &mut panel);
+        let mut i = 0;
+        while i + MR <= m {
+            store_tile(c, n, i, j0, w, &tile::<MR>(a, i, &panel));
+            i += MR;
+        }
+        for i in i..m {
+            store_tile(c, n, i, j0, w, &tile::<1>(a, i, &panel));
+        }
+    }
+    out
+}
+
+/// Copies columns `j0..j0 + w` of `b` into `panel`, `NR` entries per row
+/// of `b`, with zeros past `w`.
+fn pack_panel(b: Strided<'_>, j0: usize, w: usize, panel: &mut [f32]) {
+    let (rows, _) = panel.as_chunks_mut::<NR>();
+    for (p, row) in rows.iter_mut().enumerate() {
+        let start = p * b.rs + j0 * b.cs;
+        if b.cs == 1 && w == NR {
+            // A fixed-size copy, where a `w`-long one would call `memcpy`.
+            row.copy_from_slice(&b.data[start..start + NR]);
+            continue;
+        }
+        if b.cs == 1 {
+            row[..w].copy_from_slice(&b.data[start..start + w]);
+        } else {
+            for (c, slot) in row[..w].iter_mut().enumerate() {
+                *slot = b.data[start + c * b.cs];
+            }
+        }
+        row[w..].fill(0.0);
+    }
+}
+
+/// The micro-kernel: the `R × NR` output tile at rows `i..i + R` over one
+/// packed panel, summed in ascending `p` from `+0.0`.
+#[inline(always)]
+fn tile<const R: usize>(a: Strided<'_>, i: usize, panel: &[f32]) -> [[f32; NR]; R] {
+    let mut acc = [[0.0f32; NR]; R];
+    let (rows, _) = panel.as_chunks::<NR>();
+    for (p, b_row) in rows.iter().enumerate() {
+        let base = i * a.rs + p * a.cs;
+        for (r, acc_row) in acc.iter_mut().enumerate() {
+            let av = a.data[base + r * a.rs];
+            for (o, &bv) in acc_row.iter_mut().zip(b_row) {
+                *o += av * bv;
+            }
+        }
+    }
+    acc
+}
+
+/// Writes the first `w` columns of a tile to rows `i..` of the `n`-wide
+/// output, starting at column `j0`.
+fn store_tile<const R: usize>(
+    c: &mut [f32],
+    n: usize,
+    i: usize,
+    j0: usize,
+    w: usize,
+    acc: &[[f32; NR]; R],
+) {
+    for (r, acc_row) in acc.iter().enumerate() {
+        let start = (i + r) * n + j0;
+        if w == NR {
+            c[start..start + NR].copy_from_slice(acc_row);
+        } else {
+            c[start..start + w].copy_from_slice(&acc_row[..w]);
+        }
+    }
+}
+
 impl Matrix {
-    /// `self · other` through the blocked i-k-j micro-kernel: 4-row blocks
-    /// of `self` share each streamed row of `other` (one `O(n)` load serves
-    /// four accumulating rows instead of one), and the inner j-loop is a
-    /// contiguous fused multiply-add sweep the autovectorizer turns into
-    /// SIMD. The accumulation order per output element — ascending `p` over
-    /// the nonzeros of `self`'s row — is *identical* to the pre-blocking
-    /// kernel and independent of block shape, so results are deterministic
-    /// run-to-run and bit-identical across thread counts.
-    ///
-    /// Rows of zeros in `self` skip their inner loop (adjacency-style inputs
-    /// are sparse in practice), but only when `other` is entirely finite:
-    /// skipping `0 · NaN` would otherwise *mask* a poisoned operand and
-    /// produce a fully finite product, hiding exactly the values the
-    /// training anomaly guard exists to catch. With a non-finite `other` the
-    /// dense loop runs instead, so `0 · NaN = NaN` propagates as IEEE-754
-    /// demands. The `O(kn)` finiteness scan is negligible next to the
-    /// `O(mkn)` product.
+    /// `self · other` through the shared micro-kernel (see the module
+    /// docs for its summation order and NaN behavior).
     ///
     /// # Panics
     /// Panics if `self.cols() != other.rows()`.
@@ -37,46 +156,13 @@ impl Matrix {
             other.rows(),
             other.cols()
         );
-        let (m, n) = (self.rows(), other.cols());
-        let k = self.cols();
-        let skip_zeros = other.all_finite();
-        let mut out = Matrix::zeros(m, n);
-        let a = self.as_slice();
-        let b = other.as_slice();
-        let out_s = out.as_mut_slice();
-        const MR: usize = 4;
-        let blocked = m - m % MR;
-        for i in (0..blocked).step_by(MR) {
-            for p in 0..k {
-                let b_row = &b[p * n..(p + 1) * n];
-                for r in i..i + MR {
-                    let a_rp = a[r * k + p];
-                    // lint: allow(float-eq) — exact-zero sparsity skip, only taken when `other` is all-finite (no NaN masking)
-                    if skip_zeros && a_rp == 0.0 {
-                        continue;
-                    }
-                    let out_row = &mut out_s[r * n..(r + 1) * n];
-                    for (o, &bv) in out_row.iter_mut().zip(b_row) {
-                        *o += a_rp * bv;
-                    }
-                }
-            }
-        }
-        for i in blocked..m {
-            let a_row = &a[i * k..(i + 1) * k];
-            let out_row = &mut out_s[i * n..(i + 1) * n];
-            for (p, &a_ip) in a_row.iter().enumerate() {
-                // lint: allow(float-eq) — exact-zero sparsity skip, only taken when `other` is all-finite (no NaN masking)
-                if skip_zeros && a_ip == 0.0 {
-                    continue;
-                }
-                let b_row = &b[p * n..(p + 1) * n];
-                for (o, &bv) in out_row.iter_mut().zip(b_row) {
-                    *o += a_ip * bv;
-                }
-            }
-        }
-        out
+        gemm(
+            Strided::of(self),
+            Strided::of(other),
+            self.rows(),
+            self.cols(),
+            other.cols(),
+        )
     }
 
     /// [`Matrix::matmul`] that surfaces poisoned operands to the caller:
@@ -94,18 +180,8 @@ impl Matrix {
         Some(self.matmul(other))
     }
 
-    /// `selfᵀ · other` without materializing the transpose, through a 4-way
-    /// p-blocked kernel: four rows of `self`/`other` are consumed per sweep,
-    /// so each output row is touched once per block instead of once per `p`.
-    /// The four partial products are added *sequentially* per element —
-    /// `((((o + t₀) + t₁) + t₂) + t₃)` — which is exactly the ascending-`p`
-    /// order of the unblocked kernel, so results are bit-identical to it
-    /// (adding a lane whose `a` is exactly zero contributes `±0.0`, which
-    /// never changes an accumulator that started from `+0.0` under
-    /// round-to-nearest).
-    ///
-    /// The zero-skip fast path is disabled when `other` contains non-finite
-    /// values, for the same NaN-masking reason as [`Matrix::matmul`].
+    /// `selfᵀ · other`, reading `self` in place through transposed
+    /// strides.
     ///
     /// # Panics
     /// Panics if `self.rows() != other.rows()`.
@@ -119,63 +195,16 @@ impl Matrix {
             other.rows(),
             other.cols()
         );
-        let (m, n) = (self.cols(), other.cols());
-        let rows = self.rows();
-        let skip_zeros = other.all_finite();
-        let mut out = Matrix::zeros(m, n);
-        let a = self.as_slice();
-        let b = other.as_slice();
-        let out_s = out.as_mut_slice();
-        const PR: usize = 4;
-        let blocked = rows - rows % PR;
-        for p in (0..blocked).step_by(PR) {
-            let b0 = &b[p * n..(p + 1) * n];
-            let b1 = &b[(p + 1) * n..(p + 2) * n];
-            let b2 = &b[(p + 2) * n..(p + 3) * n];
-            let b3 = &b[(p + 3) * n..(p + 4) * n];
-            for i in 0..m {
-                let a0 = a[p * m + i];
-                let a1 = a[(p + 1) * m + i];
-                let a2 = a[(p + 2) * m + i];
-                let a3 = a[(p + 3) * m + i];
-                // lint: allow(float-eq) — exact-zero sparsity skip of a whole block, only taken when `other` is all-finite (no NaN masking)
-                if skip_zeros && a0 == 0.0 && a1 == 0.0 && a2 == 0.0 && a3 == 0.0 {
-                    continue;
-                }
-                let out_row = &mut out_s[i * n..(i + 1) * n];
-                for (j, o) in out_row.iter_mut().enumerate() {
-                    let mut t = *o;
-                    t += a0 * b0[j];
-                    t += a1 * b1[j];
-                    t += a2 * b2[j];
-                    t += a3 * b3[j];
-                    *o = t;
-                }
-            }
-        }
-        for p in blocked..rows {
-            let a_row = &a[p * m..(p + 1) * m];
-            let b_row = &b[p * n..(p + 1) * n];
-            for (i, &av) in a_row.iter().enumerate() {
-                // lint: allow(float-eq) — exact-zero sparsity skip, only taken when `other` is all-finite (no NaN masking)
-                if skip_zeros && av == 0.0 {
-                    continue;
-                }
-                let out_row = &mut out_s[i * n..(i + 1) * n];
-                for (o, &bv) in out_row.iter_mut().zip(b_row) {
-                    *o += av * bv;
-                }
-            }
-        }
-        out
+        gemm(
+            Strided::transposed(self),
+            Strided::of(other),
+            self.cols(),
+            self.rows(),
+            other.cols(),
+        )
     }
 
-    /// `self · otherᵀ` without materializing the transpose, through a
-    /// 4-column register-tiled kernel: each pass over a row of `self` feeds
-    /// four independent accumulators (one per row of `other`), quartering
-    /// the number of `a_row` sweeps. Every accumulator runs the exact
-    /// sequential ascending-`p` order of [`dot`], so the result is
-    /// bit-identical to the unblocked per-element kernel.
+    /// `self · otherᵀ`, packing `other`'s rows as columns of the panels.
     ///
     /// # Panics
     /// Panics if `self.cols() != other.cols()`.
@@ -189,39 +218,13 @@ impl Matrix {
             other.rows(),
             other.cols()
         );
-        let (m, n) = (self.rows(), other.rows());
-        let k = self.cols();
-        let mut out = Matrix::zeros(m, n);
-        let b = other.as_slice();
-        const NR: usize = 4;
-        let blocked = n - n % NR;
-        for i in 0..m {
-            let a_row = self.row(i);
-            let out_row = out.row_mut(i);
-            debug_assert_eq!(a_row.len(), k, "matmul_a_bt: row {i} width");
-            for j in (0..blocked).step_by(NR) {
-                let b0 = &b[j * k..(j + 1) * k];
-                let b1 = &b[(j + 1) * k..(j + 2) * k];
-                let b2 = &b[(j + 2) * k..(j + 3) * k];
-                let b3 = &b[(j + 3) * k..(j + 4) * k];
-                let (mut t0, mut t1, mut t2, mut t3) = (0.0f32, 0.0f32, 0.0f32, 0.0f32);
-                for (p, &av) in a_row.iter().enumerate() {
-                    t0 += av * b0[p];
-                    t1 += av * b1[p];
-                    t2 += av * b2[p];
-                    t3 += av * b3[p];
-                }
-                out_row[j] = t0;
-                out_row[j + 1] = t1;
-                out_row[j + 2] = t2;
-                out_row[j + 3] = t3;
-            }
-            for (j, o) in out_row.iter_mut().enumerate().skip(blocked) {
-                let b_row = &b[j * k..(j + 1) * k];
-                *o = dot(a_row, b_row);
-            }
-        }
-        out
+        gemm(
+            Strided::of(self),
+            Strided::transposed(other),
+            self.rows(),
+            self.cols(),
+            other.rows(),
+        )
     }
 
     /// Elementwise sum.
@@ -272,13 +275,6 @@ impl Matrix {
             self.cols(),
             self.as_slice().iter().map(|&x| f(x)).collect(),
         )
-    }
-
-    /// Applies `f` to every entry in place.
-    pub fn map_in_place(&mut self, f: impl Fn(f32) -> f32) {
-        for x in self.as_mut_slice() {
-            *x = f(*x);
-        }
     }
 
     /// Adds a `1 x cols` row vector to every row (bias broadcast).
@@ -482,12 +478,12 @@ mod tests {
         assert_eq!(m[(1, 2)], 36.0);
     }
 
-    // ---- blocked-kernel bit-identity regressions ------------------------
+    // ---- micro-kernel bit-identity regressions --------------------------
     //
-    // The blocked micro-kernels promise the *exact* accumulation order of
-    // the pre-blocking loops (the spectral-cache fingerprint and the
+    // The tiled micro-kernel promises the *exact* accumulation order of
+    // the untiled loops (the spectral-cache fingerprint and the
     // thread-parity contract both lean on this). These references are the
-    // original unblocked kernels, kept verbatim.
+    // original unblocked kernels, zero-skips included, kept verbatim.
 
     fn reference_matmul(a: &Matrix, b: &Matrix) -> Matrix {
         let (m, n) = (a.rows(), b.cols());
@@ -497,7 +493,7 @@ mod tests {
             let a_row = a.row(i);
             let out_row = out.row_mut(i);
             for (p, &a_ip) in a_row.iter().enumerate() {
-                // lint: allow(float-eq) — test reference mirrors the kernel's exact-zero skip
+                // lint: allow(float-eq) — test reference mirrors the untiled kernel's exact-zero skip
                 if skip_zeros && a_ip == 0.0 {
                     continue;
                 }
@@ -518,7 +514,7 @@ mod tests {
             let a_row = a.row(p);
             let b_row = b.row(p);
             for (i, &av) in a_row.iter().enumerate() {
-                // lint: allow(float-eq) — test reference mirrors the kernel's exact-zero skip
+                // lint: allow(float-eq) — test reference mirrors the untiled kernel's exact-zero skip
                 if skip_zeros && av == 0.0 {
                     continue;
                 }
@@ -544,9 +540,9 @@ mod tests {
         out
     }
 
-    /// Awkward shapes (block remainders in every dimension) with values
+    /// Awkward shapes (tile remainders in every dimension) with values
     /// spread across magnitudes, plus exact zeros and negative zeros
-    /// sprinkled in so the zero-skip paths and the ±0.0 lane argument are
+    /// sprinkled in so the references' zero skips and the ±0.0 argument are
     /// both exercised.
     fn irregular(rows: usize, cols: usize, seed: u32) -> Matrix {
         Matrix::from_fn(rows, cols, |r, c| {

@@ -177,8 +177,18 @@ impl Csr {
     /// # Panics
     /// Panics if `x.len() != cols`.
     pub fn spmv(&self, x: &[f32]) -> Vec<f32> {
-        assert_eq!(x.len(), self.n_cols, "spmv: dimension mismatch");
         let mut y = vec![0.0f32; self.n_rows];
+        self.spmv_into(x, &mut y);
+        y
+    }
+
+    /// [`Csr::spmv`] into a caller-owned buffer.
+    ///
+    /// # Panics
+    /// Panics if `x.len() != cols` or `y.len() != rows`.
+    pub fn spmv_into(&self, x: &[f32], y: &mut [f32]) {
+        assert_eq!(x.len(), self.n_cols, "spmv: dimension mismatch");
+        assert_eq!(y.len(), self.n_rows, "spmv: output length mismatch");
         for (r, out) in y.iter_mut().enumerate() {
             let mut acc = 0.0;
             for &(c, v) in self.row(r) {
@@ -186,7 +196,6 @@ impl Csr {
             }
             *out = acc;
         }
-        y
     }
 
     /// Transposed product: `y = Aᵀ·x` (used by power iteration on `Pᵀ`).
@@ -194,8 +203,20 @@ impl Csr {
     /// # Panics
     /// Panics if `x.len() != rows`.
     pub fn spmv_transpose(&self, x: &[f32]) -> Vec<f32> {
-        assert_eq!(x.len(), self.n_rows, "spmv_transpose: dimension mismatch");
         let mut y = vec![0.0f32; self.n_cols];
+        self.spmv_transpose_into(x, &mut y);
+        y
+    }
+
+    /// [`Csr::spmv_transpose`] into a caller-owned buffer, which it
+    /// overwrites.
+    ///
+    /// # Panics
+    /// Panics if `x.len() != rows` or `y.len() != cols`.
+    pub fn spmv_transpose_into(&self, x: &[f32], y: &mut [f32]) {
+        assert_eq!(x.len(), self.n_rows, "spmv_transpose: dimension mismatch");
+        assert_eq!(y.len(), self.n_cols, "spmv_transpose: output length mismatch");
+        y.fill(0.0);
         for (r, &xr) in x.iter().enumerate() {
             // lint: allow(float-eq) — exact-zero skip: NaN/Inf compare unequal and still take the dense path
             if xr == 0.0 {
@@ -205,7 +226,6 @@ impl Csr {
                 y[c] += v * xr;
             }
         }
-        y
     }
 
     /// Sparse × dense SpMM: `Y = A·X`, the kernel behind the operator-form
@@ -214,11 +234,12 @@ impl Csr {
     /// For an all-finite `X` and a `Csr` with one entry per coordinate (the
     /// [`Csr::from_dense`] invariant) this is **bit-identical** to
     /// `self.to_dense().matmul(x)`: the dense kernel accumulates each output
-    /// element over ascending `p` while skipping exact-zero `A` entries, and
-    /// a CSR row walk visits the same nonzeros in the same ascending-column
-    /// order. Structural zeros are skipped unconditionally here, so unlike
-    /// the dense kernel a non-finite `X` does *not* disable the skip — the
-    /// dense kernels remain the NaN-surfacing guard path.
+    /// element over ascending `p` from `+0.0`, where the `±0.0` products of
+    /// exact-zero `A` entries change nothing, and a CSR row walk visits the
+    /// same nonzeros in the same ascending-column order. Structural zeros
+    /// are skipped here, so unlike the dense kernel a non-finite `X` does
+    /// *not* propagate through them — the dense kernels remain the
+    /// NaN-surfacing guard path.
     ///
     /// # Panics
     /// Panics if `x.rows() != self.cols()`.
@@ -522,7 +543,7 @@ mod tests {
     fn spmm_is_bit_identical_to_dense_matmul() {
         // The load-bearing contract of the operator-form Chebyshev pipeline:
         // on a finite feature block, CSR SpMM reproduces the dense kernel's
-        // zero-skip accumulation order exactly — not approximately.
+        // accumulation order exactly — not approximately.
         let c = sample();
         let x = Matrix::from_fn(3, 4, |r, k| (r * 4 + k) as f32 * 0.37 - 1.1);
         let sparse = c.spmm(&x);
