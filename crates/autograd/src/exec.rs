@@ -5,6 +5,13 @@
 //! records every op for [`Tape::backward`]) and on an [`Eval`] (which keeps
 //! no op list and no gradient slots). Both compute each value with the same
 //! kernel, so their outputs are bit-identical.
+//!
+//! Besides the elementwise and matrix ops, the trait has fused ops for the
+//! Chebyshev recurrent cells: [`Exec::param_cols`] binds a gate bank as one
+//! joined input, [`Exec::cheb_input`] and [`Exec::cheb_filter`] are a
+//! cell's two graph convolutions, and [`Exec::lstm_memory`] and
+//! [`Exec::lstm_hidden`] its peephole gate tail. On a tape each is one node
+//! with a hand-written backward; on an `Eval` each is one owned value.
 
 use std::cell::Cell;
 use std::marker::PhantomData;
@@ -75,6 +82,36 @@ pub trait Exec<'s> {
     fn softmax_col(&mut self, a: &Self::Value) -> Self::Value;
     /// Log-softmax over each row.
     fn log_softmax_row(&mut self, a: &Self::Value) -> Self::Value;
+
+    /// Parameters sharing a row count as one input, joined column-wise in
+    /// order (one copy for a whole gate bank).
+    fn param_cols(&mut self, store: &'s ParamStore, ids: &[ParamId]) -> Self::Value;
+    /// `Σ_k T_k(Δ̃)·(X·W_k)` for a fixed sparse signal `x` and `K+1` filters
+    /// `w`, by Clenshaw's recurrence over `op = Δ̃`.
+    fn cheb_input(&mut self, op: Arc<SparseOp>, x: Arc<Csr>, w: &[Self::Value]) -> Self::Value;
+    /// `Σ_k (T_k(Δ̃)·h)·U_k` for a dense signal `h` and `K+1` filters `u`.
+    fn cheb_filter(
+        &mut self,
+        op: Arc<SparseOp>,
+        h: &Self::Value,
+        u: &[Self::Value],
+    ) -> Self::Value;
+    /// The peephole LSTM memory update `c'` from the joined pre-activation
+    /// `[i | f | o | g]`, the memory `c` and the tiled peepholes `V_i, V_f`.
+    fn lstm_memory(
+        &mut self,
+        pre: &Self::Value,
+        c: &Self::Value,
+        peep_i: &Self::Value,
+        peep_f: &Self::Value,
+    ) -> Self::Value;
+    /// The peephole LSTM output `h' = σ(pre_o + V_o ⊙ c') ⊙ tanh(c')`.
+    fn lstm_hidden(
+        &mut self,
+        pre: &Self::Value,
+        c_next: &Self::Value,
+        peep_o: &Self::Value,
+    ) -> Self::Value;
 }
 
 impl<'s> Exec<'s> for Tape {
@@ -151,6 +188,21 @@ impl<'s> Exec<'s> for Tape {
     }
     fn log_softmax_row(&mut self, a: &Var) -> Var {
         Tape::log_softmax_row(self, *a)
+    }
+    fn param_cols(&mut self, store: &'s ParamStore, ids: &[ParamId]) -> Var {
+        Tape::param_cols(self, store, ids)
+    }
+    fn cheb_input(&mut self, op: Arc<SparseOp>, x: Arc<Csr>, w: &[Var]) -> Var {
+        Tape::cheb_input(self, op, x, w)
+    }
+    fn cheb_filter(&mut self, op: Arc<SparseOp>, h: &Var, u: &[Var]) -> Var {
+        Tape::cheb_filter(self, op, *h, u)
+    }
+    fn lstm_memory(&mut self, pre: &Var, c: &Var, peep_i: &Var, peep_f: &Var) -> Var {
+        Tape::lstm_memory(self, *pre, *c, *peep_i, *peep_f)
+    }
+    fn lstm_hidden(&mut self, pre: &Var, c_next: &Var, peep_o: &Var) -> Var {
+        Tape::lstm_hidden(self, *pre, *c_next, *peep_o)
     }
 }
 
@@ -293,7 +345,7 @@ impl<'s> Exec<'s> for Eval<'s> {
         self.own(kernel::concat_rows(&values))
     }
     fn concat_cols(&mut self, a: &EvalVar<'s>, b: &EvalVar<'s>) -> EvalVar<'s> {
-        self.own(kernel::concat_cols(a.get(), b.get()))
+        self.own(kernel::concat_cols(&[a.get(), b.get()]))
     }
     fn slice_cols(&mut self, a: &EvalVar<'s>, start: usize, len: usize) -> EvalVar<'s> {
         self.own(kernel::slice_cols(a.get(), start, len))
@@ -312,6 +364,46 @@ impl<'s> Exec<'s> for Eval<'s> {
     }
     fn log_softmax_row(&mut self, a: &EvalVar<'s>) -> EvalVar<'s> {
         self.own(kernel::log_softmax_row(a.get()))
+    }
+    fn param_cols(&mut self, store: &'s ParamStore, ids: &[ParamId]) -> EvalVar<'s> {
+        match ids {
+            [id] => self.param(store, *id),
+            _ => {
+                let values: Vec<&Matrix> = ids.iter().map(|&id| store.value(id)).collect();
+                self.own(kernel::concat_cols(&values))
+            }
+        }
+    }
+    fn cheb_input(&mut self, op: Arc<SparseOp>, x: Arc<Csr>, w: &[EvalVar<'s>]) -> EvalVar<'s> {
+        let filters: Vec<&Matrix> = w.iter().map(EvalVar::get).collect();
+        self.own(kernel::cheb_input(&op, &x, &filters))
+    }
+    fn cheb_filter(
+        &mut self,
+        op: Arc<SparseOp>,
+        h: &EvalVar<'s>,
+        u: &[EvalVar<'s>],
+    ) -> EvalVar<'s> {
+        let filters: Vec<&Matrix> = u.iter().map(EvalVar::get).collect();
+        self.own(kernel::cheb_filter(&op, h.get(), &filters).0)
+    }
+    fn lstm_memory(
+        &mut self,
+        pre: &EvalVar<'s>,
+        c: &EvalVar<'s>,
+        peep_i: &EvalVar<'s>,
+        peep_f: &EvalVar<'s>,
+    ) -> EvalVar<'s> {
+        let peeps = [peep_i.get(), peep_f.get()];
+        self.own(kernel::lstm_memory(pre.get(), c.get(), peeps, false).0)
+    }
+    fn lstm_hidden(
+        &mut self,
+        pre: &EvalVar<'s>,
+        c_next: &EvalVar<'s>,
+        peep_o: &EvalVar<'s>,
+    ) -> EvalVar<'s> {
+        self.own(kernel::lstm_hidden(pre.get(), c_next.get(), peep_o.get(), false).0)
     }
 }
 

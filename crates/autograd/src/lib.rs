@@ -53,5 +53,5 @@ pub use exec::{Eval, EvalVar, Exec};
 pub use gradcheck::{assert_gradients_close, check_gradients, numeric_gradient, GradCheckReport};
 pub use optim::{Adam, AdamConfig, AdamState, Optimizer, Sgd};
 pub use params::{ParamGrads, ParamId, ParamStore};
-pub use serialize::{atomic_write, fnv1a64};
+pub use serialize::{atomic_write, bytes_from, declared_values, fnv1a64};
 pub use tape::{Tape, Var};

@@ -62,7 +62,9 @@ impl ParamStore {
                 .next()
                 .and_then(|t| t.parse().ok())
                 .ok_or_else(|| format!("line {}: bad col count", lineno + 1))?;
-            let mut data = Vec::with_capacity(rows * cols);
+            let count = declared_values(rows, cols, bytes_from(text, line))
+                .map_err(|e| format!("line {}: param `{name}`: {e}", lineno + 1))?;
+            let mut data = Vec::with_capacity(count);
             for _ in 0..rows {
                 let (rno, row_line) = lines
                     .next()
@@ -74,10 +76,9 @@ impl ParamStore {
                     data.push(v);
                 }
             }
-            if data.len() != rows * cols {
+            if data.len() != count {
                 return Err(format!(
-                    "param `{name}`: expected {} values, got {}",
-                    rows * cols,
+                    "param `{name}`: expected {count} values, got {}",
                     data.len()
                 ));
             }
@@ -139,6 +140,29 @@ pub fn atomic_write(path: &Path, contents: &[u8]) -> io::Result<()> {
     }
 }
 
+/// The value count `rows × cols` a matrix header declares, checked before
+/// anything is allocated for it: refused when the product overflows or
+/// exceeds `left`, the bytes of input from the header on. Every value takes
+/// at least one byte of text, so a larger count cannot be honest, whatever
+/// checksum the file carries.
+pub fn declared_values(rows: usize, cols: usize, left: usize) -> Result<usize, String> {
+    let count = rows
+        .checked_mul(cols)
+        .ok_or_else(|| format!("declared {rows}x{cols} values overflow"))?;
+    if count > left {
+        return Err(format!(
+            "declared {rows}x{cols} = {count} values, but only {left} bytes of input are left"
+        ));
+    }
+    Ok(count)
+}
+
+/// Bytes of `text` from the start of `part`, a slice of it, to its end.
+pub fn bytes_from(text: &str, part: &str) -> usize {
+    let start = (part.as_ptr() as usize).saturating_sub(text.as_ptr() as usize);
+    text.len().saturating_sub(start)
+}
+
 /// FNV-1a 64-bit hash, the integrity checksum of checkpoint format v2.
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
@@ -195,6 +219,21 @@ mod tests {
         assert!(err.contains("expected `param`"), "got: {err}");
         let err = ParamStore::from_text("param w 2 2\n1 2 3 4\n").unwrap_err();
         assert!(err.contains("truncated") || err.contains("expected"), "got: {err}");
+    }
+
+    /// A header declaring more values than the input holds is refused
+    /// before any allocation: `rows * cols` overflowing `usize`, wrapping
+    /// to 2³² (a 17 GB allocation in release), or merely too large.
+    #[test]
+    fn giant_declared_shapes_are_rejected_without_allocating() {
+        for header in [
+            "param w 4000000000 4000000000",
+            "param w 4294967296 4294967297",
+            "param w 1000000 1000",
+        ] {
+            let err = ParamStore::from_text(&format!("{header}\n1 2\n")).unwrap_err();
+            assert!(err.contains("declared"), "{header}: {err}");
+        }
     }
 
     #[test]

@@ -50,6 +50,47 @@ enum Op {
     /// feature block: `Y = A·X`. Feeds the sparse snapshot signals into the
     /// input convolution without a dense `n × d_in` block.
     Spmm(Arc<Csr>, Var),
+    /// `Σ_k T_k(Δ̃)·(X·W_k)` ([`Tape::cheb_input`]); keeps only its output.
+    ChebInput {
+        op: Arc<SparseOp>,
+        x: Arc<Csr>,
+        w: Vec<Var>,
+    },
+    /// `Σ_k (T_k·h)·U_k` ([`Tape::cheb_filter`]), keeping the stack
+    /// `[T_1·h, …, T_K·h]` its filter gradients read.
+    ChebFilter {
+        op: Arc<SparseOp>,
+        h: Var,
+        u: Vec<Var>,
+        stack: Vec<Matrix>,
+    },
+    /// The LSTM memory update ([`Tape::lstm_memory`]), keeping `[i, f, g]`.
+    LstmMemory {
+        pre: Var,
+        c: Var,
+        peep_i: Var,
+        peep_f: Var,
+        gates: Vec<Matrix>,
+    },
+    /// The LSTM output ([`Tape::lstm_hidden`]), keeping `[o, tanh(c')]`.
+    LstmHidden {
+        pre: Var,
+        c_next: Var,
+        peep_o: Var,
+        saved: Vec<Matrix>,
+    },
+}
+
+impl Op {
+    /// The matrices an op keeps for its backward beside its output.
+    fn saved(&self) -> &[Matrix] {
+        match self {
+            Op::ChebFilter { stack, .. } => stack,
+            Op::LstmMemory { gates, .. } => gates,
+            Op::LstmHidden { saved, .. } => saved,
+            _ => &[],
+        }
+    }
 }
 
 struct Node {
@@ -67,7 +108,16 @@ struct Node {
 pub struct Tape {
     nodes: Vec<Node>,
     grads: Vec<Option<Matrix>>,
-    bindings: Vec<(ParamId, Var)>,
+    bindings: Vec<Binding>,
+}
+
+/// A parameter bound into the tape: columns `cols` of the leaf `var` hold
+/// its value (all of them for [`Tape::param`], one block of a joined leaf
+/// for [`Tape::param_cols`]).
+struct Binding {
+    id: ParamId,
+    var: Var,
+    cols: std::ops::Range<usize>,
 }
 
 impl Tape {
@@ -111,6 +161,16 @@ impl Tape {
         self.nodes.iter().map(|node| &node.value)
     }
 
+    /// Bytes of matrix data the tape holds: every recorded value plus the
+    /// activations fused ops keep for their backward.
+    pub fn bytes(&self) -> usize {
+        self.nodes
+            .iter()
+            .flat_map(|node| std::iter::once(&node.value).chain(node.op.saved()))
+            .map(|m| m.len() * std::mem::size_of::<f32>())
+            .sum()
+    }
+
     /// The forward value of a `1x1` variable as a scalar.
     ///
     /// # Panics
@@ -137,9 +197,26 @@ impl Tape {
     /// Binds a [`ParamStore`] parameter into this graph. Its gradient will be
     /// routed back by [`Tape::accumulate_param_grads`].
     pub fn param(&mut self, store: &ParamStore, id: ParamId) -> Var {
-        let v = self.push(Op::Leaf, store.value(id).clone(), true);
-        self.bindings.push((id, v));
-        v
+        self.param_cols(store, &[id])
+    }
+
+    /// Binds parameters that share a row count as one leaf, joined
+    /// column-wise in order (a gate bank `[W^{g_1} | W^{g_2} | …]`) with one
+    /// copy. [`Tape::param_grads`] hands each parameter its own column
+    /// block of the leaf's gradient.
+    ///
+    /// # Panics
+    /// Panics if `ids` is empty or the row counts differ.
+    pub fn param_cols(&mut self, store: &ParamStore, ids: &[ParamId]) -> Var {
+        let values: Vec<&Matrix> = ids.iter().map(|&id| store.value(id)).collect();
+        let var = self.push(Op::Leaf, kernel::concat_cols(&values), true);
+        let mut at = 0;
+        for (&id, value) in ids.iter().zip(&values) {
+            let cols = at..at + value.cols();
+            at = cols.end;
+            self.bindings.push(Binding { id, var, cols });
+        }
+        var
     }
 
     /// `a · b`.
@@ -268,7 +345,7 @@ impl Tape {
 
     /// Horizontally concatenates two variables with equal row counts.
     pub fn concat_cols(&mut self, a: Var, b: Var) -> Var {
-        let value = kernel::concat_cols(self.value(a), self.value(b));
+        let value = kernel::concat_cols(&[self.value(a), self.value(b)]);
         let rg = self.requires(a) || self.requires(b);
         self.push(Op::ConcatCols(a, b), value, rg)
     }
@@ -354,6 +431,65 @@ impl Tape {
         self.push(Op::Spmm(a, x), value, rg)
     }
 
+    // ---- fused recurrent ops ------------------------------------------------
+    //
+    // Each replaces an op-by-op subgraph of a Chebyshev recurrent cell with
+    // one node. The forward is the subgraph's arithmetic in its order
+    // (`kernel`), and the backward hands each input the gradient
+    // contributions the subgraph's nodes would, in the order the tape would
+    // add them, so parameter gradients keep their bits.
+
+    /// `Σ_k T_k(Δ̃)·(X·W_k)`: the input convolution of a fixed sparse
+    /// signal `x` (`n × d_in`) with `K+1` filters `w` (`d_in × d_out`), by
+    /// Clenshaw's recurrence over `op = Δ̃` (see `ChebOperands::input_conv`
+    /// in `cascn-nn`). Only the output is kept: the backward runs the
+    /// transposed recurrence and adds `Xᵀ·∂y_k` into the rows of `∂W_k`
+    /// that `x` touches.
+    ///
+    /// # Panics
+    /// Panics if `w` is empty or shapes disagree.
+    pub fn cheb_input(&mut self, op: Arc<SparseOp>, x: Arc<Csr>, w: &[Var]) -> Var {
+        let filters: Vec<&Matrix> = w.iter().map(|&v| self.value(v)).collect();
+        let value = kernel::cheb_input(&op, &x, &filters);
+        let rg = w.iter().any(|&v| self.requires(v));
+        self.push(Op::ChebInput { op, x, w: w.to_vec() }, value, rg)
+    }
+
+    /// `Σ_k (T_k(Δ̃)·h)·U_k`: the recurrent convolution of a dense signal `h`
+    /// (`n × d_h`) with `K+1` filters `u` (`d_h × d_out`), the stack built by
+    /// `T_k·h = 2·Δ̃·(T_{k-1}·h) − T_{k-2}·h` and each product added into one
+    /// accumulator. The stack `T_1·h … T_K·h` is kept for the backward.
+    ///
+    /// # Panics
+    /// Panics if `u` is empty or shapes disagree.
+    pub fn cheb_filter(&mut self, op: Arc<SparseOp>, h: Var, u: &[Var]) -> Var {
+        let filters: Vec<&Matrix> = u.iter().map(|&v| self.value(v)).collect();
+        let (value, stack) = kernel::cheb_filter(&op, self.value(h), &filters);
+        let rg = self.requires(h) || u.iter().any(|&v| self.requires(v));
+        self.push(Op::ChebFilter { op, h, u: u.to_vec(), stack }, value, rg)
+    }
+
+    /// The peephole LSTM memory update (Eq. 12–13): from the joined
+    /// pre-activation `pre = [i | f | o | g]` (`n × 4d`), the memory `c` and
+    /// the peepholes tiled over the `n` rows (`n × d`), returns
+    /// `c' = σ(pre_f + V_f ⊙ c) ⊙ c + σ(pre_i + V_i ⊙ c) ⊙ tanh(pre_g)`.
+    pub fn lstm_memory(&mut self, pre: Var, c: Var, peep_i: Var, peep_f: Var) -> Var {
+        let peeps = [self.value(peep_i), self.value(peep_f)];
+        let (value, gates) = kernel::lstm_memory(self.value(pre), self.value(c), peeps, true);
+        let rg = [pre, c, peep_i, peep_f].iter().any(|&v| self.requires(v));
+        self.push(Op::LstmMemory { pre, c, peep_i, peep_f, gates }, value, rg)
+    }
+
+    /// The peephole LSTM output (Eq. 14): `h' = σ(pre_o + V_o ⊙ c') ⊙
+    /// tanh(c')` for the joined pre-activation of [`Tape::lstm_memory`],
+    /// its result `c'` and the tiled output peephole.
+    pub fn lstm_hidden(&mut self, pre: Var, c_next: Var, peep_o: Var) -> Var {
+        let (value, saved) =
+            kernel::lstm_hidden(self.value(pre), self.value(c_next), self.value(peep_o), true);
+        let rg = [pre, c_next, peep_o].iter().any(|&v| self.requires(v));
+        self.push(Op::LstmHidden { pre, c_next, peep_o, saved }, value, rg)
+    }
+
     // ---- composite helpers --------------------------------------------------
 
     /// `x · w + bias` — the ubiquitous affine layer.
@@ -401,8 +537,11 @@ impl Tape {
             let Some(g) = self.grads[i].take() else {
                 continue;
             };
-            let op = self.nodes[i].op.clone();
+            // Moved out, not cloned: fused ops carry filter lists and saved
+            // activations. The node is done once its gradient is routed.
+            let op = std::mem::replace(&mut self.nodes[i].op, Op::Leaf);
             self.apply_backward(&op, i, g);
+            self.nodes[i].op = op;
         }
     }
 
@@ -413,6 +552,62 @@ impl Tape {
         match &mut self.grads[v.0] {
             Some(existing) => existing.axpy(1.0, &g),
             slot @ None => *slot = Some(g),
+        }
+    }
+
+    /// The gradient slot of `v`, created as zeros if nothing reached it yet.
+    fn grad_slot(&mut self, v: Var) -> &mut Matrix {
+        let (rows, cols) = self.nodes[v.0].value.shape();
+        self.grads[v.0].get_or_insert_with(|| Matrix::zeros(rows, cols))
+    }
+
+    /// Adds `g` into columns `start..start + g.cols()` of `v`'s gradient:
+    /// what a `slice_cols` node adds, without its zero-padded copy.
+    fn add_grad_cols(&mut self, v: Var, start: usize, g: &Matrix) {
+        if !self.requires(v) {
+            return;
+        }
+        let slot = self.grad_slot(v);
+        for r in 0..g.rows() {
+            let row = &mut slot.row_mut(r)[start..start + g.cols()];
+            for (o, &x) in row.iter_mut().zip(g.row(r)) {
+                *o += x;
+            }
+        }
+    }
+
+    /// Adds `xᵀ·g` into `w`'s gradient, as an `Spmm(x, w)` node's backward
+    /// would, but only into the rows of `w` that a column of `x` touches.
+    /// Each touched row gets `+0.0 + Σ v·g[r]` summed in `x`'s row order, as
+    /// [`Csr::spmm_transpose`] sums it. An untouched row is left as is
+    /// where the full product would add `+0.0` to it, which changes nothing
+    /// unless the row holds a `-0.0`, and a sum from `+0.0` never does.
+    fn add_spmm_transpose_grad(&mut self, w: Var, x: &Csr, g: &Matrix) {
+        if !self.requires(w) {
+            return;
+        }
+        let d = g.cols();
+        let mut slot_of = vec![usize::MAX; x.cols()];
+        let mut touched = Vec::new();
+        let mut sums: Vec<f32> = Vec::new();
+        for r in 0..x.rows() {
+            for &(c, v) in x.row(r) {
+                if slot_of[c] == usize::MAX {
+                    slot_of[c] = touched.len();
+                    touched.push(c);
+                    sums.resize(sums.len() + d, 0.0);
+                }
+                let at = slot_of[c] * d;
+                for (o, &gv) in sums[at..at + d].iter_mut().zip(g.row(r)) {
+                    *o += v * gv;
+                }
+            }
+        }
+        let slot = self.grad_slot(w);
+        for (&c, sum) in touched.iter().zip(sums.chunks_exact(d)) {
+            for (o, &s) in slot.row_mut(c).iter_mut().zip(sum) {
+                *o += s;
+            }
         }
     }
 
@@ -458,17 +653,11 @@ impl Tape {
                 self.add_grad(*a, g);
             }
             Op::Sigmoid(a) => {
-                let y = &self.nodes[node].value;
-                for (gv, &s) in g.as_mut_slice().iter_mut().zip(y.as_slice()) {
-                    *gv = *gv * s * (1.0 - s);
-                }
+                sigmoid_slope(&mut g, &self.nodes[node].value);
                 self.add_grad(*a, g);
             }
             Op::Tanh(a) => {
-                let y = &self.nodes[node].value;
-                for (gv, &t) in g.as_mut_slice().iter_mut().zip(y.as_slice()) {
-                    *gv *= 1.0 - t * t;
-                }
+                tanh_slope(&mut g, &self.nodes[node].value);
                 self.add_grad(*a, g);
             }
             Op::Relu(a) => {
@@ -634,6 +823,23 @@ impl Tape {
                     self.add_grad(*a, da);
                 }
             }
+            Op::ChebInput { op, x, w } => self.cheb_input_backward(op, x, w, g),
+            Op::ChebFilter { op, h, u, stack } => {
+                self.cheb_filter_backward(op, *h, u, stack, g);
+            }
+            Op::LstmMemory {
+                pre,
+                c,
+                peep_i,
+                peep_f,
+                gates,
+            } => self.lstm_memory_backward([*pre, *c, *peep_i, *peep_f], gates, g),
+            Op::LstmHidden {
+                pre,
+                c_next,
+                peep_o,
+                saved,
+            } => self.lstm_hidden_backward([*pre, *c_next, *peep_o], saved, g),
             Op::SliceRows(a, start) => {
                 if self.requires(*a) {
                     let v = self.value(*a);
@@ -647,6 +853,138 @@ impl Tape {
         }
     }
 
+    /// Backward of [`Tape::cheb_input`] for the output gradient `g`.
+    ///
+    /// In the op-by-op graph, `Y_k = X·W_k` receives `∂b_k`, where
+    /// `∂b_0 = g`, `∂b_1 = Δ̃ᵀ·g` and
+    /// `∂b_{j+1} = −∂b_{j−1} + Δ̃ᵀ·(2·∂b_j)` (the `sub` node's negated copy
+    /// first, then the doubled apply).
+    fn cheb_input_backward(&mut self, op: &SparseOp, x: &Csr, w: &[Var], g: Matrix) {
+        let k = w.len() - 1;
+        let mut grads = Vec::with_capacity(k + 1);
+        grads.push(g);
+        if k >= 1 {
+            grads.push(op.apply_transpose(&grads[0]));
+        }
+        for j in 1..k {
+            let mut next = op.apply_transpose(&grads[j].scale(2.0));
+            // `−∂b_{j−1} + t` is `t − ∂b_{j−1}` in IEEE arithmetic.
+            for (o, &p) in next.as_mut_slice().iter_mut().zip(grads[j - 1].as_slice()) {
+                *o -= p;
+            }
+            grads.push(next);
+        }
+        // The op-by-op graph reaches `Y_K` first and `Y_0` last.
+        for (&wk, gk) in w.iter().zip(&grads).rev() {
+            self.add_spmm_transpose_grad(wk, x, gk);
+        }
+    }
+
+    /// Backward of [`Tape::cheb_filter`] for the output gradient `g`, in the
+    /// op-by-op graph's order: the products `m_K … m_0` (`∂s_k = g·U_kᵀ`,
+    /// `∂U_k = s_kᵀ·g`), then the stack from `s_K` down, where
+    /// `s_k = 2·Δ̃·s_{k−1} − s_{k−2}` gives `−∂s_k` to `s_{k−2}` and then
+    /// `Δ̃ᵀ·(2·∂s_k)` to `s_{k−1}`, and `s_1 = Δ̃·h` gives `Δ̃ᵀ·∂s_1` to `h`.
+    fn cheb_filter_backward(
+        &mut self,
+        op: &SparseOp,
+        h: Var,
+        u: &[Var],
+        stack: &[Matrix],
+        g: Matrix,
+    ) {
+        let h_grad = self.requires(h);
+        // ∂s_k for k = 1..=K, at index k − 1.
+        let mut ds: Vec<Matrix> = Vec::with_capacity(stack.len());
+        for (k, &uk) in u.iter().enumerate().rev() {
+            let s_k = if k == 0 { self.value(h) } else { &stack[k - 1] };
+            let d_s = h_grad.then(|| g.matmul_a_bt(self.value(uk)));
+            let d_u = self.requires(uk).then(|| s_k.matmul_at_b(&g));
+            match d_s {
+                Some(d) if k == 0 => self.add_grad(h, d),
+                Some(d) => ds.push(d),
+                None => {}
+            }
+            if let Some(d) = d_u {
+                self.add_grad(uk, d);
+            }
+        }
+        if !h_grad {
+            return;
+        }
+        ds.reverse();
+        for k in (2..=stack.len()).rev() {
+            let neg = ds[k - 1].scale(-1.0);
+            if k == 2 {
+                self.add_grad(h, neg);
+            } else {
+                ds[k - 3].axpy(1.0, &neg);
+            }
+            let back = op.apply_transpose(&ds[k - 1].scale(2.0));
+            ds[k - 2].axpy(1.0, &back);
+        }
+        if let Some(d1) = ds.first() {
+            let back = op.apply_transpose(d1);
+            self.add_grad(h, back);
+        }
+    }
+
+    /// Backward of [`Tape::lstm_memory`] for `g = ∂c'`, emitting what the
+    /// op-by-op nodes `c' = f⊙c + i⊙g`, `g = tanh(·)`, the forget gate and
+    /// the input gate (in that reverse order) add to `c`, the peepholes and
+    /// the gate blocks of `pre`.
+    fn lstm_memory_backward(
+        &mut self,
+        [pre, c, peep_i, peep_f]: [Var; 4],
+        gates: &[Matrix],
+        g: Matrix,
+    ) {
+        let (i, f, cand) = (&gates[0], &gates[1], &gates[2]);
+        let c_val = self.value(c);
+        let dc_cell = g.hadamard(f);
+        let mut d_cand = g.hadamard(i);
+        tanh_slope(&mut d_cand, cand);
+        let mut d_forget = g.hadamard(c_val);
+        sigmoid_slope(&mut d_forget, f);
+        let mut d_input = g.hadamard(cand);
+        sigmoid_slope(&mut d_input, i);
+        let d_peep_f = d_forget.hadamard(c_val);
+        let dc_forget = d_forget.hadamard(self.value(peep_f));
+        let d_peep_i = d_input.hadamard(c_val);
+        let dc_input = d_input.hadamard(self.value(peep_i));
+        let d = f.cols();
+        self.add_grad(c, dc_cell);
+        self.add_grad_cols(pre, 3 * d, &d_cand);
+        self.add_grad(peep_f, d_peep_f);
+        self.add_grad(c, dc_forget);
+        self.add_grad_cols(pre, d, &d_forget);
+        self.add_grad(peep_i, d_peep_i);
+        self.add_grad(c, dc_input);
+        self.add_grad_cols(pre, 0, &d_input);
+    }
+
+    /// Backward of [`Tape::lstm_hidden`] for `g = ∂h'`: `tanh(c')` adds to
+    /// `c'` first, then the output gate's peephole product, and the gate's
+    /// block of `pre` comes last.
+    fn lstm_hidden_backward(
+        &mut self,
+        [pre, c_next, peep_o]: [Var; 3],
+        saved: &[Matrix],
+        g: Matrix,
+    ) {
+        let (o, c_act) = (&saved[0], &saved[1]);
+        let mut dc_act = g.hadamard(o);
+        tanh_slope(&mut dc_act, c_act);
+        let mut d_gate = g.hadamard(c_act);
+        sigmoid_slope(&mut d_gate, o);
+        let d_peep = d_gate.hadamard(self.value(c_next));
+        let dc_peep = d_gate.hadamard(self.value(peep_o));
+        self.add_grad(c_next, dc_act);
+        self.add_grad(peep_o, d_peep);
+        self.add_grad(c_next, dc_peep);
+        self.add_grad_cols(pre, 2 * o.cols(), &d_gate);
+    }
+
     /// The gradient of `v` computed by the last [`Tape::backward`] call, if
     /// any reached it.
     pub fn grad(&self, v: Var) -> Option<&Matrix> {
@@ -656,10 +994,8 @@ impl Tape {
     /// Adds the gradients of all [`Tape::param`]-bound variables into the
     /// store. Call after [`Tape::backward`].
     pub fn accumulate_param_grads(&self, store: &mut ParamStore) {
-        for &(id, var) in &self.bindings {
-            if let Some(g) = self.grad(var) {
-                store.accumulate_grad(id, g);
-            }
+        for (id, g) in self.param_grads().entries {
+            store.accumulate_grad(id, &g);
         }
     }
 
@@ -673,12 +1009,31 @@ impl Tape {
     /// result back for a deterministic, example-ordered reduction.
     pub fn param_grads(&self) -> crate::ParamGrads {
         let mut entries = Vec::with_capacity(self.bindings.len());
-        for &(id, var) in &self.bindings {
-            if let Some(g) = self.grad(var) {
-                entries.push((id, g.clone()));
+        for b in &self.bindings {
+            if let Some(g) = self.grad(b.var) {
+                let block = if b.cols == (0..g.cols()) {
+                    g.clone()
+                } else {
+                    kernel::slice_cols(g, b.cols.start, b.cols.len())
+                };
+                entries.push((b.id, block));
             }
         }
         crate::ParamGrads { entries }
+    }
+}
+
+/// `g ⊙ s ⊙ (1 − s)` in place: the gradient through `s = σ(x)`.
+fn sigmoid_slope(g: &mut Matrix, s: &Matrix) {
+    for (gv, &s) in g.as_mut_slice().iter_mut().zip(s.as_slice()) {
+        *gv = *gv * s * (1.0 - s);
+    }
+}
+
+/// `g ⊙ (1 − t²)` in place: the gradient through `t = tanh(x)`.
+fn tanh_slope(g: &mut Matrix, t: &Matrix) {
+    for (gv, &t) in g.as_mut_slice().iter_mut().zip(t.as_slice()) {
+        *gv *= 1.0 - t * t;
     }
 }
 
@@ -845,6 +1200,25 @@ mod tests {
         }
         // d(w²)/dw = 2w = 4, accumulated twice = 8
         assert_eq!(store.grad(w)[(0, 0)], 8.0);
+    }
+
+    #[test]
+    fn param_cols_hands_each_parameter_its_column_block() {
+        let mut store = ParamStore::new();
+        let a = store.register("a", Matrix::from_rows(&[&[1.0], &[2.0]]));
+        let b = store.register("b", Matrix::from_rows(&[&[3.0, 4.0], &[5.0, 6.0]]));
+        let mut t = Tape::new();
+        let joined = t.param_cols(&store, &[a, b]);
+        assert_eq!(t.value(joined).as_slice(), &[1.0, 3.0, 4.0, 2.0, 5.0, 6.0]);
+        let w = t.constant(Matrix::from_rows(&[&[1.0, 10.0, 100.0], &[-1.0, -10.0, -100.0]]));
+        let weighted = t.hadamard(joined, w);
+        let loss = t.sum_all(weighted);
+        t.backward(loss);
+        let grads = t.param_grads();
+        assert_eq!(grads.len(), 2, "one entry per parameter, in binding order");
+        t.accumulate_param_grads(&mut store);
+        assert_eq!(store.grad(a).as_slice(), &[1.0, -1.0]);
+        assert_eq!(store.grad(b).as_slice(), &[10.0, 100.0, -10.0, -100.0]);
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! Every [`Exec`] op gives bit-identical values on a [`Tape`] and on an
 //! [`Eval`], over random shapes that include zero-row matrices and sparse
-//! operands with empty rows and non-0/1 values.
+//! operands with empty rows and non-0/1 values, the fused recurrent ops
+//! included.
 
 use std::sync::Arc;
 
@@ -30,6 +31,10 @@ enum Op {
     Spmm(Arc<Csr>),
     SoftmaxCol,
     LogSoftmaxRow,
+    ChebInput(Arc<SparseOp>, Arc<Csr>),
+    ChebFilter(Arc<SparseOp>),
+    LstmMemory,
+    LstmHidden,
 }
 
 fn apply<'s, E: Exec<'s>>(ex: &mut E, op: &Op, v: &[E::Value]) -> E::Value {
@@ -53,6 +58,10 @@ fn apply<'s, E: Exec<'s>>(ex: &mut E, op: &Op, v: &[E::Value]) -> E::Value {
         Op::Spmm(a) => ex.spmm(Arc::clone(a), &v[0]),
         Op::SoftmaxCol => ex.softmax_col(&v[0]),
         Op::LogSoftmaxRow => ex.log_softmax_row(&v[0]),
+        Op::ChebInput(op, x) => ex.cheb_input(Arc::clone(op), Arc::clone(x), v),
+        Op::ChebFilter(op) => ex.cheb_filter(Arc::clone(op), &v[0], &v[1..]),
+        Op::LstmMemory => ex.lstm_memory(&v[0], &v[1], &v[2], &v[3]),
+        Op::LstmHidden => ex.lstm_hidden(&v[0], &v[1], &v[2]),
     }
 }
 
@@ -211,6 +220,66 @@ proptest! {
         .prop_flat_map(|(m, k, d)| (csr(m, k), matrix(k, d))))
     {
         check(Op::Spmm(Arc::new(ax.0)), &[ax.1])?;
+    }
+
+    /// The fused Chebyshev convolutions on a square operator with a rank-1
+    /// term, `K = 0..=3` (`K + 1` filters).
+    #[test]
+    fn cheb_input_and_filter(case in (1usize..6, 1usize..6, 1usize..5, 1usize..5)
+        .prop_flat_map(|(n, d_in, d_h, d_out)| (
+            csr(n, n),
+            proptest::collection::vec(-1.0f32..1.0, 2 * n),
+            csr(n, d_in),
+            matrix(n, d_h),
+            (1usize..5).prop_flat_map(move |orders| (
+                proptest::collection::vec(matrix(d_in, d_out), orders),
+                proptest::collection::vec(matrix(d_h, d_out), orders),
+            )),
+        )),
+        scale in -1.0f32..1.0)
+    {
+        let (a, uv, x, h, (w, u)) = case;
+        let n = a.rows();
+        let op = Arc::new(SparseOp::new(a, Some((scale, uv[..n].to_vec(), uv[n..].to_vec()))));
+        check(Op::ChebInput(Arc::clone(&op), Arc::new(x)), &w)?;
+        let mut inputs = vec![h];
+        inputs.extend(u);
+        check(Op::ChebFilter(op), &inputs)?;
+    }
+
+    #[test]
+    fn lstm_memory_and_hidden(ins in (0usize..5, 1usize..5)
+        .prop_flat_map(|(n, d)| (matrix(n, 4 * d), matrix(n, d), matrix(n, d), matrix(n, d))))
+    {
+        let (pre, c, p1, p2) = ins;
+        check(Op::LstmMemory, &[pre.clone(), c.clone(), p1.clone(), p2])?;
+        check(Op::LstmHidden, &[pre, c, p1])?;
+    }
+
+    #[test]
+    fn param_cols_joins_the_bank_in_one_input(
+        parts in (0usize..4, 1usize..4).prop_flat_map(|(rows, count)| {
+            proptest::collection::vec((1usize..4).prop_flat_map(move |c| matrix(rows, c)), count)
+        }))
+    {
+        let mut store = ParamStore::new();
+        let ids: Vec<_> = parts
+            .iter()
+            .enumerate()
+            .map(|(i, m)| store.register(format!("p{i}"), m.clone()))
+            .collect();
+        let mut tape = Tape::new();
+        let t = tape.param_cols(&store, &ids);
+        let mut eval = Eval::new();
+        let e = eval.param_cols(&store, &ids);
+        prop_assert_eq!(bits(tape.value(t)), bits(eval.value(&e)));
+        let mut at = 0;
+        for m in &parts {
+            for r in 0..m.rows() {
+                prop_assert_eq!(&tape.value(t).row(r)[at..at + m.cols()], m.row(r));
+            }
+            at += m.cols();
+        }
     }
 
     #[test]

@@ -3,7 +3,8 @@
 //! sizes and edge densities so the crossover point stays visible in CI
 //! output — at toy sizes the dense n×n matmul is competitive; on
 //! representative sparse cascades the operator form wins by the
-//! O(K·n²·d) → O(K·nnz·d) margin the kernel layer promises.
+//! O(K·n²·d) → O(K·nnz·d) margin the kernel layer promises. Plus the
+//! matmul kernel on an outer product, which takes its rank-1 path.
 
 use cascn_autograd::Tape;
 use cascn_graph::{DiGraph, SpectralBasis};
@@ -109,5 +110,15 @@ fn bench_conv_stack_density(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_conv_stack_sizes, bench_conv_stack_density);
+/// An outer product, the reduction-of-length-1 shape of the next-user
+/// head's weight gradient: `(1×32)ᵀ·(1×5001)`, a 32 × 5001 result.
+fn bench_rank_one(c: &mut Criterion) {
+    let a = Matrix::from_fn(1, D, |_, c| c as f32 * 0.03 - 0.5);
+    let b = Matrix::from_fn(1, 5001, |_, c| ((c * 7) % 13) as f32 / 13.0 - 0.5);
+    c.bench_function("rank_one/at_b_1x32_1x5001", |bench| {
+        bench.iter(|| std::hint::black_box(a.matmul_at_b(&b)))
+    });
+}
+
+criterion_group!(benches, bench_conv_stack_sizes, bench_conv_stack_density, bench_rank_one);
 criterion_main!(benches);

@@ -8,7 +8,8 @@
 //! (speedup and max prediction delta), the forward-only `Eval` against the
 //! same forward on the training tape (speedup and max prediction delta),
 //! the matmul micro-kernel against the naive triple loop on one gate
-//! step's products (speedup and max entry delta),
+//! step's products (speedup and max entry delta), the size of the training
+//! tape one forward records (nodes and bytes),
 //! and the microscopic next-user
 //! scores (Hit@10 / MAP after a short deterministic train), plus the
 //! number of corpus cascades whose directed φ solve did not converge, and
@@ -18,7 +19,8 @@
 //! `bench-baseline.json` (the perf analogue of the `lint-baseline.json`
 //! ratchet): hard machine-independent gates on `sparse_speedup`,
 //! `accuracy_delta`, `eval_speedup`, `eval_max_abs_delta`, `gemm_speedup`,
-//! `gemm_max_abs_delta`, `next_user_hit10` and `phi_unconverged`, and
+//! `gemm_max_abs_delta`, `tape_nodes`, `next_user_hit10` and
+//! `phi_unconverged`, and
 //! generous ratio bands on the wall-clock numbers so only catastrophic regressions
 //! (a kernel silently falling back to the dense path, preprocessing
 //! re-materializing bases) trip CI rather than scheduler noise.
@@ -107,6 +109,20 @@ fn tape_predict(model: &CascnModel, sample: &PreprocessedCascade) -> f32 {
     let mut tape = Tape::new();
     let pred = model.forward(&mut tape, model.params(), sample);
     tape.scalar(pred)
+}
+
+/// Mean nodes and mean bytes ([`Tape::len`], [`Tape::bytes`]) of the
+/// training tape one forward of `model` records, over `samples`.
+fn tape_size(model: &CascnModel, samples: &[PreprocessedCascade]) -> (f64, f64) {
+    let (mut nodes, mut bytes) = (0usize, 0usize);
+    for s in samples {
+        let mut tape = Tape::new();
+        model.forward(&mut tape, model.params(), s);
+        nodes += tape.len();
+        bytes += tape.bytes();
+    }
+    let count = samples.len().max(1) as f64;
+    (nodes as f64 / count, bytes as f64 / count)
 }
 
 /// p50 latency (ns) of one Chebyshev conv-stack application on an `n×d`
@@ -221,6 +237,8 @@ struct Record {
     accuracy_delta: f64,
     gemm_speedup: f64,
     gemm_max_abs_delta: f64,
+    tape_nodes: f64,
+    tape_bytes: f64,
     next_user_hit10: f64,
     next_user_map: f64,
     phi_unconverged: usize,
@@ -279,6 +297,7 @@ fn measure() -> Result<Record, String> {
         .iter()
         .map(|s| f64::from((fwd_model.predict_log_sample(s) - tape_predict(&fwd_model, s)).abs()))
         .fold(0.0f64, f64::max);
+    let (tape_nodes, tape_bytes) = tape_size(&fwd_model, &sparse_samples);
 
     // Conv-stage speedup on the largest (most representative) cascade:
     // this isolates the Chebyshev convolution the tentpole moved from
@@ -385,6 +404,8 @@ fn measure() -> Result<Record, String> {
         accuracy_delta,
         gemm_speedup,
         gemm_max_abs_delta,
+        tape_nodes,
+        tape_bytes,
         next_user_hit10,
         next_user_map,
         phi_unconverged,
@@ -421,6 +442,8 @@ fn to_json(r: &Record) -> String {
     let _ = writeln!(out, "  \"accuracy_delta\": {:e},", r.accuracy_delta);
     let _ = writeln!(out, "  \"gemm_speedup\": {:.2},", r.gemm_speedup);
     let _ = writeln!(out, "  \"gemm_max_abs_delta\": {:e},", r.gemm_max_abs_delta);
+    let _ = writeln!(out, "  \"tape_nodes\": {:.1},", r.tape_nodes);
+    let _ = writeln!(out, "  \"tape_bytes\": {:.0},", r.tape_bytes);
     let _ = writeln!(out, "  \"next_user_hit10\": {:.4},", r.next_user_hit10);
     let _ = writeln!(out, "  \"next_user_map\": {:.4},", r.next_user_map);
     let _ = writeln!(out, "  \"phi_unconverged\": {}", r.phi_unconverged);
@@ -490,6 +513,13 @@ fn check(r: &Record, baseline_path: &str) -> Result<(), String> {
         failures.push(format!(
             "gemm_max_abs_delta {:e} > allowed {max_gemm_delta:e} (the matmul micro-kernel changed the summation order)",
             r.gemm_max_abs_delta
+        ));
+    }
+    let max_tape_nodes = num("max_tape_nodes")?;
+    if r.tape_nodes > max_tape_nodes {
+        failures.push(format!(
+            "tape_nodes {:.1} > allowed {max_tape_nodes:.0} (a forward records more ops)",
+            r.tape_nodes
         ));
     }
     let min_hit10 = num("min_next_user_hit10")?;

@@ -29,7 +29,7 @@
 use std::fmt::Write as _;
 use std::path::Path;
 
-use cascn_autograd::{atomic_write, fnv1a64, AdamState, ParamStore};
+use cascn_autograd::{atomic_write, bytes_from, declared_values, fnv1a64, AdamState, ParamStore};
 use cascn_nn::train::{AnomalyEvent, AnomalyKind, EpochRecord, History};
 use cascn_tensor::Matrix;
 
@@ -237,8 +237,9 @@ impl TrainCheckpoint {
                         Some("moment") if toks.len() == 5 => {
                             let rows: usize = parse_num(toks[3], "rows", lineno)?;
                             let cols: usize = parse_num(toks[4], "cols", lineno)?;
-                            let mat = read_matrix(&mut lines, rows, cols)
-                                .map_err(CascnError::Checkpoint)?;
+                            let left = bytes_from(body, raw);
+                            let mat = read_matrix(&mut lines, (rows, cols), left)
+                                .map_err(|e| err(format!("moment {}: {e}", toks[1])))?;
                             match toks[1] {
                                 "m" => adam_m.push(mat),
                                 "v" => adam_v.push(mat),
@@ -388,12 +389,15 @@ fn write_matrix(out: &mut String, header: &str, mat: &Matrix) {
     }
 }
 
+/// Reads the `rows` value lines of a `rows × cols` matrix whose header
+/// starts `left` bytes before the end of the input.
 fn read_matrix<'a>(
     lines: &mut std::iter::Peekable<impl Iterator<Item = (usize, &'a str)>>,
-    rows: usize,
-    cols: usize,
+    (rows, cols): (usize, usize),
+    left: usize,
 ) -> Result<Matrix, String> {
-    let mut data = Vec::with_capacity(rows * cols);
+    let count = declared_values(rows, cols, left)?;
+    let mut data = Vec::with_capacity(count);
     for _ in 0..rows {
         let (lineno, row_line) = lines.next().ok_or("truncated matrix rows")?;
         for tok in row_line.split_whitespace() {
@@ -403,12 +407,8 @@ fn read_matrix<'a>(
             data.push(v);
         }
     }
-    if data.len() != rows * cols {
-        return Err(format!(
-            "matrix expected {} values, got {}",
-            rows * cols,
-            data.len()
-        ));
+    if data.len() != count {
+        return Err(format!("matrix expected {count} values, got {}", data.len()));
     }
     Ok(Matrix::from_vec(rows, cols, data))
 }
@@ -548,6 +548,28 @@ mod tests {
         assert_ne!(flipped, text, "test must actually corrupt a byte");
         let err = TrainCheckpoint::from_text(&flipped).unwrap_err();
         assert!(err.to_string().contains("checksum mismatch"), "{err}");
+    }
+
+    /// A forged header behind a valid checksum footer — a moment or a
+    /// parameter declaring a giant or overflowing shape — is an error, not
+    /// a capacity-overflow panic or a multi-gigabyte allocation.
+    #[test]
+    fn giant_declared_shapes_behind_a_valid_footer_are_rejected() {
+        let text = sample().to_text();
+        let body = &text[..text.rfind(CHECKSUM_PREFIX).unwrap()];
+        for (from, to) in [
+            ("moment m 0 2 2", "moment m 0 4294967296 4294967297"),
+            ("moment v 1 1 1", "moment v 1 4000000000 4000000000"),
+            ("param w 2 2", "param w 4294967296 4294967297"),
+            ("param b 1 1", "param b 4000000000 4000000000"),
+        ] {
+            let forged = body.replacen(from, to, 1);
+            assert_ne!(forged, body, "`{from}` must occur in the sample");
+            let footer = fnv1a64(forged.as_bytes());
+            let refooted = format!("{forged}{CHECKSUM_PREFIX}{footer:016x}\n");
+            let err = TrainCheckpoint::from_text(&refooted).unwrap_err();
+            assert!(err.to_string().contains("declared"), "{to}: {err}");
+        }
     }
 
     #[test]

@@ -64,7 +64,7 @@ pub mod path;
 pub mod predictor;
 pub mod trainer;
 
-pub use cascn_autograd::{atomic_write, fnv1a64};
+pub use cascn_autograd::{atomic_write, bytes_from, declared_values, fnv1a64};
 pub use checkpoint::{StopperState, TrainCheckpoint};
 pub use config::{
     CascnConfig, DecayMode, LambdaMax, LaplacianKind, Pooling, RecurrentKind, TaskKind, Variant,

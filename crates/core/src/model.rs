@@ -1211,9 +1211,9 @@ mod tests {
         use cascn_cascades::Event;
         const STEPS: usize = 20;
         // The bound cell parameters plus one step's intermediates: measured
-        // at 22 for the LSTM and 27 for the GRU, whose tapes record 910 and
-        // 923 nodes for the same forward.
-        const EXTRA: usize = 27;
+        // at 16 for the LSTM and 23 for the GRU, whose tapes record 208 and
+        // 421 nodes for the same forward.
+        const EXTRA: usize = 23;
         let events = (0..120)
             .map(|i| Event {
                 user: i as u64,

@@ -4,7 +4,9 @@
 //! guarantee — a run checkpointed under one thread count can resume under
 //! another and still finish byte-identical.
 
-use cascn::{try_evaluate, CascnConfig, CascnModel, GlModel, PathModel, TaskKind, TrainOpts};
+use cascn::{
+    try_evaluate, CascnConfig, CascnModel, GlModel, PathModel, RecurrentKind, TaskKind, TrainOpts,
+};
 use cascn_autograd::ParamStore;
 use cascn_cascades::synth::{WeiboConfig, WeiboGenerator};
 use cascn_cascades::{Dataset, Split};
@@ -131,13 +133,25 @@ fn prediction_and_evaluation_are_thread_count_invariant() {
 }
 
 /// The GL and Path variants route preprocessing through the same parallel
-/// fan-out in their `fit`; one epoch under 3 threads must match serial.
+/// fan-out in their `fit`, and CasCN-GRU trains its own fused cell; one
+/// epoch under 3 threads must match serial.
 #[test]
 fn variant_training_is_thread_count_invariant() {
     let data = tiny_data();
     let window = 3600.0;
     let train = data.split(Split::Train);
     let val = data.split(Split::Validation);
+
+    let run_gru = |threads: usize| {
+        let mut m = CascnModel::new(CascnConfig {
+            recurrent: RecurrentKind::Gru,
+            ..tiny_cfg(threads)
+        });
+        let opts = TrainOpts { epochs: 1, threads, ..TrainOpts::default() };
+        let h = m.fit(train, val, window, &opts);
+        (h.records().to_vec(), params_bits(m.params()))
+    };
+    assert_eq!(run_gru(1), run_gru(3));
 
     let run_gl = |threads: usize| {
         let mut m = GlModel::new(tiny_cfg(threads));

@@ -23,14 +23,27 @@
 //!   `Y_k = X·W_k` with one sparse product per order and combines the
 //!   orders by Clenshaw's recurrence, `b_k = Y_k + 2Δ̃·b_{k+1} − b_{k+2}`,
 //!   `Σ_k T_k·Y_k = Y_0 + Δ̃·b_1 − b_2`: `K` sparse applies, no dense product.
-//! * The hidden state `h` is dense `n × d_h`; [`ChebOperands::conv_stack`]
+//! * The hidden state `h` is dense `n × d_h`; [`ChebOperands::filter`]
 //!   builds `[T_0·h, …, T_K·h]` by `T_k·h = 2·Δ̃·(T_{k-1}·h) − T_{k-2}·h`
-//!   and each order is multiplied into the recurrent filters.
+//!   and multiplies each order into its recurrent filters.
 //!
 //! A cell binds its parameters once per forward pass ([`BoundCell`]): the
-//! gates' filters are joined column-wise per order, so one input
-//! convolution and one recurrent product per order feed every gate, and
-//! [`Exec::slice_cols`] splits the joined pre-activation per gate.
+//! gates' filters are joined column-wise per order, one
+//! [`Exec::param_cols`] input per bank, so one input convolution and one
+//! recurrent convolution feed every gate.
+//!
+//! On sparse operands each of these is one fused op of the executor: the
+//! input term is [`Exec::cheb_input`], each recurrent term
+//! [`Exec::cheb_filter`], and the LSTM's gate and cell tail
+//! [`Exec::lstm_memory`] plus [`Exec::lstm_hidden`], which read the gate
+//! blocks of the joined pre-activation in place. An LSTM step records 6
+//! tape nodes (2 convolutions, the sum, the bias, the memory and the
+//! output). Each fused op computes its value with the arithmetic of the
+//! op-by-op graph it replaces, in the same order, and its backward adds
+//! the same gradient contributions in the same order, so values and
+//! trained parameters keep their bits. The op-by-op step bodies survive
+//! as a test oracle (`chebconv/oracle.rs`); dense operands still run the
+//! convolutions op by op.
 //!
 //! Every layer here is generic over [`Exec`]: training runs it on a
 //! [`cascn_autograd::Tape`], inference on a [`cascn_autograd::Eval`].
@@ -48,6 +61,9 @@ use cascn_tensor::{Csr, Matrix, SparseOp};
 use rand::rngs::StdRng;
 
 use crate::init;
+
+/// The op-by-op cells, compiled for tests only.
+mod oracle;
 
 /// One graph-convolutional gate: `K+1` input filters, `K+1` recurrent
 /// filters, and a bias.
@@ -78,19 +94,8 @@ impl ConvGate {
     }
 }
 
-/// Binds each parameter of `ids` (non-empty) once and joins them
-/// column-wise, in order.
-fn bind_cols<'s, E: Exec<'s>>(ex: &mut E, store: &'s ParamStore, ids: &[ParamId]) -> E::Value {
-    let mut joined = ex.param(store, ids[0]);
-    for &id in &ids[1..] {
-        let next = ex.param(store, id);
-        joined = ex.concat_cols(&joined, &next);
-    }
-    joined
-}
-
 /// Binds per-order filter banks (one bank of `K+1` ids per gate): entry `k`
-/// is `[F_k^{g_1} | F_k^{g_2} | …]`.
+/// is `[F_k^{g_1} | F_k^{g_2} | …]`, one joined input per order.
 fn bind_orders<'s, E: Exec<'s>>(
     ex: &mut E,
     store: &'s ParamStore,
@@ -99,12 +104,13 @@ fn bind_orders<'s, E: Exec<'s>>(
     (0..banks[0].len())
         .map(|k| {
             let ids: Vec<ParamId> = banks.iter().map(|bank| bank[k]).collect();
-            bind_cols(ex, store, &ids)
+            ex.param_cols(store, &ids)
         })
         .collect()
 }
 
-/// `Σ_k conv[k]·filters[k]` — the recurrent half of the pre-activations.
+/// `Σ_k conv[k]·filters[k]` — the recurrent half of the pre-activations,
+/// op by op.
 fn filter_sum<'s, E: Exec<'s>>(ex: &mut E, conv: &[E::Value], filters: &[E::Value]) -> E::Value {
     debug_assert_eq!(conv.len(), filters.len());
     let mut acc = ex.matmul(&conv[0], &filters[0]);
@@ -194,20 +200,19 @@ impl<V: Clone> ChebOperands<V> {
     /// The input convolution `Σ_k T_k·(X·W_k)` of a constant sparse signal
     /// `x` (`n × d_in`) with `K+1` filters `w` (`d_in × d_out` each).
     ///
-    /// `Y_k = X·W_k` costs one sparse product per order ([`Exec::spmm`]).
-    /// Sparse operands then combine the orders by Clenshaw's recurrence —
-    /// `b_K = Y_K`, `b_k = Y_k + 2Δ̃·b_{k+1} − b_{k+2}`, result
-    /// `Y_0 + Δ̃·b_1 − b_2` — which is `K` sparse applies on `n × d_out`
-    /// blocks. Dense operands compute `Σ_k T_k·Y_k` directly. Gradients flow
-    /// into every `W_k`.
+    /// Sparse operands run it as one fused [`Exec::cheb_input`]: Clenshaw's
+    /// recurrence `b_K = X·W_K`, `b_k = X·W_k + 2Δ̃·b_{k+1} − b_{k+2}`,
+    /// result `X·W_0 + Δ̃·b_1 − b_2`, which is `K` sparse applies on
+    /// `n × d_out` blocks and no dense product. Dense operands compute
+    /// `Σ_k T_k·(X·W_k)` op by op. Gradients flow into every `W_k`.
     ///
     /// # Panics
     /// Panics unless `w` holds `K+1` filters.
     pub fn input_conv<'s, E: Exec<'s, Value = V>>(&self, ex: &mut E, x: &Arc<Csr>, w: &[V]) -> V {
         assert_eq!(w.len(), self.len(), "expected K+1 Chebyshev bases");
-        let mut y: Vec<V> = w.iter().map(|wk| ex.spmm(Arc::clone(x), wk)).collect();
         match self {
             Self::Dense(bases) => {
+                let y: Vec<V> = w.iter().map(|wk| ex.spmm(Arc::clone(x), wk)).collect();
                 let mut acc = ex.matmul(&bases[0], &y[0]);
                 for (t, yk) in bases[1..].iter().zip(&y[1..]) {
                     let term = ex.matmul(t, yk);
@@ -215,29 +220,27 @@ impl<V: Clone> ChebOperands<V> {
                 }
                 acc
             }
-            Self::Sparse { op, k } => {
-                let k = *k;
-                if k == 0 {
-                    return y.swap_remove(0);
-                }
-                // (b_{j+1}, b_{j+2}), starting from b_K and b_{K+1} = 0.
-                let (mut b1, mut b2) = (y[k].clone(), None);
-                for yj in y[1..k].iter().rev() {
-                    let applied = ex.sparse_apply(Arc::clone(op), &b1);
-                    let doubled = ex.scale(&applied, 2.0);
-                    let mut bj = ex.add(yj, &doubled);
-                    if let Some(b) = &b2 {
-                        bj = ex.sub(&bj, b);
-                    }
-                    (b1, b2) = (bj, Some(b1));
-                }
-                let applied = ex.sparse_apply(Arc::clone(op), &b1);
-                let out = ex.add(&y[0], &applied);
-                match b2 {
-                    Some(b) => ex.sub(&out, &b),
-                    None => out,
-                }
+            Self::Sparse { op, .. } => ex.cheb_input(Arc::clone(op), Arc::clone(x), w),
+        }
+    }
+
+    /// The recurrent convolution `Σ_k (T_k·h)·U_k` of a dense signal `h`
+    /// (`n × d_h`) with `K+1` filters `u` (`d_h × d_out` each).
+    ///
+    /// Sparse operands run it as one fused [`Exec::cheb_filter`]; dense
+    /// operands multiply each order of [`ChebOperands::conv_stack`] into its
+    /// filter and sum. Gradients flow into `h` and every `U_k`.
+    ///
+    /// # Panics
+    /// Panics unless `u` holds `K+1` filters.
+    pub fn filter<'s, E: Exec<'s, Value = V>>(&self, ex: &mut E, h: &V, u: &[V]) -> V {
+        assert_eq!(u.len(), self.len(), "expected K+1 Chebyshev bases");
+        match self {
+            Self::Dense(_) => {
+                let stack = self.conv_stack(ex, h.clone());
+                filter_sum(ex, &stack, u)
             }
+            Self::Sparse { op, .. } => ex.cheb_filter(Arc::clone(op), h, u),
         }
     }
 }
@@ -248,29 +251,14 @@ fn tile_rows<'s, E: Exec<'s>>(ex: &mut E, row: &E::Value, n: usize) -> E::Value 
     ex.matmul(&ones, row)
 }
 
-/// `σ(pre[:, start..start + d] + V ⊙ c)` — one peephole gate of Eq. 12.
-fn peephole_gate<'s, E: Exec<'s>>(
-    ex: &mut E,
-    pre: &E::Value,
-    start: usize,
-    d: usize,
-    peep: &E::Value,
-    c: &E::Value,
-) -> E::Value {
-    let gate_pre = ex.slice_cols(pre, start, d);
-    let gate_peep = ex.hadamard(peep, c);
-    let sum = ex.add(&gate_pre, &gate_peep);
-    ex.sigmoid(&sum)
-}
-
 /// A ChebConv cell's parameters entered on one executor, once per forward
 /// pass.
 ///
 /// Each Chebyshev order's input filters of every gate sit side by side,
 /// `[W_k^{g_1} | W_k^{g_2} | …]`, so one [`ChebOperands::input_conv`] feeds
 /// all gates; the recurrent filters of the gates that convolve `h` are
-/// joined the same way, and so are the biases. Binding once keeps one tape
-/// leaf (and one gradient) per parameter however many steps run.
+/// joined the same way, and so are the biases. Each bank is one
+/// [`Exec::param_cols`] input, bound once however many steps run.
 #[derive(Debug, Clone)]
 pub struct BoundCell<V> {
     w: Vec<V>,
@@ -366,7 +354,7 @@ impl ChebConvLstmCell {
             w: bind_orders(ex, store, &gates.map(|g| g.w.as_slice())),
             u: bind_orders(ex, store, &gates.map(|g| g.u.as_slice())),
             u_cand: Vec::new(),
-            b: bind_cols(ex, store, &gates.map(|g| g.b)),
+            b: ex.param_cols(store, &gates.map(|g| g.b)),
             peep,
         }
     }
@@ -385,26 +373,12 @@ impl ChebConvLstmCell {
         (h, c): (E::Value, E::Value),
     ) -> (E::Value, E::Value) {
         assert_eq!(operands.len(), self.k + 1, "expected K+1 Chebyshev bases");
-        let d = self.d_h;
-        let pre = {
-            let xw = operands.input_conv(ex, x, &params.w);
-            let conv_h = operands.conv_stack(ex, h);
-            let hu = filter_sum(ex, &conv_h, &params.u);
-            let sum = ex.add(&xw, &hu);
-            ex.add_bias(&sum, &params.b)
-        };
-        let i = peephole_gate(ex, &pre, 0, d, &params.peep[0], &c);
-        let f = peephole_gate(ex, &pre, d, d, &params.peep[1], &c);
-        let g_pre = ex.slice_cols(&pre, 3 * d, d);
-        let g = ex.tanh(&g_pre);
-
-        let fc = ex.hadamard(&f, &c);
-        let ig = ex.hadamard(&i, &g);
-        let c_next = ex.add(&fc, &ig);
-
-        let o = peephole_gate(ex, &pre, 2 * d, d, &params.peep[2], &c_next);
-        let c_act = ex.tanh(&c_next);
-        let h_next = ex.hadamard(&o, &c_act);
+        let xw = operands.input_conv(ex, x, &params.w);
+        let hu = operands.filter(ex, &h, &params.u);
+        let sum = ex.add(&xw, &hu);
+        let pre = ex.add_bias(&sum, &params.b);
+        let c_next = ex.lstm_memory(&pre, &c, &params.peep[0], &params.peep[1]);
+        let h_next = ex.lstm_hidden(&pre, &c_next, &params.peep[2]);
         (h_next, c_next)
     }
 
@@ -490,7 +464,7 @@ impl ChebConvGruCell {
             w: bind_orders(ex, store, &gates.map(|g| g.w.as_slice())),
             u: bind_orders(ex, store, &[&self.update.u, &self.reset.u]),
             u_cand: bind_orders(ex, store, &[&self.candidate.u]),
-            b: bind_cols(ex, store, &gates.map(|g| g.b)),
+            b: ex.param_cols(store, &gates.map(|g| g.b)),
             peep: Vec::new(),
         }
     }
@@ -509,8 +483,7 @@ impl ChebConvGruCell {
         let d = self.d_h;
         let xw = operands.input_conv(ex, x, &params.w);
         let xw = ex.add_bias(&xw, &params.b);
-        let conv_h = operands.conv_stack(ex, h.clone());
-        let hu = filter_sum(ex, &conv_h, &params.u);
+        let hu = operands.filter(ex, &h, &params.u);
         let x_zr = ex.slice_cols(&xw, 0, 2 * d);
         let zr = ex.add(&x_zr, &hu);
 
@@ -520,8 +493,7 @@ impl ChebConvGruCell {
         let r = ex.sigmoid(&r_pre);
 
         let rh = ex.hadamard(&r, &h);
-        let conv_rh = operands.conv_stack(ex, rh);
-        let rhu = filter_sum(ex, &conv_rh, &params.u_cand);
+        let rhu = operands.filter(ex, &rh, &params.u_cand);
         let x_cand = ex.slice_cols(&xw, 2 * d, d);
         let cand_pre = ex.add(&x_cand, &rhu);
         let cand = ex.tanh(&cand_pre);
@@ -804,6 +776,150 @@ mod tests {
             diff < 1e-5,
             "sparse LSTM output diverged from dense by {diff}"
         );
+    }
+
+    /// A directed cascade on 7 nodes with a cross edge, so `Δ̃` carries a
+    /// rank-1 teleport term and rows with several entries.
+    fn cross_basis(k: usize) -> SpectralBasis {
+        let mut g = DiGraph::new(7);
+        for &(u, v) in &[(0, 1), (0, 2), (1, 3), (2, 3), (3, 4), (1, 5), (5, 6)] {
+            g.add_edge(u, v, 1.0);
+        }
+        SpectralBasis::directed(&g, 0.85, None, k)
+    }
+
+    /// Four `7 × 9` snapshot signals: growing edge prefixes with an empty
+    /// row, a duplicated coordinate and non-binary weights.
+    fn cross_inputs() -> Vec<Arc<Csr>> {
+        let edges = [
+            (0, 0, 1.0),
+            (0, 1, 0.5),
+            (0, 2, -1.25),
+            (1, 3, 1.0),
+            (2, 3, 0.75),
+            (2, 3, 0.5),
+        ];
+        (1..=4)
+            .map(|t| Arc::new(Csr::from_triplets(7, 9, edges[..t + 2].iter().copied())))
+            .collect()
+    }
+
+    /// Overwrites every parameter with a spread of nonzero values, so the
+    /// zero-initialized peepholes and biases take part too.
+    fn spread_params(store: &mut ParamStore) {
+        let ids: Vec<ParamId> = store.ids().collect();
+        for (seed, id) in ids.into_iter().enumerate() {
+            let (rows, cols) = store.value(id).shape();
+            *store.value_mut(id) = Matrix::from_fn(rows, cols, |r, c| {
+                ((r * 7 + c * 3 + seed * 5) % 11) as f32 * 0.09 - 0.45
+            });
+        }
+    }
+
+    fn bits(m: &Matrix) -> Vec<u32> {
+        m.as_slice().iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Runs `run` on a fresh tape, backpropagates a loss that reads every
+    /// hidden state (as decay pooling does), and returns the bits of every
+    /// hidden state and of every parameter's gradient, plus the tape length.
+    fn run_bits(
+        store: &ParamStore,
+        run: impl Fn(&mut Tape, &ParamStore) -> Vec<Var>,
+    ) -> (Vec<Vec<u32>>, Vec<Vec<u32>>, usize) {
+        let mut store = store.clone();
+        store.zero_grads();
+        let mut tape = Tape::new();
+        let hs = run(&mut tape, &store);
+        let len = tape.len();
+        let mut acc: Option<Var> = None;
+        for (t, &h) in hs.iter().enumerate() {
+            let weighted = tape.scale(h, 0.5 + t as f32);
+            acc = Some(match acc {
+                Some(a) => tape.add(a, weighted),
+                None => weighted,
+            });
+        }
+        let pooled = tape.sum_rows(acc.unwrap());
+        let sq = tape.sqr(pooled);
+        let loss = tape.sum_all(sq);
+        tape.backward(loss);
+        tape.accumulate_param_grads(&mut store);
+        let values = hs.iter().map(|&h| bits(tape.value(h))).collect();
+        let grads = store.ids().map(|id| bits(store.grad(id))).collect();
+        (values, grads, len)
+    }
+
+    #[test]
+    fn fused_lstm_equals_the_op_by_op_oracle_bit_for_bit() {
+        for k in 0..=3 {
+            let mut store = ParamStore::new();
+            let mut rng = StdRng::seed_from_u64(11 + k as u64);
+            let cell = ChebConvLstmCell::new(&mut store, "cc", k, 9, 3, &mut rng);
+            spread_params(&mut store);
+            let basis = cross_basis(k);
+            let inputs = cross_inputs();
+            let operands = ChebOperands::sparse(&basis);
+            let fused = run_bits(&store, |tape, store| {
+                cell.run(tape, store, &operands, &inputs, 7)
+            });
+            let oracle = run_bits(&store, |tape, store| {
+                oracle::lstm_run(&cell, tape, store, &operands, &inputs, 7)
+            });
+            assert_eq!(fused.0, oracle.0, "K={k}: hidden states differ");
+            assert_eq!(fused.1, oracle.1, "K={k}: parameter gradients differ");
+            assert!(fused.2 < oracle.2, "K={k}: fused tape is not shorter");
+        }
+    }
+
+    #[test]
+    fn fused_gru_equals_the_op_by_op_oracle_bit_for_bit() {
+        for k in 0..=3 {
+            let mut store = ParamStore::new();
+            let mut rng = StdRng::seed_from_u64(21 + k as u64);
+            let cell = ChebConvGruCell::new(&mut store, "cg", k, 9, 3, &mut rng);
+            spread_params(&mut store);
+            let basis = cross_basis(k);
+            let inputs = cross_inputs();
+            let operands = ChebOperands::sparse(&basis);
+            let fused = run_bits(&store, |tape, store| {
+                cell.run(tape, store, &operands, &inputs, 7)
+            });
+            let oracle = run_bits(&store, |tape, store| {
+                oracle::gru_run(&cell, tape, store, &operands, &inputs, 7)
+            });
+            assert_eq!(fused.0, oracle.0, "K={k}: hidden states differ");
+            assert_eq!(fused.1, oracle.1, "K={k}: parameter gradients differ");
+        }
+    }
+
+    /// The fused cells on an `Eval` give the tape's values bit for bit.
+    #[test]
+    fn fused_cells_on_eval_equal_the_tape() {
+        let mut store = ParamStore::new();
+        let mut rng = StdRng::seed_from_u64(5);
+        let lstm = ChebConvLstmCell::new(&mut store, "cc", 2, 9, 3, &mut rng);
+        let gru = ChebConvGruCell::new(&mut store, "cg", 2, 9, 3, &mut rng);
+        spread_params(&mut store);
+        let basis = cross_basis(2);
+        let inputs = cross_inputs();
+        let mut tape = Tape::new();
+        let operands = ChebOperands::sparse(&basis);
+        let tape_hs = [
+            lstm.run(&mut tape, &store, &operands, &inputs, 7),
+            gru.run(&mut tape, &store, &operands, &inputs, 7),
+        ];
+        let mut ex = cascn_autograd::Eval::new();
+        let operands = ChebOperands::sparse(&basis);
+        let eval_hs = [
+            lstm.run(&mut ex, &store, &operands, &inputs, 7),
+            gru.run(&mut ex, &store, &operands, &inputs, 7),
+        ];
+        for (t_hs, e_hs) in tape_hs.iter().zip(&eval_hs) {
+            for (&t, e) in t_hs.iter().zip(e_hs) {
+                assert_eq!(bits(tape.value(t)), bits(ex.value(e)));
+            }
+        }
     }
 
     #[test]

@@ -25,7 +25,9 @@ use std::fmt;
 use std::path::Path;
 use std::sync::Arc;
 
-use cascn::{atomic_write, fnv1a64, CascnConfig, LambdaMax, LaplacianKind};
+use cascn::{
+    atomic_write, bytes_from, declared_values, fnv1a64, CascnConfig, LambdaMax, LaplacianKind,
+};
 use cascn_cascades::{Cascade, Event};
 use cascn_graph::SpectralBasis;
 use cascn_tensor::{Csr, SparseOp};
@@ -193,30 +195,26 @@ pub fn snapshot_from_text(
     if found_fp != expected_fp {
         return Err(SnapshotError::FingerprintMismatch { found: found_fp, expected: expected_fp });
     }
-    let count: usize = match lines.next().and_then(|l| l.strip_prefix("entries ")) {
-        Some(n) => n
-            .trim()
-            .parse()
-            .map_err(|_| SnapshotError::Malformed(format!("bad entries count `{n}`")))?,
+    let count = match lines.next().and_then(|l| l.strip_prefix("entries ")) {
+        Some(n) => declared_count(body, n)
+            .map_err(|m| SnapshotError::Malformed(format!("entries count: {m}")))?,
         None => return Err(SnapshotError::Malformed("missing entries line".into())),
     };
 
     let mut out = Vec::with_capacity(count);
     for i in 0..count {
-        out.push(read_entry(&mut lines).map_err(|m| {
+        out.push(read_entry(body, &mut lines).map_err(|m| {
             SnapshotError::Malformed(format!("entry {i}: {m}"))
         })?);
     }
-    let live_count: usize = match lines.next().and_then(|l| l.strip_prefix("live ")) {
-        Some(n) => n
-            .trim()
-            .parse()
-            .map_err(|_| SnapshotError::Malformed(format!("bad live count `{n}`")))?,
+    let live_count = match lines.next().and_then(|l| l.strip_prefix("live ")) {
+        Some(n) => declared_count(body, n)
+            .map_err(|m| SnapshotError::Malformed(format!("live count: {m}")))?,
         None => return Err(SnapshotError::Malformed("missing live section".into())),
     };
     let mut live = Vec::with_capacity(live_count);
     for i in 0..live_count {
-        live.push(read_live_entry(&mut lines).map_err(|m| {
+        live.push(read_live_entry(body, &mut lines).map_err(|m| {
             SnapshotError::Malformed(format!("live entry {i}: {m}"))
         })?);
     }
@@ -297,7 +295,15 @@ fn join_floats(xs: &[f32]) -> String {
 
 /// Reads one `entry` line plus its cascade block — the whole of a live
 /// entry, and the front half of a cache entry.
+/// The count token `tok` (a slice of `body`) declares, refused unless that
+/// many items, one byte each at least, fit in the input from `tok` on.
+fn declared_count(body: &str, tok: &str) -> Result<usize, String> {
+    let count: usize = tok.trim().parse().map_err(|_| format!("bad count `{tok}`"))?;
+    declared_values(count, 1, bytes_from(body, tok))
+}
+
 fn read_live_entry<'a>(
+    body: &str,
     lines: &mut impl Iterator<Item = &'a str>,
 ) -> Result<LiveSnapshotEntry, String> {
     let entry_line = lines.next().ok_or("missing entry line")?;
@@ -313,7 +319,7 @@ fn read_live_entry<'a>(
         ["cascade", id, start, n] => (
             id.parse().map_err(|_| format!("bad cascade id `{id}`"))?,
             start.parse().map_err(|_| format!("bad start time `{start}`"))?,
-            n.parse().map_err(|_| format!("bad event count `{n}`"))?,
+            declared_count(body, n).map_err(|m| format!("event count: {m}"))?,
         ),
         _ => return Err(format!("bad cascade line `{cas_line}`")),
     };
@@ -341,14 +347,17 @@ fn read_live_entry<'a>(
     Ok((cascade, window))
 }
 
-fn read_entry<'a>(lines: &mut impl Iterator<Item = &'a str>) -> Result<SnapshotEntry, String> {
-    let (cascade, window) = read_live_entry(lines)?;
+fn read_entry<'a>(
+    body: &str,
+    lines: &mut impl Iterator<Item = &'a str>,
+) -> Result<SnapshotEntry, String> {
+    let (cascade, window) = read_live_entry(body, lines)?;
     let basis_line = lines.next().ok_or("missing basis line")?;
     let t: Vec<&str> = basis_line.split_whitespace().collect();
     let (lambda_max, n, k, has_rank1): (f32, usize, usize, usize) = match t.as_slice() {
         ["basis", l, n, k, r1] => (
             l.parse().map_err(|_| format!("bad lambda_max `{l}`"))?,
-            n.parse().map_err(|_| format!("bad node count `{n}`"))?,
+            declared_count(body, n).map_err(|m| format!("node count: {m}"))?,
             k.parse().map_err(|_| format!("bad order `{k}`"))?,
             r1.parse().map_err(|_| format!("bad rank1 flag `{r1}`"))?,
         ),
@@ -389,10 +398,11 @@ fn read_csr_rows<'a>(
             .strip_prefix("row ")
             .ok_or_else(|| format!("bad CSR row line `{line}`"))?;
         let mut toks = rest.split_whitespace();
-        let count: usize = toks
+        let count = toks
             .next()
-            .and_then(|c| c.parse().ok())
-            .ok_or_else(|| format!("bad nnz count in `{line}`"))?;
+            .ok_or_else(|| format!("bad nnz count in `{line}`"))
+            .and_then(|c| declared_count(rest, c))
+            .map_err(|m| format!("CSR row {r}: {m}"))?;
         let mut row = Vec::with_capacity(count);
         let mut prev: Option<usize> = None;
         for _ in 0..count {
@@ -428,7 +438,7 @@ fn read_vector<'a>(
     let rest = line
         .strip_prefix(tag)
         .ok_or_else(|| format!("bad `{tag}` vector line `{line}`"))?;
-    let mut out = Vec::with_capacity(n);
+    let mut out = Vec::with_capacity(n.min(rest.len()));
     for tok in rest.split_whitespace() {
         out.push(tok.parse::<f32>().map_err(|_| format!("bad float `{tok}`"))?);
     }
@@ -592,6 +602,49 @@ mod tests {
                 ),
                 "tampered CSR `{bad}` must be Malformed"
             );
+        }
+    }
+
+    /// Replaces token `at` of the first line starting with `prefix`.
+    fn forge_token(text: &str, prefix: &str, at: usize, to: &str) -> String {
+        let lines: Vec<String> = text
+            .lines()
+            .scan(false, |done, line| {
+                if *done || !line.starts_with(prefix) {
+                    return Some(line.to_string());
+                }
+                *done = true;
+                let mut toks: Vec<&str> = line.split_whitespace().collect();
+                toks[at] = to;
+                Some(toks.join(" "))
+            })
+            .collect();
+        lines.join("\n") + "\n"
+    }
+
+    /// Every count a snapshot declares — entries, live entries, a
+    /// cascade's events, a basis's nodes, a CSR row's entries — is checked
+    /// against the input left before anything is allocated for it, behind a
+    /// valid checksum footer too.
+    #[test]
+    fn giant_declared_counts_are_rejected_without_allocating() {
+        let (cache, _) = warmed_cache();
+        let fp = basis_fingerprint(&cfg());
+        let text = snapshot_to_text(&cache.export(), &[], fp);
+        let body = &text[..text.rfind(CHECKSUM_PREFIX).unwrap()];
+        let giant = u64::MAX.to_string();
+        let counts = [("entries ", 1), ("live ", 1), ("cascade ", 3), ("basis ", 2), ("row ", 1)];
+        for (prefix, at) in counts {
+            let forged = forge_token(body, prefix, at, &giant);
+            assert_ne!(forged, body, "`{prefix}` line must occur in the snapshot");
+            let refooted =
+                format!("{forged}{CHECKSUM_PREFIX}{:016x}\n", cascn::fnv1a64(forged.as_bytes()));
+            match snapshot_from_text(&refooted, fp) {
+                Err(SnapshotError::Malformed(m)) => {
+                    assert!(m.contains("declared"), "{prefix}: {m}");
+                }
+                other => panic!("{prefix}: expected Malformed, got {other:?}"),
+            }
         }
     }
 

@@ -54,30 +54,52 @@ impl<'a> Strided<'a> {
     }
 }
 
-/// `A·B` for an `m × k` view `a` and a `k × n` view `b`: the one kernel
-/// behind the three matmul forms. `B` is packed one `k × NR` panel at a
-/// time (zero-padded past column `n`), and every `MR`-row block of `A`
-/// sweeps the panel; the rows left over take one-row tiles.
-fn gemm(a: Strided<'_>, b: Strided<'_>, m: usize, k: usize, n: usize) -> Matrix {
-    let mut out = Matrix::zeros(m, n);
-    if m == 0 || k == 0 || n == 0 {
-        return out;
+/// `A·B` for an `m × k` view `a` and a `k × n` view `b`, stored into the
+/// row-major `m × n` slice `c`: the one kernel behind the three matmul
+/// forms. `B` is packed one `k × NR` panel at a time (zero-padded past
+/// column `n`), and every `MR`-row block of `A` sweeps the panel; the rows
+/// left over take one-row tiles. A reduction of length 1 (an outer
+/// product) skips the tiles: each output is `+0.0 + a·b`, the value a tile
+/// would hold.
+///
+/// With `ADD` each finished output `t` is added to the entry already in
+/// `c` (`o = o + t`), so a sum of products `(m₀ + m₁) + m₂` needs no
+/// buffer per product; without it, `t` overwrites the entry.
+fn gemm<const ADD: bool>(
+    c: &mut [f32],
+    a: Strided<'_>,
+    b: Strided<'_>,
+    (m, k, n): (usize, usize, usize),
+) {
+    debug_assert_eq!(c.len(), m * n);
+    if m == 0 || n == 0 || (k == 0 && !ADD) {
+        c.fill(0.0);
+        return;
     }
-    let c = out.as_mut_slice();
+    if k == 1 {
+        let b_row: Vec<f32> = (0..n).map(|j| b.data[j * b.cs]).collect();
+        for (i, row) in c.chunks_exact_mut(n).enumerate() {
+            let av = a.data[i * a.rs];
+            for (o, &bv) in row.iter_mut().zip(&b_row) {
+                let t = 0.0 + av * bv;
+                *o = if ADD { *o + t } else { t };
+            }
+        }
+        return;
+    }
     let mut panel = vec![0.0f32; k * NR];
     for j0 in (0..n).step_by(NR) {
         let w = NR.min(n - j0);
         pack_panel(b, j0, w, &mut panel);
         let mut i = 0;
         while i + MR <= m {
-            store_tile(c, n, i, j0, w, &tile::<MR>(a, i, &panel));
+            store_tile::<MR, ADD>(c, n, (i, j0, w), &tile::<MR>(a, i, &panel));
             i += MR;
         }
         for i in i..m {
-            store_tile(c, n, i, j0, w, &tile::<1>(a, i, &panel));
+            store_tile::<1, ADD>(c, n, (i, j0, w), &tile::<1>(a, i, &panel));
         }
     }
-    out
 }
 
 /// Copies columns `j0..j0 + w` of `b` into `panel`, `NR` entries per row
@@ -121,23 +143,32 @@ fn tile<const R: usize>(a: Strided<'_>, i: usize, panel: &[f32]) -> [[f32; NR]; 
 }
 
 /// Writes the first `w` columns of a tile to rows `i..` of the `n`-wide
-/// output, starting at column `j0`.
-fn store_tile<const R: usize>(
+/// output, starting at column `j0`, adding them to it under `ADD`.
+fn store_tile<const R: usize, const ADD: bool>(
     c: &mut [f32],
     n: usize,
-    i: usize,
-    j0: usize,
-    w: usize,
+    (i, j0, w): (usize, usize, usize),
     acc: &[[f32; NR]; R],
 ) {
     for (r, acc_row) in acc.iter().enumerate() {
         let start = (i + r) * n + j0;
-        if w == NR {
+        if ADD {
+            for (o, &t) in c[start..start + w].iter_mut().zip(acc_row) {
+                *o += t;
+            }
+        } else if w == NR {
             c[start..start + NR].copy_from_slice(acc_row);
         } else {
             c[start..start + w].copy_from_slice(&acc_row[..w]);
         }
     }
+}
+
+/// [`gemm`] into a new `m × n` matrix.
+fn product(a: Strided<'_>, b: Strided<'_>, dims: (usize, usize, usize)) -> Matrix {
+    let mut out = Matrix::zeros(dims.0, dims.2);
+    gemm::<false>(out.as_mut_slice(), a, b, dims);
+    out
 }
 
 impl Matrix {
@@ -156,12 +187,10 @@ impl Matrix {
             other.rows(),
             other.cols()
         );
-        gemm(
+        product(
             Strided::of(self),
             Strided::of(other),
-            self.rows(),
-            self.cols(),
-            other.cols(),
+            (self.rows(), self.cols(), other.cols()),
         )
     }
 
@@ -195,12 +224,10 @@ impl Matrix {
             other.rows(),
             other.cols()
         );
-        gemm(
+        product(
             Strided::transposed(self),
             Strided::of(other),
-            self.cols(),
-            self.rows(),
-            other.cols(),
+            (self.cols(), self.rows(), other.cols()),
         )
     }
 
@@ -218,13 +245,38 @@ impl Matrix {
             other.rows(),
             other.cols()
         );
-        gemm(
+        product(
             Strided::of(self),
             Strided::transposed(other),
+            (self.rows(), self.cols(), other.rows()),
+        )
+    }
+
+    /// `self += a · b`, where `a · b` is summed exactly as
+    /// [`Matrix::matmul`] sums it and then added entry by entry: the result
+    /// equals `self.add(&a.matmul(b))` bit for bit, without the product
+    /// buffer.
+    ///
+    /// # Panics
+    /// Panics if `a.cols() != b.rows()` or `self` is not `a.rows() × b.cols()`.
+    pub fn add_matmul(&mut self, a: &Matrix, b: &Matrix) {
+        assert_eq!(
+            (a.cols(), self.shape()),
+            (b.rows(), (a.rows(), b.cols())),
+            "add_matmul: {}x{} += {}x{} · {}x{} mismatch",
             self.rows(),
             self.cols(),
-            other.rows(),
-        )
+            a.rows(),
+            a.cols(),
+            b.rows(),
+            b.cols()
+        );
+        gemm::<true>(
+            self.as_mut_slice(),
+            Strided::of(a),
+            Strided::of(b),
+            (a.rows(), a.cols(), b.cols()),
+        );
     }
 
     /// Elementwise sum.
@@ -592,6 +644,26 @@ mod tests {
                 "matmul_a_bt {m}x{k}·{n}x{k}ᵀ diverged from the unblocked kernel"
             );
         }
+    }
+
+    #[test]
+    fn add_matmul_equals_add_of_matmul_bit_for_bit() {
+        for &(m, k, n) in &[(1, 1, 1), (3, 2, 5), (4, 4, 9), (5, 7, 3), (9, 1, 10), (6, 0, 2)] {
+            let a = irregular(m, k, 2);
+            let b = irregular(k, n, 7);
+            let base = irregular(m, n, 19);
+            let mut got = base.clone();
+            got.add_matmul(&a, &b);
+            let want = base.add(&a.matmul(&b));
+            let bits = |x: &Matrix| x.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&got), bits(&want), "add_matmul {m}x{k}·{k}x{n}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "add_matmul")]
+    fn add_matmul_rejects_mismatched_accumulator() {
+        Matrix::zeros(2, 3).add_matmul(&a(), &b());
     }
 
     #[test]

@@ -206,3 +206,28 @@ fn zero_times_nan_is_nan_in_every_matmul_form() {
         }
     }
 }
+
+/// A reduction of length 1 (an outer product) takes the kernel's rank-1
+/// path. Each output must still be `+0.0 + a·b`, the tiles' value: a `-0.0`
+/// product comes out `+0.0`, and NaN and `0 · inf` poison their entries.
+#[test]
+fn rank_one_products_keep_the_tiled_zero_sign_and_nan() {
+    let col = Matrix::from_vec(5, 1, vec![-0.0, 0.0, 2.0, f32::NAN, -1.5]);
+    let row = Matrix::from_vec(
+        1,
+        9,
+        vec![0.0, -0.0, 1.0, -3.0, f32::INFINITY, 0.5, -0.0, 7.0, 1e-39],
+    );
+    let dims = (5, 1, 9);
+    let want = naive(dims, |i, _| col[(i, 0)], |_, j| row[(0, j)]);
+    same_bits(&col.matmul(&row), &want).unwrap();
+    same_bits(&col.transpose().matmul_at_b(&row), &want).unwrap();
+    same_bits(&col.matmul_a_bt(&row.transpose()), &want).unwrap();
+    // -0.0 · 0.0 and 2.0 · -0.0 are -0.0 products; the sum from +0.0 is +0.0.
+    assert_eq!(want[(0, 0)].to_bits(), 0.0f32.to_bits());
+    assert_eq!(want[(2, 1)].to_bits(), 0.0f32.to_bits());
+    assert!(want[(3, 2)].is_nan() && want[(1, 4)].is_nan(), "NaN and 0 · inf poison");
+    let mut acc = Matrix::full(5, 9, -0.0);
+    acc.add_matmul(&col, &row);
+    same_bits(&acc, &Matrix::full(5, 9, -0.0).add(&want)).unwrap();
+}
