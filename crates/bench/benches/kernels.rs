@@ -4,7 +4,8 @@
 //! output — at toy sizes the dense n×n matmul is competitive; on
 //! representative sparse cascades the operator form wins by the
 //! O(K·n²·d) → O(K·nnz·d) margin the kernel layer promises. Plus the
-//! matmul kernel on an outer product, which takes its rank-1 path.
+//! matmul kernel on a recurrent cell's three dense products and on an
+//! outer product, which takes its rank-1 path.
 
 use cascn_autograd::Tape;
 use cascn_graph::{DiGraph, SpectralBasis};
@@ -110,6 +111,30 @@ fn bench_conv_stack_density(c: &mut Criterion) {
     group.finish();
 }
 
+/// The dense products of one Chebyshev recurrent convolution at hidden 32
+/// with four gates: the forward `h·U` (`n×32 · 32×128`), the state gradient
+/// `g·Uᵀ` and the weight gradient `sᵀ·g`, at 11 and 100 nodes (the median
+/// and the largest `train` cascade of perfbench). The dispatched
+/// instruction set is printed with the group.
+fn bench_cell_products(c: &mut Criterion) {
+    let mut group = c.benchmark_group(format!("cell_products/{}", cascn_tensor::gemm_isa()));
+    let u = Matrix::from_fn(D, 4 * D, |r, c| ((r * 5 + c * 3) % 17) as f32 / 17.0 - 0.5);
+    for n in [11usize, 100] {
+        let h = features(n);
+        let g = Matrix::from_fn(n, 4 * D, |r, c| ((r * 11 + c * 7) % 19) as f32 / 19.0 - 0.5);
+        group.bench_with_input(BenchmarkId::new("h_u", n), &n, |b, _| {
+            b.iter(|| std::hint::black_box(h.matmul(&u)))
+        });
+        group.bench_with_input(BenchmarkId::new("g_ut", n), &n, |b, _| {
+            b.iter(|| std::hint::black_box(g.matmul_a_bt(&u)))
+        });
+        group.bench_with_input(BenchmarkId::new("st_g", n), &n, |b, _| {
+            b.iter(|| std::hint::black_box(h.matmul_at_b(&g)))
+        });
+    }
+    group.finish();
+}
+
 /// An outer product, the reduction-of-length-1 shape of the next-user
 /// head's weight gradient: `(1×32)ᵀ·(1×5001)`, a 32 × 5001 result.
 fn bench_rank_one(c: &mut Criterion) {
@@ -120,5 +145,11 @@ fn bench_rank_one(c: &mut Criterion) {
     });
 }
 
-criterion_group!(benches, bench_conv_stack_sizes, bench_conv_stack_density, bench_rank_one);
+criterion_group!(
+    benches,
+    bench_conv_stack_sizes,
+    bench_conv_stack_density,
+    bench_cell_products,
+    bench_rank_one
+);
 criterion_main!(benches);

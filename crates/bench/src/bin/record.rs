@@ -8,7 +8,8 @@
 //! (speedup and max prediction delta), the forward-only `Eval` against the
 //! same forward on the training tape (speedup and max prediction delta),
 //! the matmul micro-kernel against the naive triple loop on one gate
-//! step's products (speedup and max entry delta), the size of the training
+//! step's products (speedup, max entry delta, and the instruction set the
+//! kernel dispatched to as `gemm_isa`), the size of the training
 //! tape one forward records (nodes and bytes),
 //! and the microscopic next-user
 //! scores (Hit@10 / MAP after a short deterministic train), plus the
@@ -158,21 +159,43 @@ const GEMM_HIDDEN: usize = 32;
 const GEMM_GATES: usize = 4 * GEMM_HIDDEN;
 const GEMM_REPS: usize = 100;
 
-/// The textbook product of an `m × k` and a `k × n` operand given as
-/// element accessors: every sum in ascending `p` from `+0.0` — the order
-/// the micro-kernel promises to reproduce bit for bit.
-fn naive_gemm(
-    (m, k, n): (usize, usize, usize),
-    a: impl Fn(usize, usize) -> f32,
-    b: impl Fn(usize, usize) -> f32,
-) -> Matrix {
-    Matrix::from_fn(m, n, |i, j| {
+/// One operand of [`naive_gemm`]: a row-major buffer read through row and
+/// column strides, so element `(i, j)` is `data[i * rs + j * cs]` and a
+/// transposed operand is the same buffer under swapped strides.
+#[derive(Clone, Copy)]
+struct View<'a> {
+    data: &'a [f32],
+    rs: usize,
+    cs: usize,
+}
+
+impl<'a> View<'a> {
+    fn of(m: &'a Matrix) -> Self {
+        Self { data: m.as_slice(), rs: m.cols(), cs: 1 }
+    }
+
+    fn transposed(m: &'a Matrix) -> Self {
+        Self { data: m.as_slice(), rs: 1, cs: m.cols() }
+    }
+}
+
+/// The textbook product of an `m × k` and a `k × n` view: every sum in
+/// ascending `p` from `+0.0`, the order the micro-kernel promises to
+/// reproduce bit for bit. Non-generic and never inlined, so its machine
+/// code is the same in every build and `gemm_speedup` measures the kernel,
+/// not how this loop happened to be compiled into its caller.
+#[inline(never)]
+fn naive_gemm(a: View<'_>, b: View<'_>, (m, k, n): (usize, usize, usize)) -> Matrix {
+    let mut out = vec![0.0f32; m * n];
+    for (idx, o) in out.iter_mut().enumerate() {
+        let (i, j) = (idx / n, idx % n);
         let mut acc = 0.0f32;
         for p in 0..k {
-            acc += a(i, p) * b(p, j);
+            acc += a.data[i * a.rs + p * a.cs] * b.data[p * b.rs + j * b.cs];
         }
-        acc
-    })
+        *o = acc;
+    }
+    Matrix::from_vec(m, n, out)
 }
 
 /// p50 latency (ns) of `f` over [`GEMM_REPS`] calls, after one untimed
@@ -201,9 +224,6 @@ fn gemm_vs_naive() -> (f64, f64) {
     let h = value(GEMM_NODES, GEMM_HIDDEN, 1);
     let u = value(GEMM_HIDDEN, GEMM_GATES, 2);
     let g = value(GEMM_NODES, GEMM_GATES, 3);
-    let forward = (GEMM_NODES, GEMM_HIDDEN, GEMM_GATES);
-    let grad_h = (GEMM_NODES, GEMM_GATES, GEMM_HIDDEN);
-    let grad_u = (GEMM_HIDDEN, GEMM_NODES, GEMM_GATES);
     let (mut kernel_ns, mut naive_ns, mut max_delta) = (0u64, 0u64, 0.0f64);
     let mut compare = |kernel: &dyn Fn() -> Matrix, naive: &dyn Fn() -> Matrix| {
         kernel_ns += gemm_p50(kernel);
@@ -212,12 +232,14 @@ fn gemm_vs_naive() -> (f64, f64) {
             max_delta = max_delta.max(f64::from((x - y).abs()));
         }
     };
-    compare(&|| h.matmul(&u), &|| naive_gemm(forward, |i, p| h[(i, p)], |p, j| u[(p, j)]));
+    compare(&|| h.matmul(&u), &|| {
+        naive_gemm(View::of(&h), View::of(&u), (GEMM_NODES, GEMM_HIDDEN, GEMM_GATES))
+    });
     compare(&|| g.matmul_a_bt(&u), &|| {
-        naive_gemm(grad_h, |i, p| g[(i, p)], |p, j| u[(j, p)])
+        naive_gemm(View::of(&g), View::transposed(&u), (GEMM_NODES, GEMM_GATES, GEMM_HIDDEN))
     });
     compare(&|| h.matmul_at_b(&g), &|| {
-        naive_gemm(grad_u, |i, p| h[(p, i)], |p, j| g[(p, j)])
+        naive_gemm(View::transposed(&h), View::of(&g), (GEMM_HIDDEN, GEMM_NODES, GEMM_GATES))
     });
     (naive_ns as f64 / kernel_ns.max(1) as f64, max_delta)
 }
@@ -440,6 +462,7 @@ fn to_json(r: &Record) -> String {
     let _ = writeln!(out, "  \"conv_dense_p50_ns\": {},", r.conv_dense_p50_ns);
     let _ = writeln!(out, "  \"sparse_speedup\": {:.2},", r.sparse_speedup);
     let _ = writeln!(out, "  \"accuracy_delta\": {:e},", r.accuracy_delta);
+    let _ = writeln!(out, "  \"gemm_isa\": \"{}\",", cascn_tensor::gemm_isa());
     let _ = writeln!(out, "  \"gemm_speedup\": {:.2},", r.gemm_speedup);
     let _ = writeln!(out, "  \"gemm_max_abs_delta\": {:e},", r.gemm_max_abs_delta);
     let _ = writeln!(out, "  \"tape_nodes\": {:.1},", r.tape_nodes);

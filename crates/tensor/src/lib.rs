@@ -3,7 +3,9 @@
 //! This crate deliberately implements the *small* subset of tensor algebra
 //! the paper's models need — row-major dense matrices, the matmul variants
 //! required by reverse-mode differentiation, elementwise maps and
-//! reductions — with no `unsafe` and no external dependencies.
+//! reductions — with no external dependencies. Its only `unsafe` is the
+//! two calls into the AVX2 and AVX-512F instantiations of the matmul
+//! kernel, each made after run-time detection of its feature (`ops.rs`).
 //!
 //! Shape errors are programming errors, not recoverable conditions, so all
 //! operations assert their shape contracts and panic with a descriptive
@@ -29,7 +31,7 @@ mod solve;
 mod sparse;
 
 pub use matrix::Matrix;
-pub use ops::dot;
+pub use ops::{dot, gemm_isa};
 pub use sparse::{Csr, SparseOp};
 
 // `Matrix` buffers cross thread boundaries in the parallel training engine

@@ -17,14 +17,16 @@
 //! aside, which IEEE 754 leaves open). Products of an exact
 //! zero are added like any other: `0 · NaN = NaN` propagates, and adding
 //! `±0.0` never changes an accumulator that started from `+0.0`.
+//!
+//! The one kernel body is compiled three times: portable with a `4 × 8`
+//! tile, and under `#[target_feature]` for AVX2 and AVX-512F with wider
+//! tiles. [`gemm`] picks the widest one the running CPU supports, once per
+//! process. Rust never contracts a multiply and an add into an FMA, so a
+//! wider vector only computes more of the same sums at once, and every
+//! instantiation gives the same bits.
 
 use crate::Matrix;
-
-/// Output rows one micro-kernel call accumulates.
-const MR: usize = 4;
-/// Output columns one micro-kernel call accumulates: the width of a packed
-/// panel of `B`. An `MR × NR` tile is 8 SSE registers, half of x86-64's.
-const NR: usize = 8;
+use isa::{Isa, Kind};
 
 /// A read-only strided view of a matrix operand: element `(i, j)` is
 /// `data[i * rs + j * cs]`. A row-major matrix and its transpose are the
@@ -54,18 +56,147 @@ impl<'a> Strided<'a> {
     }
 }
 
+/// The instruction sets the kernel is compiled for, and which of them the
+/// running CPU can execute.
+mod isa {
+    use std::sync::OnceLock;
+
+    #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+    pub(super) enum Kind {
+        Portable,
+        Avx2,
+        Avx512,
+    }
+
+    /// An instruction set the running CPU supports. Its field is private
+    /// to this module, so a wide `Isa` exists only after
+    /// `is_x86_feature_detected!` reported its feature: the condition the
+    /// `unsafe` calls in `gemm_on` rely on.
+    #[derive(Clone, Copy, Debug)]
+    pub(super) struct Isa(Kind);
+
+    impl Isa {
+        /// Every instruction set the running CPU supports, narrowest first.
+        pub(super) fn supported() -> impl Iterator<Item = Isa> {
+            [Kind::Portable, Kind::Avx2, Kind::Avx512]
+                .into_iter()
+                .filter(|&kind| detected(kind))
+                .map(Isa)
+        }
+
+        /// The widest supported instruction set, detected once per process.
+        pub(super) fn widest() -> Isa {
+            static WIDEST: OnceLock<Isa> = OnceLock::new();
+            *WIDEST.get_or_init(|| Isa::supported().last().unwrap_or(Isa(Kind::Portable)))
+        }
+
+        pub(super) fn kind(self) -> Kind {
+            self.0
+        }
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    fn detected(kind: Kind) -> bool {
+        match kind {
+            Kind::Portable => true,
+            Kind::Avx2 => is_x86_feature_detected!("avx2"),
+            Kind::Avx512 => is_x86_feature_detected!("avx512f"),
+        }
+    }
+
+    #[cfg(not(target_arch = "x86_64"))]
+    fn detected(kind: Kind) -> bool {
+        kind == Kind::Portable
+    }
+}
+
+/// The instruction set every matmul of this process runs on: `"avx512f"`,
+/// `"avx2"` or `"portable"`. All three give the same bits; they differ only
+/// in speed.
+pub fn gemm_isa() -> &'static str {
+    match Isa::widest().kind() {
+        Kind::Portable => "portable",
+        Kind::Avx2 => "avx2",
+        Kind::Avx512 => "avx512f",
+    }
+}
+
 /// `A·B` for an `m × k` view `a` and a `k × n` view `b`, stored into the
 /// row-major `m × n` slice `c`: the one kernel behind the three matmul
-/// forms. `B` is packed one `k × NR` panel at a time (zero-padded past
-/// column `n`), and every `MR`-row block of `A` sweeps the panel; the rows
-/// left over take one-row tiles. A reduction of length 1 (an outer
-/// product) skips the tiles: each output is `+0.0 + a·b`, the value a tile
-/// would hold.
+/// forms, on the widest instruction set the CPU supports.
 ///
 /// With `ADD` each finished output `t` is added to the entry already in
 /// `c` (`o = o + t`), so a sum of products `(m₀ + m₁) + m₂` needs no
 /// buffer per product; without it, `t` overwrites the entry.
 fn gemm<const ADD: bool>(
+    c: &mut [f32],
+    a: Strided<'_>,
+    b: Strided<'_>,
+    dims: (usize, usize, usize),
+) {
+    gemm_on::<ADD>(Isa::widest(), c, a, b, dims);
+}
+
+/// [`gemm`] on the instantiation compiled for `isa`.
+fn gemm_on<const ADD: bool>(
+    isa: Isa,
+    c: &mut [f32],
+    a: Strided<'_>,
+    b: Strided<'_>,
+    dims: (usize, usize, usize),
+) {
+    match isa.kind() {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: an `Isa` of kind `Avx512` is only built by
+        // `Isa::supported`, after `is_x86_feature_detected!("avx512f")`
+        // returned true on this CPU.
+        Kind::Avx512 => unsafe { gemm_avx512::<ADD>(c, a, b, dims) },
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: an `Isa` of kind `Avx2` is only built by
+        // `Isa::supported`, after `is_x86_feature_detected!("avx2")`
+        // returned true on this CPU.
+        Kind::Avx2 => unsafe { gemm_avx2::<ADD>(c, a, b, dims) },
+        _ => gemm_body::<ADD, 4, 8>(c, a, b, dims),
+    }
+}
+
+/// The kernel body compiled with AVX2: a `4 × 16` tile in 8 `ymm`
+/// registers, 8 independent accumulator chains. (`6 × 16` measured no
+/// faster on the recurrent cell's products.)
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn gemm_avx2<const ADD: bool>(
+    c: &mut [f32],
+    a: Strided<'_>,
+    b: Strided<'_>,
+    dims: (usize, usize, usize),
+) {
+    gemm_body::<ADD, 4, 16>(c, a, b, dims);
+}
+
+/// The kernel body compiled with AVX-512F: a `4 × 32` tile in 8 `zmm`
+/// registers. (`6 × 32` and `8 × 32` measured no faster.)
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+fn gemm_avx512<const ADD: bool>(
+    c: &mut [f32],
+    a: Strided<'_>,
+    b: Strided<'_>,
+    dims: (usize, usize, usize),
+) {
+    gemm_body::<ADD, 4, 32>(c, a, b, dims);
+}
+
+/// The kernel body with an `MR × NR` tile. `B` is packed one `k × NR`
+/// panel at a time (zero-padded past column `n`), and every `MR`-row block
+/// of `A` sweeps the panel; the rows left over take one-row tiles. A
+/// reduction of length 1 (an outer product) skips the tiles: each output
+/// is `+0.0 + a·b`, the value a tile would hold.
+///
+/// Always inlined, so each `#[target_feature]` wrapper compiles its own
+/// copy with its own instruction set.
+#[inline(always)]
+fn gemm_body<const ADD: bool, const MR: usize, const NR: usize>(
     c: &mut [f32],
     a: Strided<'_>,
     b: Strided<'_>,
@@ -90,21 +221,22 @@ fn gemm<const ADD: bool>(
     let mut panel = vec![0.0f32; k * NR];
     for j0 in (0..n).step_by(NR) {
         let w = NR.min(n - j0);
-        pack_panel(b, j0, w, &mut panel);
+        pack_panel::<NR>(b, j0, w, &mut panel);
         let mut i = 0;
         while i + MR <= m {
-            store_tile::<MR, ADD>(c, n, (i, j0, w), &tile::<MR>(a, i, &panel));
+            store_tile::<MR, NR, ADD>(c, n, (i, j0, w), &tile::<MR, NR>(a, i, &panel));
             i += MR;
         }
         for i in i..m {
-            store_tile::<1, ADD>(c, n, (i, j0, w), &tile::<1>(a, i, &panel));
+            store_tile::<1, NR, ADD>(c, n, (i, j0, w), &tile::<1, NR>(a, i, &panel));
         }
     }
 }
 
 /// Copies columns `j0..j0 + w` of `b` into `panel`, `NR` entries per row
 /// of `b`, with zeros past `w`.
-fn pack_panel(b: Strided<'_>, j0: usize, w: usize, panel: &mut [f32]) {
+#[inline(always)]
+fn pack_panel<const NR: usize>(b: Strided<'_>, j0: usize, w: usize, panel: &mut [f32]) {
     let (rows, _) = panel.as_chunks_mut::<NR>();
     for (p, row) in rows.iter_mut().enumerate() {
         let start = p * b.rs + j0 * b.cs;
@@ -127,7 +259,11 @@ fn pack_panel(b: Strided<'_>, j0: usize, w: usize, panel: &mut [f32]) {
 /// The micro-kernel: the `R × NR` output tile at rows `i..i + R` over one
 /// packed panel, summed in ascending `p` from `+0.0`.
 #[inline(always)]
-fn tile<const R: usize>(a: Strided<'_>, i: usize, panel: &[f32]) -> [[f32; NR]; R] {
+fn tile<const R: usize, const NR: usize>(
+    a: Strided<'_>,
+    i: usize,
+    panel: &[f32],
+) -> [[f32; NR]; R] {
     let mut acc = [[0.0f32; NR]; R];
     let (rows, _) = panel.as_chunks::<NR>();
     for (p, b_row) in rows.iter().enumerate() {
@@ -144,7 +280,8 @@ fn tile<const R: usize>(a: Strided<'_>, i: usize, panel: &[f32]) -> [[f32; NR]; 
 
 /// Writes the first `w` columns of a tile to rows `i..` of the `n`-wide
 /// output, starting at column `j0`, adding them to it under `ADD`.
-fn store_tile<const R: usize, const ADD: bool>(
+#[inline(always)]
+fn store_tile<const R: usize, const NR: usize, const ADD: bool>(
     c: &mut [f32],
     n: usize,
     (i, j0, w): (usize, usize, usize),
@@ -163,7 +300,6 @@ fn store_tile<const R: usize, const ADD: bool>(
         }
     }
 }
-
 /// [`gemm`] into a new `m × n` matrix.
 fn product(a: Strided<'_>, b: Strided<'_>, dims: (usize, usize, usize)) -> Matrix {
     let mut out = Matrix::zeros(dims.0, dims.2);
@@ -362,7 +498,11 @@ impl Matrix {
             other.rows(),
             other.cols()
         );
-        debug_assert_eq!(self.as_slice().len(), other.as_slice().len(), "{op}: buffer length");
+        debug_assert_eq!(
+            self.as_slice().len(),
+            other.as_slice().len(),
+            "{op}: buffer length"
+        );
         Matrix::from_vec(
             self.rows(),
             self.cols(),
@@ -475,8 +615,14 @@ mod tests {
             "NaN in B must propagate through a zero row of A: {c:?}"
         );
         assert!(c[(0, 0)].is_nan(), "0 · NaN must be NaN");
-        assert!(a.matmul_checked(&b).is_none(), "checked matmul must detect the poison");
-        assert!(b.matmul_checked(&a).is_none(), "poison in either operand is detected");
+        assert!(
+            a.matmul_checked(&b).is_none(),
+            "checked matmul must detect the poison"
+        );
+        assert!(
+            b.matmul_checked(&a).is_none(),
+            "poison in either operand is detected"
+        );
     }
 
     #[test]
@@ -609,7 +755,14 @@ mod tests {
 
     #[test]
     fn blocked_matmul_is_bit_identical_to_reference() {
-        for &(m, k, n) in &[(1, 1, 1), (3, 2, 5), (4, 4, 4), (5, 7, 3), (9, 6, 10), (8, 1, 2)] {
+        for &(m, k, n) in &[
+            (1, 1, 1),
+            (3, 2, 5),
+            (4, 4, 4),
+            (5, 7, 3),
+            (9, 6, 10),
+            (8, 1, 2),
+        ] {
             let a = irregular(m, k, 1);
             let b = irregular(k, n, 11);
             assert_eq!(
@@ -622,7 +775,14 @@ mod tests {
 
     #[test]
     fn blocked_matmul_at_b_is_bit_identical_to_reference() {
-        for &(k, m, n) in &[(1, 1, 1), (4, 3, 2), (5, 2, 7), (8, 4, 4), (10, 6, 3), (2, 9, 5)] {
+        for &(k, m, n) in &[
+            (1, 1, 1),
+            (4, 3, 2),
+            (5, 2, 7),
+            (8, 4, 4),
+            (10, 6, 3),
+            (2, 9, 5),
+        ] {
             let a = irregular(k, m, 3);
             let b = irregular(k, n, 17);
             assert_eq!(
@@ -635,7 +795,14 @@ mod tests {
 
     #[test]
     fn blocked_matmul_a_bt_is_bit_identical_to_reference() {
-        for &(m, k, n) in &[(1, 1, 1), (2, 3, 4), (4, 4, 4), (3, 5, 9), (6, 2, 7), (5, 8, 1)] {
+        for &(m, k, n) in &[
+            (1, 1, 1),
+            (2, 3, 4),
+            (4, 4, 4),
+            (3, 5, 9),
+            (6, 2, 7),
+            (5, 8, 1),
+        ] {
             let a = irregular(m, k, 5);
             let b = irregular(n, k, 23);
             assert_eq!(
@@ -648,7 +815,14 @@ mod tests {
 
     #[test]
     fn add_matmul_equals_add_of_matmul_bit_for_bit() {
-        for &(m, k, n) in &[(1, 1, 1), (3, 2, 5), (4, 4, 9), (5, 7, 3), (9, 1, 10), (6, 0, 2)] {
+        for &(m, k, n) in &[
+            (1, 1, 1),
+            (3, 2, 5),
+            (4, 4, 9),
+            (5, 7, 3),
+            (9, 1, 10),
+            (6, 0, 2),
+        ] {
             let a = irregular(m, k, 2);
             let b = irregular(k, n, 7);
             let base = irregular(m, n, 19);
@@ -682,6 +856,179 @@ mod tests {
         let (got, want) = (a2.matmul_at_b(&b), reference_at_b(&a2, &b));
         for (g, w) in got.as_slice().iter().zip(want.as_slice()) {
             assert_eq!(g.to_bits(), w.to_bits(), "matmul_at_b NaN path diverged");
+        }
+    }
+
+    // ---- every instantiation against the naive loop ---------------------
+    //
+    // `gemm` runs one instantiation per process, so these tests call each
+    // one the host supports directly, in every form, with and without
+    // `ADD`, and compare it with the textbook loop bit for bit.
+
+    use super::{gemm_on, Isa, Kind, Strided};
+    use proptest::prelude::*;
+
+    /// The reductions a cell uses, plus the short ones where the rank-1
+    /// path and a one-row panel differ from the tiles.
+    const DEPTHS: [usize; 5] = [0, 1, 2, 3, 129];
+
+    /// Operand entries from a xorshift stream: finite values across six
+    /// orders of magnitude, with `+0.0`, `-0.0`, NaN, `+inf` and `-inf`
+    /// at a rate of one in `special` (none when `special == 0`).
+    fn operand(len: usize, seed: u64, special: u64) -> Vec<f32> {
+        let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+        (0..len)
+            .map(|_| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                let r = state >> 8;
+                if special > 0 && r.is_multiple_of(special) {
+                    [0.0, -0.0, f32::NAN, f32::INFINITY, f32::NEG_INFINITY][(r >> 24) as usize % 5]
+                } else {
+                    let scale = [1e-3, 1.0, 1e3][(r >> 32) as usize % 3];
+                    ((r % 2001) as f32 / 97.0 - 10.3) * scale
+                }
+            })
+            .collect()
+    }
+
+    /// `C = A·B` (`ADD`: `C = base + A·B`) by the textbook loop: each
+    /// output the ascending-`p` sum from `+0.0`, then added to `base`.
+    fn naive(
+        a: Strided<'_>,
+        b: Strided<'_>,
+        (m, k, n): (usize, usize, usize),
+        base: Option<&[f32]>,
+    ) -> Vec<f32> {
+        (0..m * n)
+            .map(|idx| {
+                let (i, j) = (idx / n, idx % n);
+                let mut acc = 0.0f32;
+                for p in 0..k {
+                    acc += a.data[i * a.rs + p * a.cs] * b.data[p * b.rs + j * b.cs];
+                }
+                base.map_or(acc, |c| c[idx] + acc)
+            })
+            .collect()
+    }
+
+    /// Equal bits, or both NaN: IEEE 754 leaves a NaN's payload open.
+    fn same(x: f32, y: f32) -> bool {
+        x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan())
+    }
+
+    /// Runs `form` (0: `A·B`, 1: `Aᵀ·B`, 2: `A·Bᵀ`, as the three matmul
+    /// methods read their operands) at `m × k · k × n` on every supported
+    /// instantiation, with and without `ADD`, and returns the first
+    /// mismatch with the naive loop.
+    fn check_all_paths(
+        form: usize,
+        (m, k, n): (usize, usize, usize),
+        seed: u64,
+        special: u64,
+    ) -> Result<(), String> {
+        let a_data = operand(m * k, seed, special);
+        let b_data = operand(k * n, seed ^ 0x5151, special);
+        let base = operand(m * n, seed ^ 0xA7A7, special);
+        let (a, b) = match form {
+            0 => (
+                Strided {
+                    data: &a_data,
+                    rs: k,
+                    cs: 1,
+                },
+                Strided {
+                    data: &b_data,
+                    rs: n,
+                    cs: 1,
+                },
+            ),
+            1 => (
+                Strided {
+                    data: &a_data,
+                    rs: 1,
+                    cs: m,
+                },
+                Strided {
+                    data: &b_data,
+                    rs: n,
+                    cs: 1,
+                },
+            ),
+            _ => (
+                Strided {
+                    data: &a_data,
+                    rs: k,
+                    cs: 1,
+                },
+                Strided {
+                    data: &b_data,
+                    rs: 1,
+                    cs: k,
+                },
+            ),
+        };
+        let (want, want_add) = (
+            naive(a, b, (m, k, n), None),
+            naive(a, b, (m, k, n), Some(&base)),
+        );
+        for isa in Isa::supported() {
+            let mut got = vec![f32::NAN; m * n];
+            gemm_on::<false>(isa, &mut got, a, b, (m, k, n));
+            let mut got_add = base.clone();
+            gemm_on::<true>(isa, &mut got_add, a, b, (m, k, n));
+            for (add, got, want) in [(false, &got, &want), (true, &got_add, &want_add)] {
+                if let Some(at) = (0..m * n).find(|&i| !same(got[i], want[i])) {
+                    return Err(format!(
+                        "{isa:?} form {form} ADD {add} {m}x{k}·{k}x{n} seed {seed}: entry {at} is {:?}, naive {:?}",
+                        got[at], want[at]
+                    ));
+                }
+            }
+        }
+        Ok(())
+    }
+
+    #[test]
+    fn every_path_matches_naive_on_every_edge_shape() {
+        let supported: Vec<Kind> = Isa::supported().map(Isa::kind).collect();
+        for kind in [Kind::Portable, Kind::Avx2, Kind::Avx512] {
+            if !supported.contains(&kind) {
+                eprintln!("note: this CPU cannot run the {kind:?} gemm; its checks are skipped");
+            }
+        }
+        assert_eq!(
+            Isa::widest().kind(),
+            *supported.last().expect("portable is always supported")
+        );
+        // Rows cover every remainder modulo 4; columns every panel edge of
+        // the 8-, 16- and 32-wide panels.
+        for m in 0..=9 {
+            for n in [1, 5, 8, 9, 15, 16, 17, 31, 32, 33, 40] {
+                for k in DEPTHS {
+                    for form in 0..3 {
+                        let seed = (m * 1000 + n * 10 + k) as u64;
+                        check_all_paths(form, (m, k, n), seed, 9).unwrap_or_else(|e| panic!("{e}"));
+                    }
+                }
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        #[test]
+        fn every_path_matches_naive(
+            m in 0usize..14,
+            n in 0usize..70,
+            k in prop_oneof![0usize..4, Just(129usize), 4usize..40],
+            form in 0usize..3,
+            seed in 0u64..u64::MAX,
+            special in prop_oneof![Just(0u64), Just(7u64), Just(50u64), Just(1000u64)],
+        ) {
+            check_all_paths(form, (m, k, n), seed, special)?;
         }
     }
 }

@@ -2,8 +2,10 @@
 # CI gate: release build, the cascn-lint contract ratchet (all nine rules:
 # the five token rules plus the per-crate concurrency passes — lock-order,
 # guard-across-blocking, wait-loop, atomic-ordering), clippy with
-# warnings-as-errors, the full test suite, the thread-parity suite in
-# release (optimized float codegen is the configuration that ships), bench
+# warnings-as-errors, the full test suite, the tensor crate's tests, the
+# training bit pins and the thread-parity suite in release (optimized float
+# codegen, with the vectorized matmul kernels, is the configuration that
+# ships), bench
 # compilation, the perfbench harness's own tests (a tiny traced run of every
 # workload, so a library API the benchmark calls cannot break unnoticed),
 # the perf ratchet (BENCH_train.json vs bench-baseline.json:
@@ -20,6 +22,8 @@ cargo build --release
 cargo run --release -p cascn-lint -- --check
 cargo clippy --all-targets -- -D warnings
 cargo test -q
+cargo test -q --release -p cascn-tensor
+cargo test -q --release -p cascn --test training_bits
 cargo test -q --release -p cascn --test thread_parity
 cargo bench --no-run -p cascn-bench
 cargo test --release --manifest-path perfbench/Cargo.toml
