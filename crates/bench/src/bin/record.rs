@@ -32,6 +32,7 @@ use std::time::Instant;
 use cascn::{preprocess, CascnConfig, CascnModel, PreprocessedCascade, TaskKind, TrainOpts};
 use cascn_autograd::Tape;
 use cascn_bench::percentile;
+use cascn_bench::ratchet::{args, check_against, flag_value, json_number, outside_band};
 use cascn_cascades::synth::{WeiboConfig, WeiboGenerator};
 use cascn_cascades::{Cascade, Dataset, Split};
 use cascn_graph::laplacian;
@@ -80,28 +81,33 @@ fn workload() -> Dataset {
     .filter_observed_size(WINDOW, 5, 80)
 }
 
-/// Per-call latencies (µs, sorted ascending) of `predict` over preprocessed
-/// samples — the spectral basis is computed once up front, exactly like the
-/// serving tier's cache, so the numbers isolate the forward pass rather
-/// than the shared preprocessing pipeline.
-fn forward_latencies(
+/// Per-call latencies (µs, sorted ascending) of each of `predict` over
+/// preprocessed samples — the spectral basis is computed once up front,
+/// exactly like the serving tier's cache, so the numbers isolate the forward
+/// pass rather than the shared preprocessing pipeline. The predictors run
+/// interleaved, each sample through all of them back to back in an order
+/// that rotates every rep, so their latencies share the machine's state.
+fn forward_latencies<const N: usize>(
     samples: &[PreprocessedCascade],
-    predict: impl Fn(&PreprocessedCascade) -> f32,
-) -> Vec<u64> {
-    // One untimed pass absorbs lazy one-time costs (allocator warm-up).
-    for s in samples {
-        std::hint::black_box(predict(s));
-    }
-    let mut out = Vec::with_capacity(samples.len() * FORWARD_REPS);
-    for _ in 0..FORWARD_REPS {
+    predict: [&dyn Fn(&PreprocessedCascade) -> f32; N],
+) -> [Vec<u64>; N] {
+    let mut out = [(); N].map(|()| Vec::new());
+    // Rep 0 is untimed: it absorbs lazy one-time costs (allocator warm-up).
+    for rep in 0..=FORWARD_REPS {
         for s in samples {
-            let t0 = Instant::now();
-            std::hint::black_box(predict(s));
-            out.push(t0.elapsed().as_micros().min(u128::from(u64::MAX)) as u64);
+            for k in (0..N).map(|k| (k + rep) % N) {
+                let t0 = Instant::now();
+                std::hint::black_box(predict[k](s));
+                if rep > 0 {
+                    out[k].push(t0.elapsed().as_micros().min(u128::from(u64::MAX)) as u64);
+                }
+            }
         }
     }
-    out.sort_unstable();
-    out
+    out.map(|mut lat| {
+        lat.sort_unstable();
+        lat
+    })
 }
 
 /// The size prediction of [`CascnModel::forward`] recorded on a training
@@ -303,16 +309,17 @@ fn measure() -> Result<Record, String> {
         .iter()
         .map(|s| s.clone().with_dense_bases())
         .collect();
-    let sparse_lat = forward_latencies(&sparse_samples, |s| fwd_model.predict_log_sample(s));
-    let dense_lat = forward_latencies(&dense_samples, |s| fwd_model.predict_log_sample(s));
+    // The same sparse forward recorded on a training tape, timed
+    // interleaved with it: the speedup of the forward-only `Eval` that
+    // inference runs on, and its exactness (the two run the same kernels,
+    // so any delta is a bug).
+    let predict = |s: &PreprocessedCascade| fwd_model.predict_log_sample(s);
+    let [sparse_lat, tape_lat] =
+        forward_latencies(&sparse_samples, [&predict, &|s| tape_predict(&fwd_model, s)]);
+    let [dense_lat] = forward_latencies(&dense_samples, [&predict]);
     let forward_p50_us = percentile(&sparse_lat, 0.5);
     let forward_p99_us = percentile(&sparse_lat, 0.99);
     let dense_forward_p50_us = percentile(&dense_lat, 0.5);
-
-    // The same sparse forward recorded on a training tape: the speedup of
-    // the forward-only `Eval` that inference runs on, and its exactness
-    // (the two run the same kernels, so any delta is a bug).
-    let tape_lat = forward_latencies(&sparse_samples, |s| tape_predict(&fwd_model, s));
     let tape_forward_p50_us = percentile(&tape_lat, 0.5);
     let eval_speedup = tape_forward_p50_us as f64 / forward_p50_us.max(1) as f64;
     let eval_max_abs_delta = sparse_samples
@@ -474,23 +481,9 @@ fn to_json(r: &Record) -> String {
     out
 }
 
-/// Pull `"key": <number>` out of a flat JSON object. Good enough for the
-/// baseline file this tool itself maintains; no nesting, no strings.
-fn json_number(text: &str, key: &str) -> Option<f64> {
-    let needle = format!("\"{key}\"");
-    let rest = &text[text.find(&needle)? + needle.len()..];
-    let rest = rest.trim_start().strip_prefix(':')?.trim_start();
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || matches!(c, '.' | '-' | '+' | 'e' | 'E')))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
-fn check(r: &Record, baseline_path: &str) -> Result<(), String> {
-    let text = std::fs::read_to_string(baseline_path)
-        .map_err(|e| format!("cannot read baseline {baseline_path}: {e}"))?;
+fn check(r: &Record, baseline: &str) -> Result<(), String> {
     let num = |key: &str| {
-        json_number(&text, key).ok_or_else(|| format!("baseline is missing \"{key}\""))
+        json_number(baseline, key).ok_or_else(|| format!("baseline is missing \"{key}\""))
     };
     let min_speedup = num("min_sparse_speedup")?;
     let max_delta = num("max_accuracy_delta")?;
@@ -568,14 +561,7 @@ fn check(r: &Record, baseline_path: &str) -> Result<(), String> {
         ("preprocess_cascades_per_s", r.preprocess_cascades_per_s),
     ];
     for (key, measured) in banded {
-        let expect = num(key)?;
-        if measured > expect * band || measured < expect / band {
-            failures.push(format!(
-                "{key} {measured:.1} outside [{:.1}, {:.1}] ({band}x band around baseline {expect:.1})",
-                expect / band,
-                expect * band
-            ));
-        }
+        failures.extend(outside_band(key, measured, num(key)?, band));
     }
     if failures.is_empty() {
         Ok(())
@@ -584,24 +570,8 @@ fn check(r: &Record, baseline_path: &str) -> Result<(), String> {
     }
 }
 
-fn flag_value(args: &[String], flag: &str, default: &str) -> String {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-        .unwrap_or_else(|| default.to_string())
-}
-
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    for a in &args {
-        if a.starts_with("--")
-            && !matches!(a.as_str(), "--check" | "--out" | "--baseline")
-        {
-            eprintln!("unknown flag `{a}`");
-            std::process::exit(2);
-        }
-    }
+    let args = args(&["--check", "--out", "--baseline"]);
     let do_check = args.iter().any(|a| a == "--check");
     let out_path = flag_value(&args, "--out", "BENCH_train.json");
     let baseline_path = flag_value(&args, "--baseline", "bench-baseline.json");
@@ -622,12 +592,6 @@ fn main() {
     eprintln!("record: wrote {out_path}");
 
     if do_check {
-        match check(&record, &baseline_path) {
-            Ok(()) => eprintln!("record: --check OK against {baseline_path}"),
-            Err(msg) => {
-                eprintln!("record: --check FAILED against {baseline_path}:\n{msg}");
-                std::process::exit(1);
-            }
-        }
+        check_against("record", &baseline_path, |baseline| check(&record, baseline));
     }
 }

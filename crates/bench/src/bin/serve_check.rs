@@ -15,17 +15,7 @@
 
 use std::process::exit;
 
-/// Pull `"key": <number>` out of a flat JSON slice. Matches the first
-/// occurrence, so callers scope the slice to one object via [`section`].
-fn json_number(text: &str, key: &str) -> Option<f64> {
-    let needle = format!("\"{key}\"");
-    let rest = &text[text.find(&needle)? + needle.len()..];
-    let rest = rest.trim_start().strip_prefix(':')?.trim_start();
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || matches!(c, '.' | '-' | '+' | 'e' | 'E')))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
+use cascn_bench::ratchet::{args, check_against, flag_value, json_number, outside_band};
 
 /// The `{ … }` object following `"name":`, brace-balanced so nested
 /// objects inside the section stay inside the returned slice.
@@ -138,13 +128,7 @@ fn check(b: &Bench, baseline: &str) -> Result<(), String> {
             failures.push(format!("baseline is missing \"{key}\""));
             continue;
         };
-        if measured > expect * band || measured < expect / band {
-            failures.push(format!(
-                "{key} {measured:.0} outside [{:.0}, {:.0}] ({band}x band around baseline {expect:.0})",
-                expect / band,
-                expect * band
-            ));
-        }
+        failures.extend(outside_band(key, measured, expect, band));
     }
     if failures.is_empty() {
         Ok(())
@@ -153,22 +137,8 @@ fn check(b: &Bench, baseline: &str) -> Result<(), String> {
     }
 }
 
-fn flag_value(args: &[String], flag: &str, default: &str) -> String {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-        .unwrap_or_else(|| default.to_string())
-}
-
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    for a in &args {
-        if a.starts_with("--") && !matches!(a.as_str(), "--check" | "--bench" | "--baseline") {
-            eprintln!("unknown flag `{a}`");
-            exit(2);
-        }
-    }
+    let args = args(&["--check", "--bench", "--baseline"]);
     let do_check = args.iter().any(|a| a == "--check");
     let bench_path = flag_value(&args, "--bench", "BENCH_serve.json");
     let baseline_path = flag_value(&args, "--baseline", "serve-baseline.json");
@@ -201,19 +171,6 @@ fn main() {
     );
 
     if do_check {
-        let baseline = match std::fs::read_to_string(&baseline_path) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("serve_check: cannot read baseline {baseline_path}: {e}");
-                exit(1);
-            }
-        };
-        match check(&bench, &baseline) {
-            Ok(()) => println!("serve_check: --check OK against {baseline_path}"),
-            Err(msg) => {
-                eprintln!("serve_check: --check FAILED against {baseline_path}:\n{msg}");
-                exit(1);
-            }
-        }
+        check_against("serve_check", &baseline_path, |baseline| check(&bench, baseline));
     }
 }

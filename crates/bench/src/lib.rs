@@ -12,6 +12,7 @@
 
 pub mod datasets;
 pub mod paper;
+pub mod ratchet;
 pub mod report;
 pub mod runner;
 

@@ -83,14 +83,9 @@ impl Cascade {
     /// invariants (non-negative sorted time, in-range backward parent) —
     /// the single-event growth step behind live `/observe` ingestion.
     pub fn try_append(&mut self, event: Event) -> Result<(), crate::validate::CascadeFault> {
-        let idx = self.events.len();
         // `events` is non-empty by construction (try_new rejects empty
         // lists), so the appended event always has a predecessor.
-        if let Some(prev) = self.events.last() {
-            if let Some(fault) = crate::io::check_follow_on(prev, &event, idx) {
-                return Err(fault);
-            }
-        }
+        crate::validate::check_event(self.events.last(), &event, self.events.len())?;
         self.events.push(event);
         Ok(())
     }

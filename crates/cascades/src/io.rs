@@ -5,17 +5,27 @@
 //!
 //! ```text
 //! # cascn cascade file v1
+//! # dataset <name>
 //! cascade <id> <start_time>
 //! event <user> <parent_index|-> <time>
 //! ...
 //! ```
+//!
+//! Both file loaders read it through the parser the serving layer uses,
+//! [`crate::stream::CascadeStream`], with no limits; this module adds only
+//! the `# dataset` name. The strict loader stops at the first error; the
+//! lenient one records it, drops the cascade it belongs to and reads on from
+//! the next `cascade` header. Both therefore accept the same cascades and
+//! report the same first error, by construction.
 
+use std::convert::Infallible;
 use std::fmt::Write as _;
 use std::fs;
 use std::io;
 use std::path::Path;
 
-use crate::{Cascade, CascadeFault, Dataset, Event, QuarantineReport, QuarantinedCascade};
+use crate::stream::{CascadeStream, StreamLimits};
+use crate::{CascadeFault, Dataset, QuarantineReport};
 
 /// Errors arising while reading a cascade file.
 #[derive(Debug)]
@@ -86,250 +96,56 @@ pub fn write_dataset(path: impl AsRef<Path>, dataset: &Dataset) -> io::Result<()
 ///
 /// Every cascade invariant (root-first, non-negative sorted times, in-range
 /// parents) is validated *as lines are read*, so errors carry the line number
-/// of the offending record rather than a summary at flush time.
+/// of the offending record rather than a summary at the end of its cascade.
 pub fn dataset_from_str(text: &str, name_hint: &str) -> Result<Dataset, ReadError> {
-    let (dataset, report) = parse_dataset(text, name_hint, Mode::Strict)?;
-    debug_assert!(report.is_clean(), "strict mode never quarantines");
-    Ok(dataset)
+    read_lines(text, name_hint, |stream, message| Err(stream.error(message)))
 }
 
 /// Lenient counterpart of [`dataset_from_str`]: malformed cascades are
 /// quarantined (skipped with a recorded reason) instead of failing the whole
 /// load, so a handful of corrupt records cannot take down a training run.
+/// It reads exactly what the strict loader reads; at each error it records
+/// the cascade it belongs to and skips to the next `cascade` header.
 pub fn dataset_from_str_lenient(text: &str, name_hint: &str) -> (Dataset, QuarantineReport) {
-    match parse_dataset(text, name_hint, Mode::Lenient) {
-        Ok(parsed) => parsed,
-        // Defensive: lenient mode quarantines instead of failing, so this
-        // arm is unreachable — but if it ever fires, degrade to an empty
-        // dataset with the failure recorded rather than aborting the run.
-        Err(e) => {
-            let (line, reason) = match e {
-                ReadError::Parse { line, message } => (line, message),
-                ReadError::Io(e) => (0, e.to_string()),
-            };
-            let mut report = QuarantineReport::default();
-            report.quarantined.push(QuarantinedCascade { id: None, line, reason });
-            (Dataset::new(name_hint.to_string(), Vec::new()), report)
-        }
-    }
+    let mut report = QuarantineReport::default();
+    let Ok(dataset) = read_lines(text, name_hint, |stream, reason| {
+        report.quarantined.push(stream.quarantine(reason));
+        Ok::<(), Infallible>(())
+    });
+    report.kept = dataset.cascades.len();
+    (dataset, report)
 }
 
-#[derive(Clone, Copy, PartialEq)]
-enum Mode {
-    Strict,
-    Lenient,
-}
-
-/// Parser state for the cascade currently being assembled.
-struct Pending {
-    id: u64,
-    start: f64,
-    events: Vec<Event>,
-    /// Set when a fault was already recorded; remaining body lines are
-    /// consumed without further reporting until the next header.
-    poisoned: bool,
-}
-
-fn parse_dataset(
+/// Feeds every line of `text` to one unbounded [`CascadeStream`], taking the
+/// dataset name from a `# dataset` comment. `fault` gets each error with the
+/// stream that raised it, and either ends the load with it or lets the
+/// stream read on.
+fn read_lines<E>(
     text: &str,
     name_hint: &str,
-    mode: Mode,
-) -> Result<(Dataset, QuarantineReport), ReadError> {
+    mut fault: impl FnMut(&mut CascadeStream, String) -> Result<(), E>,
+) -> Result<Dataset, E> {
     let mut name = name_hint.to_string();
-    let mut cascades: Vec<Cascade> = Vec::new();
-    let mut report = QuarantineReport::default();
-    let mut current: Option<Pending> = None;
-
-    // In lenient mode a fault quarantines the current cascade and poisons it
-    // so the rest of its body is skipped; in strict mode it aborts the parse.
-    macro_rules! fault {
-        ($line:expr, $($msg:tt)*) => {{
-            let message = format!($($msg)*);
-            match mode {
-                Mode::Strict => return Err(ReadError::Parse { line: $line, message }),
-                Mode::Lenient => {
-                    let id = current.as_ref().map(|p| p.id);
-                    report.quarantined.push(QuarantinedCascade { id, line: $line, reason: message });
-                    if let Some(p) = current.as_mut() {
-                        p.poisoned = true;
-                    }
-                    continue;
-                }
-            }
-        }};
-    }
-
-    let mut lineno = 0usize;
-    for (i, raw) in text.lines().enumerate() {
-        lineno = i + 1;
-        let line = raw.trim();
-        if line.is_empty() {
-            continue;
-        }
-        if let Some(rest) = line.strip_prefix("# dataset ") {
+    let mut cascades = Vec::new();
+    let mut stream = CascadeStream::new(StreamLimits {
+        max_cascades: usize::MAX,
+        max_events: usize::MAX,
+    });
+    for raw in text.lines() {
+        if let Some(rest) = raw.trim().strip_prefix("# dataset ") {
             name = rest.trim().to_string();
-            continue;
         }
-        if line.starts_with('#') {
-            continue;
-        }
-        let mut parts = line.split_whitespace();
-        match parts.next() {
-            Some("cascade") => {
-                if let Err((line, message)) = flush(&mut current, &mut cascades, lineno) {
-                    match mode {
-                        Mode::Strict => return Err(ReadError::Parse { line, message }),
-                        Mode::Lenient => {
-                            let id = None; // the faulty cascade was already taken
-                            report
-                                .quarantined
-                                .push(QuarantinedCascade { id, line, reason: message });
-                        }
-                    }
-                }
-                let header = (|| -> Result<Pending, String> {
-                    let id = parse_tok(parts.next(), "cascade id")?;
-                    let start = parse_start(parts.next())?;
-                    Ok(Pending { id, start, events: Vec::new(), poisoned: false })
-                })();
-                match header {
-                    Ok(p) => current = Some(p),
-                    Err(message) => match mode {
-                        Mode::Strict => {
-                            return Err(ReadError::Parse { line: lineno, message })
-                        }
-                        Mode::Lenient => {
-                            report.quarantined.push(QuarantinedCascade {
-                                id: None,
-                                line: lineno,
-                                reason: message,
-                            });
-                            // Poisoned placeholder swallows the unparseable
-                            // cascade's body without further reports.
-                            current = Some(Pending {
-                                id: 0,
-                                start: 0.0,
-                                events: Vec::new(),
-                                poisoned: true,
-                            });
-                        }
-                    },
-                }
-            }
-            Some("event") => {
-                match current.as_mut() {
-                    None => fault!(lineno, "event before any cascade header"),
-                    Some(p) if p.poisoned => continue,
-                    Some(_) => {}
-                }
-                let parsed = (|| -> Result<Event, String> {
-                    let user = parse_tok(parts.next(), "user")?;
-                    let parent_tok = parts.next().ok_or("missing parent field")?;
-                    let parent = if parent_tok == "-" {
-                        None
-                    } else {
-                        Some(parse_tok(Some(parent_tok), "parent")?)
-                    };
-                    let time = parse_tok(parts.next(), "time")?;
-                    Ok(Event { user, parent, time })
-                })();
-                let event = match parsed {
-                    Ok(e) => e,
-                    Err(message) => fault!(lineno, "{message}"),
-                };
-                let Some(pending) = current.as_mut() else {
-                    continue; // unreachable: the header check above rejected headerless events
-                };
-                let idx = pending.events.len();
-                // Validate incrementally so the error points at this line.
-                // `events.last()` doubles as the root/follow-on dispatch: the
-                // first event has no predecessor and must be the root.
-                let fault = match pending.events.last() {
-                    None => {
-                        if event.parent.is_some() {
-                            Some(CascadeFault::RootHasParent)
-                        // lint: allow(float-eq) — the format contract pins the root at exactly t=0
-                        } else if event.time != 0.0 {
-                            Some(CascadeFault::RootTimeNonZero { time: event.time })
-                        } else {
-                            None
-                        }
-                    }
-                    Some(prev) => check_follow_on(prev, &event, idx),
-                };
-                if let Some(f) = fault {
-                    fault!(lineno, "{f}");
-                }
-                pending.events.push(event);
-            }
-            Some(other) => {
-                if current.as_ref().is_some_and(|p| p.poisoned) {
-                    continue; // mangled line inside an already-reported cascade
-                }
-                fault!(lineno, "unknown record type `{other}`");
-            }
-            None => {}
+        match stream.read_line(raw) {
+            Ok(None) => {}
+            Ok(Some(done)) => cascades.push(done),
+            Err(message) => fault(&mut stream, message)?,
         }
     }
-    if let Err((line, message)) = flush(&mut current, &mut cascades, lineno + 1) {
-        match mode {
-            Mode::Strict => return Err(ReadError::Parse { line, message }),
-            Mode::Lenient => {
-                report
-                    .quarantined
-                    .push(QuarantinedCascade { id: None, line, reason: message });
-            }
-        }
+    match stream.end() {
+        Ok(done) => cascades.extend(done),
+        Err(message) => fault(&mut stream, message)?,
     }
-    report.kept = cascades.len();
-    Ok((Dataset::new(name, cascades), report))
-}
-
-/// Validates a non-root `event` (at cascade index `idx`) against its
-/// predecessor — the incremental form of [`crate::validate_events`].
-/// Shared with the streaming request parser (`crate::stream`).
-pub(crate) fn check_follow_on(prev: &Event, event: &Event, idx: usize) -> Option<CascadeFault> {
-    if !event.time.is_finite() {
-        return Some(CascadeFault::NonFiniteTime { index: idx, time: event.time });
-    }
-    if event.time < 0.0 {
-        return Some(CascadeFault::NegativeTime { index: idx, time: event.time });
-    }
-    match event.parent {
-        None => return Some(CascadeFault::MissingParent { index: idx }),
-        Some(p) if p >= idx => {
-            return Some(CascadeFault::ForwardParent { index: idx, parent: p })
-        }
-        Some(_) => {}
-    }
-    if event.time < prev.time {
-        return Some(CascadeFault::TimeUnsorted { index: idx });
-    }
-    None
-}
-
-/// Completes the pending cascade, if any. Per-line validation already
-/// enforced the invariants, so only emptiness (a header with no body) can
-/// fail here.
-#[allow(clippy::result_large_err)]
-fn flush(
-    cur: &mut Option<Pending>,
-    out: &mut Vec<Cascade>,
-    line: usize,
-) -> Result<(), (usize, String)> {
-    if let Some(p) = cur.take() {
-        if p.poisoned {
-            return Ok(()); // already quarantined at its faulting line
-        }
-        if p.events.is_empty() {
-            return Err((line, format!("cascade {} has no events", p.id)));
-        }
-        let id = p.id;
-        let cascade = Cascade::try_new(p.id, p.start, p.events)
-            .map_err(|f| (line, format!("cascade {id}: {f}")))?;
-        out.push(cascade);
-    }
-    Ok(())
+    Ok(Dataset::new(name, cascades))
 }
 
 /// Reads a dataset file written by [`write_dataset`].
@@ -515,6 +331,19 @@ event 8 - 0.0
         assert_eq!(d.cascades[0].id, 2);
         assert_eq!(report.quarantined.len(), 1, "report: {}", report.summary());
         assert_eq!(report.quarantined[0].id, Some(1));
+    }
+
+    #[test]
+    fn lenient_load_drops_only_the_cascade_a_header_fault_belongs_to() {
+        // An empty cascade is reported at the next header, which still opens
+        // its own cascade; a header that does not parse loses only its own
+        // body, not the complete cascade before it.
+        let text = "cascade 1 0.0\ncascade 2 0.0\nevent 5 - 0.0\ncascade x 0.0\nevent 6 - 0.0\n\
+                    cascade 4 0.0\nevent 7 - 0.0\n";
+        let (d, report) = dataset_from_str_lenient(text, "x");
+        assert_eq!(d.cascades.iter().map(|c| c.id).collect::<Vec<_>>(), [2, 4]);
+        let entries: Vec<_> = report.quarantined.iter().map(|q| (q.line, q.reason.as_str())).collect();
+        assert_eq!(entries, [(2, "cascade 1 has no events"), (4, "invalid cascade id: `x`")]);
     }
 
     #[test]

@@ -1,13 +1,7 @@
-//! Incremental, bounded parsing of the cascade text format — the request
-//! parser of the serving layer.
-//!
-//! [`crate::io::dataset_from_str`] slurps a whole file and builds a
-//! [`crate::Dataset`]; a server handling untrusted request bodies needs
-//! neither. [`CascadeStream`] consumes the same line format one line at a
-//! time, enforces caps on cascade and event counts *as it reads* (so an
-//! oversized body is rejected at the first line that exceeds a limit, not
-//! after buffering everything), and yields each cascade as soon as the next
-//! header — or the end of input — proves it complete.
+//! The parser of the cascade line format, behind every reader of it: the
+//! strict and the lenient file loaders ([`crate::io`]) and the serving
+//! layer's request bodies ([`parse_cascades`] for `/predict`,
+//! [`parse_observe_body`] for `/observe`).
 //!
 //! The grammar is the one [`crate::io`] writes:
 //!
@@ -16,13 +10,19 @@
 //! event <user> <parent_index|-> <time>
 //! ```
 //!
-//! Comments (`#`) and blank lines are skipped. Every cascade invariant is
-//! validated incrementally with the same checks as the strict loader, so a
-//! body accepted here parses identically under [`crate::io`].
+//! Comments (`#`) and blank lines are skipped. One private lexer reads a
+//! line, and [`CascadeStream`] is the one state machine over it: it
+//! validates every cascade invariant as lines arrive, so an error names the
+//! offending line; it enforces caps on cascade and event counts *as it
+//! reads*, so an oversized request body is rejected at the first line past
+//! a limit, not after buffering everything; and it yields each cascade as
+//! soon as the next header — or the end of input — proves it complete. The
+//! file loaders drive it with no limits, so a body accepted here parses
+//! identically there, with the same error for one that is not.
 
-use crate::io::{check_follow_on, parse_start, parse_tok, ReadError};
-use crate::validate::CascadeFault;
-use crate::{Cascade, Event};
+use crate::io::{parse_start, parse_tok, ReadError};
+use crate::validate::check_event;
+use crate::{Cascade, Event, QuarantinedCascade};
 
 /// Caps applied while streaming. Both limits are inclusive maxima.
 #[derive(Debug, Clone, Copy)]
@@ -42,11 +42,52 @@ impl Default for StreamLimits {
     }
 }
 
+/// One line of the format as [`lex`] reads it. A record whose fields do not
+/// parse keeps the message to report, so the caller decides whether its
+/// state makes another fault come first.
+enum Line {
+    /// Blank, or a comment.
+    Skip,
+    /// `cascade <id> <start_time>`.
+    Header(Result<(u64, f64), String>),
+    /// `event <user> <parent_index|-> <time>`.
+    Event(Result<Event, String>),
+    /// Any other record type.
+    Unknown(String),
+}
+
+/// Reads one line of the format.
+fn lex(raw: &str) -> Line {
+    let mut parts = raw.split_whitespace();
+    match parts.next() {
+        None => Line::Skip,
+        Some(tok) if tok.starts_with('#') => Line::Skip,
+        Some("cascade") => Line::Header((|| {
+            let id = parse_tok(parts.next(), "cascade id")?;
+            Ok((id, parse_start(parts.next())?))
+        })()),
+        Some("event") => Line::Event((|| {
+            let user = parse_tok(parts.next(), "user")?;
+            let parent_tok = parts.next().ok_or("missing parent field")?;
+            let parent = if parent_tok == "-" {
+                None
+            } else {
+                Some(parse_tok(Some(parent_tok), "parent")?)
+            };
+            let time = parse_tok(parts.next(), "time")?;
+            Ok(Event { user, parent, time })
+        })()),
+        Some(other) => Line::Unknown(format!("unknown record type `{other}`")),
+    }
+}
+
 /// The cascade currently being assembled.
 struct Pending {
     id: u64,
     start: f64,
     events: Vec<Event>,
+    /// Line of its header.
+    line: usize,
 }
 
 /// An incremental parser over the cascade line format.
@@ -55,6 +96,9 @@ pub struct CascadeStream {
     lineno: usize,
     emitted: usize,
     current: Option<Pending>,
+    /// Body lines are ignored up to the next header: set by a header that
+    /// fails and by [`CascadeStream::quarantine`].
+    skipping: bool,
 }
 
 impl CascadeStream {
@@ -65,6 +109,7 @@ impl CascadeStream {
             lineno: 0,
             emitted: 0,
             current: None,
+            skipping: false,
         }
     }
 
@@ -72,90 +117,20 @@ impl CascadeStream {
     /// the *previous* cascade (i.e. it was the next `cascade` header), and
     /// `Ok(None)` otherwise. Errors carry the 1-based line number.
     pub fn push_line(&mut self, raw: &str) -> Result<Option<Cascade>, ReadError> {
-        self.lineno += 1;
-        let lineno = self.lineno;
-        let line = raw.trim();
-        let err = |message: String| ReadError::Parse { line: lineno, message };
-        if line.is_empty() || line.starts_with('#') {
-            return Ok(None);
-        }
-        let mut parts = line.split_whitespace();
-        match parts.next() {
-            Some("cascade") => {
-                let header = (|| -> Result<Pending, String> {
-                    let id = parse_tok(parts.next(), "cascade id")?;
-                    let start = parse_start(parts.next())?;
-                    Ok(Pending { id, start, events: Vec::new() })
-                })()
-                .map_err(err)?;
-                if self.emitted + usize::from(self.current.is_some()) >= self.limits.max_cascades {
-                    return Err(err(format!(
-                        "too many cascades (limit {})",
-                        self.limits.max_cascades
-                    )));
-                }
-                let done = self.flush()?;
-                self.current = Some(header);
-                Ok(done)
-            }
-            Some("event") => {
-                let Some(pending) = self.current.as_mut() else {
-                    return Err(err("event before any cascade header".into()));
-                };
-                if pending.events.len() >= self.limits.max_events {
-                    return Err(err(format!(
-                        "cascade {} exceeds the event limit ({})",
-                        pending.id, self.limits.max_events
-                    )));
-                }
-                let event = (|| -> Result<Event, String> {
-                    let user = parse_tok(parts.next(), "user")?;
-                    let parent_tok = parts.next().ok_or("missing parent field")?;
-                    let parent = if parent_tok == "-" {
-                        None
-                    } else {
-                        Some(parse_tok(Some(parent_tok), "parent")?)
-                    };
-                    let time = parse_tok(parts.next(), "time")?;
-                    Ok(Event { user, parent, time })
-                })()
-                .map_err(err)?;
-                let idx = pending.events.len();
-                // Same incremental invariants as the strict file loader.
-                let fault = match pending.events.last() {
-                    None => {
-                        if event.parent.is_some() {
-                            Some(CascadeFault::RootHasParent)
-                        // lint: allow(float-eq) — the format contract pins the root at exactly t=0
-                        } else if event.time != 0.0 {
-                            Some(CascadeFault::RootTimeNonZero { time: event.time })
-                        } else {
-                            None
-                        }
-                    }
-                    Some(prev) => check_follow_on(prev, &event, idx),
-                };
-                if let Some(f) = fault {
-                    return Err(err(f.to_string()));
-                }
-                pending.events.push(event);
-                Ok(None)
-            }
-            Some(other) => Err(err(format!("unknown record type `{other}`"))),
-            None => Ok(None),
-        }
+        self.read_line(raw).map_err(|message| self.error(message))
     }
 
     /// Signals end of input, returning the final cascade if one is pending.
     ///
     /// A trailing cascade never sees a terminating blank line or follow-up
-    /// header — this is the only place it can be yielded. It is charged
-    /// against [`StreamLimits`] exactly like header-completed cascades:
-    /// its header already counted toward `max_cascades` when it was read
-    /// (so a stream that admits the header always has room to finish it),
-    /// and its events were capped per-line by `max_events`.
+    /// header — this is the only place it can be yielded, and an empty one
+    /// is reported at the line after the last. It is charged against
+    /// [`StreamLimits`] exactly like header-completed cascades: its header
+    /// already counted toward `max_cascades` when it was read (so a stream
+    /// that admits the header always has room to finish it), and its events
+    /// were capped per-line by `max_events`.
     pub fn finish(mut self) -> Result<Option<Cascade>, ReadError> {
-        self.flush()
+        self.end().map_err(|message| self.error(message))
     }
 
     /// Number of complete cascades yielded so far (including by
@@ -165,27 +140,120 @@ impl CascadeStream {
         self.emitted
     }
 
+    /// [`CascadeStream::push_line`] with the error as its message alone;
+    /// the line it belongs to is the last one read.
+    pub(crate) fn read_line(&mut self, raw: &str) -> Result<Option<Cascade>, String> {
+        self.lineno += 1;
+        match lex(raw) {
+            Line::Skip => Ok(None),
+            Line::Header(header) => self.header(header),
+            _ if self.skipping => Ok(None),
+            Line::Event(event) => self.event(event).map(|()| None),
+            Line::Unknown(message) => Err(message),
+        }
+    }
+
+    /// [`CascadeStream::finish`] on a stream the caller keeps.
+    pub(crate) fn end(&mut self) -> Result<Option<Cascade>, String> {
+        self.lineno += 1;
+        self.flush()
+    }
+
+    /// `message` as the error of the last line read.
+    pub(crate) fn error(&self, message: String) -> ReadError {
+        ReadError::Parse { line: self.lineno, message }
+    }
+
+    /// Records `reason`, the error of the last line read, against the
+    /// cascade it belongs to, which is dropped with the rest of its body:
+    /// lines are skipped up to the next header. The lenient loader's
+    /// recovery; the strict loader and the request parsers stop at the
+    /// first error instead.
+    pub(crate) fn quarantine(&mut self, reason: String) -> QuarantinedCascade {
+        // A failing header has already closed or dropped the cascade before
+        // it and opened (or skips) its own, so only a body line's cascade is
+        // dropped here.
+        let at_header =
+            self.skipping || self.current.as_ref().is_some_and(|p| p.line == self.lineno);
+        let id = if at_header {
+            None
+        } else {
+            self.skipping = true;
+            self.current.take().map(|p| p.id)
+        };
+        QuarantinedCascade { id, line: self.lineno, reason }
+    }
+
+    /// A header ends the pending cascade and opens the next. An empty
+    /// pending cascade is this line's first fault, before the header's own
+    /// fields. Whatever fails, reading can resume on the next line: an
+    /// empty cascade is dropped, and a header that does not parse or
+    /// exceeds `max_cascades` keeps the pending cascade, to be completed by
+    /// the next header, and has its own body skipped.
+    fn header(&mut self, header: Result<(u64, f64), String>) -> Result<Option<Cascade>, String> {
+        let empty = self.current.take_if(|p| p.events.is_empty()).map(|p| p.id);
+        let opened = header.and_then(|(id, start)| {
+            if self.emitted + usize::from(self.current.is_some()) >= self.limits.max_cascades {
+                return Err(format!("too many cascades (limit {})", self.limits.max_cascades));
+            }
+            Ok(Pending { id, start, events: Vec::new(), line: self.lineno })
+        });
+        let done = match opened {
+            Ok(next) => {
+                let done = self.flush();
+                self.current = Some(next);
+                self.skipping = false;
+                done
+            }
+            Err(message) => {
+                self.skipping = true;
+                Err(message)
+            }
+        };
+        match empty {
+            Some(id) => Err(no_events(id)),
+            None => done,
+        }
+    }
+
+    /// Appends a body event to the pending cascade, validated against the
+    /// event before it.
+    fn event(&mut self, event: Result<Event, String>) -> Result<(), String> {
+        let Some(pending) = self.current.as_mut() else {
+            return Err("event before any cascade header".into());
+        };
+        if pending.events.len() >= self.limits.max_events {
+            return Err(format!(
+                "cascade {} exceeds the event limit ({})",
+                pending.id, self.limits.max_events
+            ));
+        }
+        let event = event?;
+        check_event(pending.events.last(), &event, pending.events.len())
+            .map_err(|fault| fault.to_string())?;
+        pending.events.push(event);
+        Ok(())
+    }
+
     /// Completes the pending cascade. Per-line validation already enforced
     /// the event invariants, so only emptiness can fail here.
-    fn flush(&mut self) -> Result<Option<Cascade>, ReadError> {
+    fn flush(&mut self) -> Result<Option<Cascade>, String> {
         let Some(p) = self.current.take() else {
             return Ok(None);
         };
-        let line = self.lineno;
         if p.events.is_empty() {
-            return Err(ReadError::Parse {
-                line,
-                message: format!("cascade {} has no events", p.id),
-            });
+            return Err(no_events(p.id));
         }
         let id = p.id;
-        let cascade = Cascade::try_new(p.id, p.start, p.events).map_err(|f| ReadError::Parse {
-            line,
-            message: format!("cascade {id}: {f}"),
-        })?;
+        let cascade =
+            Cascade::try_new(p.id, p.start, p.events).map_err(|f| format!("cascade {id}: {f}"))?;
         self.emitted += 1;
         Ok(Some(cascade))
     }
+}
+
+fn no_events(id: u64) -> String {
+    format!("cascade {id} has no events")
 }
 
 /// Drives a [`CascadeStream`] over a complete request body, collecting every
@@ -235,51 +303,27 @@ pub fn parse_observe_body(text: &str, limits: StreamLimits) -> Result<ObserveBod
     let mut lineno = 0usize;
     for raw in text.lines() {
         lineno += 1;
-        let line = raw.trim();
-        let err = |message: String| ReadError::Parse { line: lineno, message };
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        let mut parts = line.split_whitespace();
-        match parts.next() {
-            Some("cascade") => {
-                if header.is_some() {
-                    return Err(err("observe body carries exactly one cascade".into()));
-                }
-                let id = parse_tok(parts.next(), "cascade id").map_err(err)?;
-                let start = parse_start(parts.next()).map_err(err)?;
-                header = Some((id, start));
+        let read = match lex(raw) {
+            Line::Skip => Ok(()),
+            Line::Header(_) if header.is_some() => {
+                Err("observe body carries exactly one cascade".to_string())
             }
-            Some("event") => {
-                if header.is_none() {
-                    return Err(err("event before the cascade header".into()));
-                }
-                if events.len() >= limits.max_events {
-                    return Err(err(format!(
-                        "observe body exceeds the event limit ({})",
-                        limits.max_events
-                    )));
-                }
-                let event = (|| -> Result<Event, String> {
-                    let user = parse_tok(parts.next(), "user")?;
-                    let parent_tok = parts.next().ok_or("missing parent field")?;
-                    let parent = if parent_tok == "-" {
-                        None
-                    } else {
-                        Some(parse_tok(Some(parent_tok), "parent")?)
-                    };
-                    let time = parse_tok(parts.next(), "time")?;
-                    Ok(Event { user, parent, time })
-                })()
-                .map_err(err)?;
+            Line::Header(h) => h.map(|h| header = Some(h)),
+            Line::Event(_) if header.is_none() => Err("event before the cascade header".into()),
+            Line::Event(_) if events.len() >= limits.max_events => Err(format!(
+                "observe body exceeds the event limit ({})",
+                limits.max_events
+            )),
+            Line::Event(event) => event.and_then(|event| {
                 if !event.time.is_finite() {
-                    return Err(err(format!("non-finite event time {}", event.time)));
+                    return Err(format!("non-finite event time {}", event.time));
                 }
                 events.push(event);
-            }
-            Some(other) => return Err(err(format!("unknown record type `{other}`"))),
-            None => {}
-        }
+                Ok(())
+            }),
+            Line::Unknown(message) => Err(message),
+        };
+        read.map_err(|message| ReadError::Parse { line: lineno, message })?;
     }
     let last = lineno.max(1);
     let Some((id, start_time)) = header else {

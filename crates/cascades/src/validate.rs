@@ -91,31 +91,48 @@ impl std::error::Error for CascadeFault {}
 /// Checks every cascade invariant over a raw event list, reporting the first
 /// violation.
 pub fn validate_events(events: &[Event]) -> Result<(), CascadeFault> {
-    let Some(root) = events.first() else {
+    if events.is_empty() {
         return Err(CascadeFault::Empty);
+    }
+    for (i, e) in events.iter().enumerate() {
+        check_event(events[..i].last(), e, i)?;
+    }
+    Ok(())
+}
+
+/// Checks `event`, at position `index` of its cascade, against the event
+/// before it: the root's rules when there is none, the follow-on rules
+/// (finite, non-negative, sorted time and an earlier parent) otherwise. The
+/// incremental form of [`validate_events`], shared by the line parser and
+/// [`Cascade::try_append`].
+pub(crate) fn check_event(
+    prev: Option<&Event>,
+    event: &Event,
+    index: usize,
+) -> Result<(), CascadeFault> {
+    let Some(prev) = prev else {
+        if event.parent.is_some() {
+            return Err(CascadeFault::RootHasParent);
+        }
+        // lint: allow(float-eq) — the cascade contract pins the root at exactly t=0
+        if event.time != 0.0 {
+            return Err(CascadeFault::RootTimeNonZero { time: event.time });
+        }
+        return Ok(());
     };
-    if root.parent.is_some() {
-        return Err(CascadeFault::RootHasParent);
+    if !event.time.is_finite() {
+        return Err(CascadeFault::NonFiniteTime { index, time: event.time });
     }
-    // lint: allow(float-eq) — the cascade contract pins the root at exactly t=0
-    if root.time != 0.0 {
-        return Err(CascadeFault::RootTimeNonZero { time: root.time });
+    if event.time < 0.0 {
+        return Err(CascadeFault::NegativeTime { index, time: event.time });
     }
-    for (i, e) in events.iter().enumerate().skip(1) {
-        if !e.time.is_finite() {
-            return Err(CascadeFault::NonFiniteTime { index: i, time: e.time });
-        }
-        if e.time < 0.0 {
-            return Err(CascadeFault::NegativeTime { index: i, time: e.time });
-        }
-        match e.parent {
-            None => return Err(CascadeFault::MissingParent { index: i }),
-            Some(p) if p >= i => return Err(CascadeFault::ForwardParent { index: i, parent: p }),
-            Some(_) => {}
-        }
-        if e.time < events[i - 1].time {
-            return Err(CascadeFault::TimeUnsorted { index: i });
-        }
+    match event.parent {
+        None => return Err(CascadeFault::MissingParent { index }),
+        Some(p) if p >= index => return Err(CascadeFault::ForwardParent { index, parent: p }),
+        Some(_) => {}
+    }
+    if event.time < prev.time {
+        return Err(CascadeFault::TimeUnsorted { index });
     }
     Ok(())
 }

@@ -1,16 +1,25 @@
-//! Property tests for the decoders that read untrusted request bodies,
-//! `stream::parse_cascades` (`/predict`) and `stream::parse_observe_body`
-//! (`/observe`): every valid body decodes to exactly what was encoded, and
-//! no corruption of one — truncation, byte flips, giant numbers, NaN/±inf
-//! times, out-of-order timestamps, forward parents — panics, breaks a
-//! limit, or yields a cascade that fails validation.
+//! Property tests for the decoders of the cascade line format: the request
+//! parsers `stream::parse_cascades` (`/predict`) and
+//! `stream::parse_observe_body` (`/observe`), and the file loaders
+//! `io::dataset_from_str` and `io::dataset_from_str_lenient`. Every valid
+//! input decodes to exactly what was encoded, and no corruption of one —
+//! truncation, byte flips, giant numbers, NaN/±inf times, out-of-order
+//! timestamps, forward parents, dropped or duplicated headers — panics,
+//! breaks a limit, or yields a cascade that fails validation. The file
+//! loaders agree with the request parser line for line: the same cascades,
+//! or the same first error.
 
-use cascn_cascades::io::{dataset_from_str, dataset_from_str_lenient, dataset_to_string};
+use cascn_cascades::io::{
+    dataset_from_str, dataset_from_str_lenient, dataset_to_string, ReadError,
+};
 use cascn_cascades::stream::{parse_cascades, parse_observe_body, StreamLimits};
 use cascn_cascades::{validate_events, Cascade, Dataset, Event, ObserveBody};
 use proptest::prelude::*;
 
 const LIMITS: StreamLimits = StreamLimits { max_cascades: 4, max_events: 24 };
+
+/// The limits under which `parse_cascades` reads what the file loaders read.
+const UNBOUNDED: StreamLimits = StreamLimits { max_cascades: usize::MAX, max_events: usize::MAX };
 
 /// Tokens a corrupted numeric field is replaced with: overflowing and
 /// giant counts, non-finite and negative floats, and garbage.
@@ -175,6 +184,35 @@ fn mutate(text: &str, pick: f64, at: f64, byte: usize) -> String {
     }
 }
 
+/// A corruption of a dataset file: one of [`mutate`]'s, or a `cascade`
+/// header dropped or copied to another line.
+fn corrupt_dataset(text: &str, pick: f64, at: f64, byte: usize) -> String {
+    if pick < 7.0 / 9.0 {
+        return mutate(text, pick * 9.0 / 7.0, at, byte);
+    }
+    let mut lines: Vec<&str> = text.lines().collect();
+    let headers: Vec<usize> =
+        (0..lines.len()).filter(|&i| lines[i].starts_with("cascade")).collect();
+    let Some(&h) = headers.get(((at * headers.len() as f64) as usize).min(headers.len() - 1))
+    else {
+        return text.to_string();
+    };
+    if pick < 8.0 / 9.0 {
+        lines.remove(h);
+    } else {
+        lines.insert(byte % (lines.len() + 1), lines[h]);
+    }
+    lines.join("\n")
+}
+
+/// The line and message of a loader's error.
+fn parse_error(err: ReadError) -> (usize, String) {
+    match err {
+        ReadError::Parse { line, message } => (line, message),
+        ReadError::Io(e) => panic!("a text decoder did I/O: {e}"),
+    }
+}
+
 /// What every accepted cascade must satisfy: the loader's invariants and
 /// finite times, its start time included.
 fn assert_valid(c: &Cascade) -> Result<(), String> {
@@ -290,6 +328,32 @@ fn non_finite_start_time_is_refused_by_cascade_try_new() {
     }
 }
 
+/// Regression: `parse_cascades` reported an empty trailing cascade at its
+/// own header line while the strict loader reported it at the line after the
+/// last; both now report the line after the last.
+#[test]
+fn empty_trailing_cascade_is_reported_after_the_last_line() {
+    let body = "cascade 7 0.0\n";
+    let want = (2, "cascade 7 has no events".to_string());
+    assert_eq!(parse_error(dataset_from_str(body, "x").expect_err("strict")), want);
+    assert_eq!(parse_error(parse_cascades(body, UNBOUNDED).expect_err("stream")), want);
+    let (dataset, report) = dataset_from_str_lenient(body, "x");
+    assert!(dataset.cascades.is_empty());
+    assert_eq!((report.quarantined[0].line, &report.quarantined[0].reason), (want.0, &want.1));
+}
+
+/// Regression: at a malformed header after an empty cascade,
+/// `parse_cascades` reported the header's field while the strict loader
+/// reported the empty cascade; the pending cascade is now checked first by
+/// every reader.
+#[test]
+fn empty_cascade_is_reported_before_a_malformed_header() {
+    let body = "cascade 1 0.0\ncascade x 0.0\n";
+    let want = (2, "cascade 1 has no events".to_string());
+    assert_eq!(parse_error(dataset_from_str(body, "x").expect_err("strict")), want);
+    assert_eq!(parse_error(parse_cascades(body, UNBOUNDED).expect_err("stream")), want);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -379,5 +443,56 @@ proptest! {
                 .collect(),
         };
         prop_assert!(parse_observe_body(&encode_observe(&long), LIMITS).is_err());
+    }
+
+    #[test]
+    fn valid_datasets_round_trip(cs in cascades()) {
+        let d = Dataset::new("prop", cs);
+        let text = dataset_to_string(&d);
+        match dataset_from_str(&text, "x") {
+            Ok(back) => prop_assert_eq!((&back.name, &back.cascades), (&d.name, &d.cascades)),
+            Err(e) => prop_assert!(false, "valid dataset refused: {}", e),
+        }
+        let (back, report) = dataset_from_str_lenient(&text, "x");
+        prop_assert!(report.is_clean(), "{}", report.summary());
+        prop_assert_eq!((&back.name, &back.cascades), (&d.name, &d.cascades));
+    }
+
+    #[test]
+    fn the_file_loaders_agree_with_the_stream(
+        cs in cascades(),
+        pick in 0.0f64..1.0,
+        at in 0.0f64..1.0,
+        byte in 0usize..1000,
+    ) {
+        let text = corrupt_dataset(&encode_cascades(&cs), pick, at, byte);
+        let strict = dataset_from_str(&text, "x");
+        let (lenient, report) = dataset_from_str_lenient(&text, "x");
+        prop_assert_eq!(report.kept, lenient.cascades.len());
+        for c in &lenient.cascades {
+            assert_valid(c)?;
+        }
+        match (strict, parse_cascades(&text, UNBOUNDED)) {
+            (Ok(d), Ok(streamed)) => {
+                prop_assert!(report.is_clean(), "strict accepted, lenient quarantined:\n{}", report.summary());
+                prop_assert_eq!(&d.cascades, &Dataset::new("x", streamed).cascades);
+                prop_assert_eq!((&d.name, &d.cascades), (&lenient.name, &lenient.cascades));
+            }
+            (Err(e), Err(streamed)) => {
+                let (line, message) = parse_error(e);
+                prop_assert_eq!((line, message.clone()), parse_error(streamed));
+                let Some(first) = report.quarantined.first() else {
+                    return Err(format!("strict refused at line {line} ({message}), lenient is clean"));
+                };
+                prop_assert_eq!((first.line, &first.reason), (line, &message));
+            }
+            (strict, streamed) => prop_assert!(
+                false,
+                "strict {:?} but stream {:?} on:\n{}",
+                strict.map(|d| d.cascades.len()),
+                streamed.map(|c| c.len()),
+                text
+            ),
+        }
     }
 }

@@ -19,7 +19,7 @@
 use std::process::exit;
 
 use cascn::{CascnConfig, CascnModel, CheckpointPolicy, TaskKind, TrainCheckpoint, TrainOpts};
-use cascn_cascades::{deephawkes_format, io, Dataset, Split};
+use cascn_cascades::{deephawkes_format, io, Dataset, QuarantineReport, Split};
 use cascn_nn::metrics;
 
 fn main() {
@@ -102,48 +102,35 @@ impl Flags {
     }
 }
 
-fn load_dataset(path: &str) -> Result<Dataset, String> {
-    // Auto-detect: DeepHawkes lines are tab-separated; EchoFlow exports are
-    // comma-separated CSV; ours start with '#' or the `cascade` keyword.
+/// Loads a dataset in the format its text shows: DeepHawkes lines are
+/// tab-separated, EchoFlow exports are comma-separated CSV, and ours start
+/// with '#' or the `cascade` keyword. The strict load fails on the first
+/// malformed record; the lenient one (native and EchoFlow formats)
+/// quarantines malformed cascades instead and returns the report's summary
+/// alongside when it is not clean.
+fn load_dataset(path: &str, lenient: bool) -> Result<(Dataset, Option<String>), String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
     let first_data_line = text
         .lines()
         .find(|l| !l.trim().is_empty() && !l.starts_with('#'));
-    match first_data_line {
-        Some(l) if l.contains('\t') => {
-            deephawkes_format::parse(&text, path).map_err(|e| e.to_string())
-        }
-        _ if cascn_cascades::looks_like_echoflow(&text) => {
-            cascn_cascades::dataset_from_echoflow_str(&text, path).map_err(|e| e.to_string())
-        }
-        _ => io::dataset_from_str(&text, path).map_err(|e| e.to_string()),
+    if first_data_line.is_some_and(|l| l.contains('\t')) {
+        let d = deephawkes_format::parse(&text, path).map_err(|e| e.to_string())?;
+        return Ok((d, None));
     }
-}
-
-/// Like [`load_dataset`], but quarantines malformed cascades (native and
-/// EchoFlow formats) instead of failing; the quarantine summary is returned
-/// alongside.
-fn load_dataset_lenient(path: &str) -> Result<(Dataset, Option<String>), String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-    let first_data_line = text
-        .lines()
-        .find(|l| !l.trim().is_empty() && !l.starts_with('#'));
-    match first_data_line {
-        Some(l) if l.contains('\t') => {
-            let d = deephawkes_format::parse(&text, path).map_err(|e| e.to_string())?;
-            Ok((d, None))
-        }
-        _ if cascn_cascades::looks_like_echoflow(&text) => {
-            let (d, report) = cascn_cascades::dataset_from_echoflow_str_lenient(&text, path);
-            let summary = (!report.is_clean()).then(|| report.summary());
-            Ok((d, summary))
-        }
-        _ => {
-            let (d, report) = io::dataset_from_str_lenient(&text, path);
-            let summary = (!report.is_clean()).then(|| report.summary());
-            Ok((d, summary))
-        }
-    }
+    let echoflow = cascn_cascades::looks_like_echoflow(&text);
+    let (dataset, report) = match (echoflow, lenient) {
+        (true, true) => cascn_cascades::dataset_from_echoflow_str_lenient(&text, path),
+        (false, true) => io::dataset_from_str_lenient(&text, path),
+        (true, false) => (
+            cascn_cascades::dataset_from_echoflow_str(&text, path).map_err(|e| e.to_string())?,
+            QuarantineReport::default(),
+        ),
+        (false, false) => (
+            io::dataset_from_str(&text, path).map_err(|e| e.to_string())?,
+            QuarantineReport::default(),
+        ),
+    };
+    Ok((dataset, (!report.is_clean()).then(|| report.summary())))
 }
 
 fn cmd_generate(flags: &Flags) -> Result<(), String> {
@@ -181,7 +168,7 @@ fn cmd_stats(flags: &Flags) -> Result<(), String> {
         .map(String::as_str)
         .or_else(|| flags.get("data"))
         .ok_or("missing dataset file")?;
-    let dataset = load_dataset(path)?;
+    let (dataset, _) = load_dataset(path, false)?;
     let window: f64 = flags.parse_or("window", f64::MAX)?;
     println!("dataset: {} ({} cascades)", dataset.name, dataset.cascades.len());
     println!("total edges: {}", dataset.total_edges());
@@ -255,7 +242,7 @@ fn cmd_train(flags: &Flags) -> Result<(), String> {
         .require("window")?
         .parse()
         .map_err(|_| "invalid --window")?;
-    let (dataset, quarantine) = load_dataset_lenient(data_path)?;
+    let (dataset, quarantine) = load_dataset(data_path, true)?;
     if let Some(summary) = quarantine {
         eprintln!("warning: {summary}");
     }
@@ -374,7 +361,7 @@ fn cmd_predict(flags: &Flags) -> Result<(), String> {
         .parse()
         .map_err(|_| "invalid --window")?;
     let (mut cfg, _) = train_config(flags)?;
-    let dataset = load_dataset(data_path)?;
+    let (dataset, _) = load_dataset(data_path, false)?;
     resolve_vocab(&mut cfg, &dataset);
     let task = cfg.task;
     let model = CascnModel::load(cfg, model_path).map_err(|e| e.to_string())?;
