@@ -5,7 +5,7 @@
 # warnings-as-errors, the full test suite, the tensor crate's tests, the
 # training bit pins and the thread-parity suite in release (optimized float
 # codegen, with the vectorized matmul kernels, is the configuration that
-# ships), bench
+# ships; the CasCN, GL and Path pins and the deep baselines' pins), bench
 # compilation, the perfbench harness's own tests (a tiny traced run of every
 # workload, so a library API the benchmark calls cannot break unnoticed),
 # the perf ratchet (BENCH_train.json vs bench-baseline.json:
@@ -24,6 +24,7 @@ cargo clippy --all-targets -- -D warnings
 cargo test -q
 cargo test -q --release -p cascn-tensor
 cargo test -q --release -p cascn --test training_bits
+cargo test -q --release -p cascn-baselines --test training_bits
 cargo test -q --release -p cascn --test thread_parity
 cargo bench --no-run -p cascn-bench
 cargo test --release --manifest-path perfbench/Cargo.toml
