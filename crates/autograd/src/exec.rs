@@ -64,12 +64,16 @@ pub trait Exec<'s> {
     fn scalar_mul(&mut self, s: &Self::Value, a: &Self::Value) -> Self::Value;
     /// Column-wise sum: `m x n` → `1 x n`.
     fn sum_rows(&mut self, a: &Self::Value) -> Self::Value;
+    /// Column-wise mean: `m x n` → `1 x n`.
+    fn mean_rows(&mut self, a: &Self::Value) -> Self::Value;
     /// Stacks `table[rows[i], :]`.
     fn gather(&mut self, table: &Self::Value, rows: Vec<usize>) -> Self::Value;
     /// Vertically stacks `parts`.
     fn concat_rows(&mut self, parts: &[Self::Value]) -> Self::Value;
     /// `[a | b]`.
     fn concat_cols(&mut self, a: &Self::Value, b: &Self::Value) -> Self::Value;
+    /// Rows `start..start + len` of `a`.
+    fn slice_rows(&mut self, a: &Self::Value, start: usize, len: usize) -> Self::Value;
     /// Columns `start..start + len` of `a`.
     fn slice_cols(&mut self, a: &Self::Value, start: usize, len: usize) -> Self::Value;
     /// Entry `(r, c)` of `a` as a `1x1` value.
@@ -162,6 +166,9 @@ impl<'s> Exec<'s> for Tape {
     fn sum_rows(&mut self, a: &Var) -> Var {
         Tape::sum_rows(self, *a)
     }
+    fn mean_rows(&mut self, a: &Var) -> Var {
+        Tape::mean_rows(self, *a)
+    }
     fn gather(&mut self, table: &Var, rows: Vec<usize>) -> Var {
         Tape::gather(self, *table, rows)
     }
@@ -170,6 +177,9 @@ impl<'s> Exec<'s> for Tape {
     }
     fn concat_cols(&mut self, a: &Var, b: &Var) -> Var {
         Tape::concat_cols(self, *a, *b)
+    }
+    fn slice_rows(&mut self, a: &Var, start: usize, len: usize) -> Var {
+        Tape::slice_rows(self, *a, start, len)
     }
     fn slice_cols(&mut self, a: &Var, start: usize, len: usize) -> Var {
         Tape::slice_cols(self, *a, start, len)
@@ -268,6 +278,19 @@ impl<'s> Eval<'s> {
         Self::default()
     }
 
+    /// Runs `forward` on a fresh executor and returns its `1x1` output as a
+    /// number — one sample's prediction or loss.
+    ///
+    /// # Panics
+    /// Panics if the output is not `1x1`.
+    pub fn scalar(forward: impl FnOnce(&mut Self) -> EvalVar<'s>) -> f32 {
+        let mut ex = Self::new();
+        let out = forward(&mut ex);
+        let m = out.get();
+        assert_eq!(m.shape(), (1, 1), "scalar() on non-1x1 value");
+        m[(0, 0)]
+    }
+
     /// Number of owned values alive now.
     pub fn live(&self) -> usize {
         self.live.get()
@@ -337,6 +360,9 @@ impl<'s> Exec<'s> for Eval<'s> {
     fn sum_rows(&mut self, a: &EvalVar<'s>) -> EvalVar<'s> {
         self.own(a.get().sum_rows())
     }
+    fn mean_rows(&mut self, a: &EvalVar<'s>) -> EvalVar<'s> {
+        self.own(kernel::mean_rows(a.get()))
+    }
     fn gather(&mut self, table: &EvalVar<'s>, rows: Vec<usize>) -> EvalVar<'s> {
         self.own(kernel::gather(table.get(), &rows))
     }
@@ -346,6 +372,9 @@ impl<'s> Exec<'s> for Eval<'s> {
     }
     fn concat_cols(&mut self, a: &EvalVar<'s>, b: &EvalVar<'s>) -> EvalVar<'s> {
         self.own(kernel::concat_cols(&[a.get(), b.get()]))
+    }
+    fn slice_rows(&mut self, a: &EvalVar<'s>, start: usize, len: usize) -> EvalVar<'s> {
+        self.own(kernel::slice_rows(a.get(), start, len))
     }
     fn slice_cols(&mut self, a: &EvalVar<'s>, start: usize, len: usize) -> EvalVar<'s> {
         self.own(kernel::slice_cols(a.get(), start, len))

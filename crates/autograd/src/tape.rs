@@ -308,8 +308,7 @@ impl Tape {
 
     /// Column-wise mean: `m x n` → `1 x n`.
     pub fn mean_rows(&mut self, a: Var) -> Var {
-        let m = self.value(a).rows().max(1) as f32;
-        let value = self.value(a).sum_rows().scale(1.0 / m);
+        let value = kernel::mean_rows(self.value(a));
         let rg = self.requires(a);
         self.push(Op::MeanRows(a), value, rg)
     }
@@ -373,16 +372,7 @@ impl Tape {
 
     /// Extracts `len` consecutive rows starting at `start`.
     pub fn slice_rows(&mut self, a: Var, start: usize, len: usize) -> Var {
-        let v = self.value(a);
-        assert!(
-            start + len <= v.rows(),
-            "slice_rows: {start}+{len} exceeds {} rows",
-            v.rows()
-        );
-        let mut value = Matrix::zeros(len, v.cols());
-        for r in 0..len {
-            value.row_mut(r).copy_from_slice(v.row(start + r));
-        }
+        let value = kernel::slice_rows(self.value(a), start, len);
         let rg = self.requires(a);
         self.push(Op::SliceRows(a, start), value, rg)
     }

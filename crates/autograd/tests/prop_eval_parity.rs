@@ -23,9 +23,11 @@ enum Op {
     Scale(f32),
     ScalarMul,
     SumRows,
+    MeanRows,
     Gather(Vec<usize>),
     ConcatRows,
     ConcatCols,
+    SliceRows(usize, usize),
     SliceCols(usize, usize),
     SparseApply(Arc<SparseOp>),
     Spmm(Arc<Csr>),
@@ -50,9 +52,11 @@ fn apply<'s, E: Exec<'s>>(ex: &mut E, op: &Op, v: &[E::Value]) -> E::Value {
         Op::Scale(s) => ex.scale(&v[0], *s),
         Op::ScalarMul => ex.scalar_mul(&v[0], &v[1]),
         Op::SumRows => ex.sum_rows(&v[0]),
+        Op::MeanRows => ex.mean_rows(&v[0]),
         Op::Gather(rows) => ex.gather(&v[0], rows.clone()),
         Op::ConcatRows => ex.concat_rows(v),
         Op::ConcatCols => ex.concat_cols(&v[0], &v[1]),
+        Op::SliceRows(start, len) => ex.slice_rows(&v[0], *start, *len),
         Op::SliceCols(start, len) => ex.slice_cols(&v[0], *start, *len),
         Op::SparseApply(a) => ex.sparse_apply(Arc::clone(a), &v[0]),
         Op::Spmm(a) => ex.spmm(Arc::clone(a), &v[0]),
@@ -142,7 +146,7 @@ proptest! {
     }
 
     #[test]
-    fn unary(which in 0usize..7, s in -2.0f32..2.0, a in (0usize..5, 1usize..6)
+    fn unary(which in 0usize..8, s in -2.0f32..2.0, a in (0usize..5, 1usize..6)
         .prop_flat_map(|(m, n)| matrix(m, n)))
     {
         let op = [
@@ -151,6 +155,7 @@ proptest! {
             Op::Relu,
             Op::Scale(s),
             Op::SumRows,
+            Op::MeanRows,
             Op::LogSoftmaxRow,
             Op::SoftmaxCol,
         ][which]
@@ -187,6 +192,18 @@ proptest! {
         .prop_flat_map(|(m, ca, cb)| (matrix(m, ca), matrix(m, cb))))
     {
         check(Op::ConcatCols, &[ab.0, ab.1])?;
+    }
+
+    #[test]
+    fn slice_rows(case in (0usize..5, 1usize..6)
+        .prop_flat_map(|(m, c)| (matrix(m, c), 0..=m))
+        .prop_flat_map(|(a, start)| {
+            let rest = a.rows() - start;
+            (Just(a), Just(start), 0..=rest)
+        }))
+    {
+        let (a, start, len) = case;
+        check(Op::SliceRows(start, len), &[a])?;
     }
 
     #[test]

@@ -30,7 +30,13 @@ pub use lis::{Lis, LisConfig};
 pub use node2vec::{Node2VecModel, Node2VecModelConfig};
 pub use topolstm::{TopoLstm, TopoNextSample};
 
+use cascn::trainer::{self, Objective};
+use cascn::TrainOpts;
+use cascn_autograd::{Eval, Exec, ParamStore, Tape};
 use cascn_cascades::Cascade;
+use cascn_nn::train::History;
+use cascn_nn::{metrics, Mlp};
+use cascn_tensor::Matrix;
 
 /// Standardization statistics for feature vectors (fit on train, applied
 /// everywhere).
@@ -82,6 +88,48 @@ pub(crate) fn feature_rows(cascades: &[Cascade], window: f64) -> Vec<Vec<f32>> {
         .iter()
         .map(|c| cascn_cascades::features::extract(&c.observe(window), window))
         .collect()
+}
+
+/// `mlp` applied to one feature row.
+fn head<'s, E: Exec<'s>>(ex: &mut E, mlp: &Mlp, store: &'s ParamStore, x: &[f32]) -> E::Value {
+    let row = ex.constant(Matrix::row_vector(x));
+    mlp.forward(ex, store, row)
+}
+
+/// Fits the regression head `mlp` (its parameters in `store`) on one
+/// feature row per cascade to the log-increments of `train`, validating
+/// MSLE over `val` on an [`Eval`] — the trainer of Feature-deep and of the
+/// Node2Vec head.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn fit_head(
+    store: &mut ParamStore,
+    mlp: &Mlp,
+    train: &[Cascade],
+    train_x: &[Vec<f32>],
+    val: &[Cascade],
+    val_x: &[Vec<f32>],
+    window: f64,
+    opts: &TrainOpts,
+) -> History {
+    let train_labels: Vec<f32> = train
+        .iter()
+        .map(|c| metrics::log_label(c.increment_size(window)))
+        .collect();
+    let val_increments: Vec<usize> = val.iter().map(|c| c.increment_size(window)).collect();
+    let forward = |tape: &mut Tape, store: &ParamStore, x: &Vec<f32>| head(tape, mlp, store, x);
+    let predict = |store: &ParamStore, x: &Vec<f32>| Eval::scalar(|ex| head(ex, mlp, store, x));
+    let objective = Objective::Regression {
+        forward: &forward,
+        predict: &predict,
+        train_labels: &train_labels,
+        val_increments: &val_increments,
+    };
+    trainer::fit(store, &objective, train_x, val_x, opts)
+}
+
+/// The prediction of the head `mlp` for one feature row, on an [`Eval`].
+pub(crate) fn predict_head(mlp: &Mlp, store: &ParamStore, x: &[f32]) -> f32 {
+    Eval::scalar(|ex| head(ex, mlp, store, x))
 }
 
 #[cfg(test)]

@@ -235,8 +235,9 @@ impl CascadeStream {
         Ok(())
     }
 
-    /// Completes the pending cascade. Per-line validation already enforced
-    /// the event invariants, so only emptiness can fail here.
+    /// Completes the pending cascade. `lex` already refused a non-finite
+    /// start time and [`Self::event`] checked every event against the one
+    /// before it, so only emptiness can fail here.
     fn flush(&mut self) -> Result<Option<Cascade>, String> {
         let Some(p) = self.current.take() else {
             return Ok(None);
@@ -244,11 +245,8 @@ impl CascadeStream {
         if p.events.is_empty() {
             return Err(no_events(p.id));
         }
-        let id = p.id;
-        let cascade =
-            Cascade::try_new(p.id, p.start, p.events).map_err(|f| format!("cascade {id}: {f}"))?;
         self.emitted += 1;
-        Ok(Some(cascade))
+        Ok(Some(Cascade::prechecked(p.id, p.start, p.events)))
     }
 }
 

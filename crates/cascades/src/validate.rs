@@ -146,11 +146,21 @@ impl Cascade {
             return Err(CascadeFault::NonFiniteStart { time: start_time });
         }
         validate_events(&events)?;
-        Ok(Self {
+        Ok(Self::prechecked(id, start_time, events))
+    }
+
+    /// A cascade whose start time is finite and whose events already passed
+    /// [`check_event`] one by one, in order — the line parser's
+    /// constructor, which skips [`Cascade::try_new`]'s second pass over
+    /// the events.
+    pub(crate) fn prechecked(id: u64, start_time: f64, events: Vec<Event>) -> Self {
+        debug_assert!(start_time.is_finite(), "cascade {id}: start {start_time}");
+        debug_assert_eq!(validate_events(&events), Ok(()), "cascade {id}");
+        Self {
             id,
             start_time,
             events,
-        })
+        }
     }
 }
 

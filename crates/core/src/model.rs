@@ -191,17 +191,8 @@ impl CascnModel {
         let mut acc: Option<E::Value> = None;
         let mut rows = Vec::new();
         for (t, h) in hs.iter().enumerate() {
-            let weighted = match (&table, self.cfg.decay) {
-                (Some(table), _) => {
-                    self.decay
-                        .scale(ex, table, h, sample.times[t], sample.window)
-                }
-                (None, DecayMode::None) => h.clone(),
-                (None, kernel) => {
-                    let k = kernel.kernel(sample.times[t] / sample.window.max(f64::MIN_POSITIVE));
-                    ex.scale(h, k)
-                }
-            };
+            let weighted =
+                decay_state(ex, &self.decay, self.cfg.decay, table.as_ref(), h, sample, t);
             match self.cfg.pooling {
                 Pooling::Sum => {
                     acc = Some(match acc {
@@ -363,7 +354,7 @@ impl CascnModel {
                     model.forward(tape, store, s)
                 };
                 let predict = |store: &ParamStore, s: &PreprocessedCascade| {
-                    model.predict_log_with(store, s)
+                    Eval::scalar(|ex| model.forward(ex, store, s))
                 };
                 let objective = Objective::Regression {
                     forward: &forward,
@@ -399,9 +390,7 @@ impl CascnModel {
                     model.next_loss(tape, store, s)
                 };
                 let score = |store: &ParamStore, s: &NextUserSample| {
-                    let mut ex = Eval::new();
-                    let loss = model.next_loss(&mut ex, store, s);
-                    ex.value(&loss)[(0, 0)]
+                    Eval::scalar(|ex| model.next_loss(ex, store, s))
                 };
                 trainer::run(
                     &mut self.store,
@@ -434,15 +423,7 @@ impl CascnModel {
     /// bit-identical. Runs on an [`Eval`], bit-identical to the tape
     /// forward.
     pub fn predict_log_sample(&self, sample: &PreprocessedCascade) -> f32 {
-        self.predict_log_with(&self.store, sample)
-    }
-
-    /// [`CascnModel::predict_log_sample`] under the parameters `store`
-    /// (validation scores the parameters being trained).
-    fn predict_log_with(&self, store: &ParamStore, sample: &PreprocessedCascade) -> f32 {
-        let mut ex = Eval::new();
-        let pred = self.forward(&mut ex, store, sample);
-        ex.value(&pred)[(0, 0)]
+        Eval::scalar(|ex| self.forward(ex, &self.store, sample))
     }
 
     /// Predicted log-increments for a batch of cascades, with preprocessing
@@ -459,11 +440,6 @@ impl CascnModel {
         let mut ex = Eval::new();
         let rep = self.forward_representation(&mut ex, &self.store, &sample);
         ex.value(&rep).as_slice().to_vec()
-    }
-
-    /// Current time-decay multipliers `λ_m`.
-    pub fn decay_values(&self) -> Vec<f32> {
-        self.decay.values(&self.store)
     }
 
     /// Table row for a global user id: identity embedding with row 0
@@ -584,18 +560,7 @@ impl CascnModel {
         let s = self.next_sample(cascade, window)?;
         let observed: Vec<u64> = cascade.observe(window).users();
         let probs = self.next_probs(&s.pre, &observed);
-        let mut scores = Vec::with_capacity(probs.len());
-        let mut target_idx = None;
-        for (row, &p) in probs.iter().enumerate().skip(1) {
-            if s.mask[row] {
-                continue;
-            }
-            if row == s.target_row {
-                target_idx = Some(scores.len());
-            }
-            scores.push(p);
-        }
-        Some(metrics::rank_of(&scores, target_idx?))
+        metrics::masked_rank(&probs, &s.mask, s.target_row)
     }
 
     /// Ranks for every evaluable cascade in `cascades`, fanned out across
@@ -684,6 +649,29 @@ impl CascnModel {
             )));
         }
         Ok(model)
+    }
+}
+
+/// Eq. 16: the hidden state `h` of snapshot `t` re-weighted under `mode` —
+/// by the learned `λ_m` read from `table` (bound once per forward pass
+/// under [`DecayMode::Learned`]), by a fixed kernel of the snapshot time,
+/// or not at all.
+pub(crate) fn decay_state<'s, E: Exec<'s>>(
+    ex: &mut E,
+    decay: &TimeDecay,
+    mode: DecayMode,
+    table: Option<&E::Value>,
+    h: &E::Value,
+    sample: &PreprocessedCascade,
+    t: usize,
+) -> E::Value {
+    match (table, mode) {
+        (Some(table), _) => decay.scale(ex, table, h, sample.times[t], sample.window),
+        (None, DecayMode::None) => h.clone(),
+        (None, kernel) => {
+            let k = kernel.kernel(sample.times[t] / sample.window.max(f64::MIN_POSITIVE));
+            ex.scale(h, k)
+        }
     }
 }
 
@@ -1430,7 +1418,7 @@ mod tests {
             .collect();
         assert!(samples.len() >= 12, "only {} next-user samples", samples.len());
         let view = model.clone();
-        let loss = move |tape: &mut Tape, store: &ParamStore, s: &NextUserSample| {
+        let loss = |tape: &mut Tape, store: &ParamStore, s: &NextUserSample| {
             view.next_loss(tape, store, s)
         };
         let opts = TrainOpts {
@@ -1454,7 +1442,9 @@ mod tests {
                 s.accumulate_grad(id, &g);
             }
         };
-        let score = |store: &ParamStore, s: &NextUserSample| trainer::predict_with(store, &loss, s);
+        let score = |store: &ParamStore, s: &NextUserSample| {
+            Eval::scalar(|ex| view.next_loss(ex, store, s))
+        };
         let hist = trainer::run(
             &mut model.store,
             &Objective::Ranked {

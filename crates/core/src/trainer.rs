@@ -2,7 +2,11 @@
 //! next-user head), its variants, and the deep baselines — hardened with an
 //! anomaly guard, periodic resumable checkpoints, and deterministic
 //! fault-injection hooks. [`run`] is the one loop; an [`Objective`] supplies
-//! its per-sample loss and validation score.
+//! its per-sample loss and validation score, and [`fit`] is its shorthand
+//! for runs without resume, checkpoints or hooks. Every model passes its
+//! forward on a [`Tape`] for training and the same forward on an
+//! [`cascn_autograd::Eval`] for validation; the two are bit-identical, so
+//! validation picks the epoch the tape would, without recording.
 
 use std::path::PathBuf;
 
@@ -108,13 +112,13 @@ pub struct TrainHooks<'a> {
     pub post_grad: Option<PostGradHook<'a>>,
 }
 
-/// A forward closure: builds one sample's computation on `tape` against a
+/// A training forward: builds one sample's computation on `tape` against a
 /// read-only parameter view and returns its `1x1` output.
 pub type Forward<'a, S> = dyn Fn(&mut Tape, &ParamStore, &S) -> Var + Sync + 'a;
 
 /// A validation scorer: one sample's `1x1` output under the given
-/// parameters, as a number. Callers whose model runs on an `Eval` pass a
-/// forward-only scorer; [`predict_with`] turns a [`Forward`] into one.
+/// parameters, as a number — the model's forward on an
+/// [`cascn_autograd::Eval`] (see [`cascn_autograd::Eval::scalar`]).
 pub type Scorer<'a, S> = dyn Fn(&ParamStore, &S) -> f32 + Sync + 'a;
 
 /// What one training run minimizes and how it scores validation.
@@ -180,30 +184,24 @@ impl<S: Sync> Objective<'_, S> {
     }
 }
 
-/// Size-regression training without checkpointing: [`run`] with an
-/// [`Objective::Regression`] objective. After every epoch the validation
-/// MSLE (Eq. 20) is recorded, and the parameters of the best validation
-/// epoch are restored before returning.
+/// [`run`] without resume, checkpointing, observer or hooks: trains on
+/// `objective` and restores the parameters of the best validation epoch.
 ///
 /// # Panics
 /// Panics on an empty training set — the only error a run without
 /// checkpointing can produce.
-pub fn train_loop<S: Sync>(
+pub fn fit<S: Sync>(
     store: &mut ParamStore,
-    forward: &Forward<'_, S>,
+    objective: &Objective<'_, S>,
     train: &[S],
-    train_labels: &[f32],
     val: &[S],
-    val_increments: &[usize],
     opts: &TrainOpts,
 ) -> History {
-    expect_trained(train_loop_resumable(
+    expect_trained(run(
         store,
-        forward,
+        objective,
         train,
-        train_labels,
         val,
-        val_increments,
         opts,
         None,
         None,
@@ -214,13 +212,18 @@ pub fn train_loop<S: Sync>(
 
 /// Unwraps the result of a run without resume or checkpointing, whose only
 /// error is an empty training set — the documented panic of the infallible
-/// entry points ([`train_loop`], `CascnModel::fit`).
+/// entry points ([`fit`], `CascnModel::fit`).
 pub(crate) fn expect_trained(result: Result<History, CascnError>) -> History {
     // lint: allow(no-panic) — documented panic of the infallible entry points: without resume/checkpoint the only Err is an empty training set
     result.expect("training without checkpointing fails only on an empty training set")
 }
 
-/// [`run`] for size regression, taking the objective's parts directly.
+/// [`run`] for size regression, taking the objective's parts directly and
+/// validating on the tape `forward` itself. This is the one adapter that
+/// scores validation on a recording tape; every model validates on an
+/// `Eval` instead. It survives only because the benchmark's traced fit
+/// calls it, and goes with the benchmark-coupled ROADMAP item that moves
+/// that fit onto [`run`].
 #[allow(clippy::too_many_arguments)]
 pub fn train_loop_resumable<S: Sync>(
     store: &mut ParamStore,
@@ -237,7 +240,11 @@ pub fn train_loop_resumable<S: Sync>(
 ) -> Result<History, CascnError> {
     assert_eq!(train.len(), train_labels.len(), "train labels mismatch");
     assert_eq!(val.len(), val_increments.len(), "val labels mismatch");
-    let predict = |store: &ParamStore, s: &S| predict_with(store, forward, s);
+    let predict = |store: &ParamStore, s: &S| {
+        let mut tape = Tape::new();
+        let pred = forward(&mut tape, store, s);
+        tape.scalar(pred)
+    };
     let objective = Objective::Regression {
         forward,
         predict: &predict,
@@ -540,35 +547,75 @@ fn roll_back(
     history.log_anomaly(epoch, batch, AnomalyKind::Rollback);
 }
 
-/// Runs `forward` for one sample on a fresh tape and returns the scalar
-/// prediction.
-pub fn predict_with<S>(store: &ParamStore, forward: &Forward<'_, S>, sample: &S) -> f32 {
-    let mut tape = Tape::new();
-    let pred = forward(&mut tape, store, sample);
-    tape.scalar(pred)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cascn_autograd::{Eval, Exec, ParamId};
     use cascn_tensor::Matrix;
 
-    /// [`run`] with a ranked (per-sample loss) objective and no
-    /// checkpointing.
-    fn run_ranked<S: Sync>(
+    /// `w · x` for the single weight `w`.
+    fn weighted<'s, E: Exec<'s>>(
+        ex: &mut E,
+        store: &'s ParamStore,
+        w: ParamId,
+        x: f32,
+    ) -> E::Value {
+        let wv = ex.param(store, w);
+        let xv = ex.constant(Matrix::from_vec(1, 1, vec![x]));
+        ex.hadamard(&wv, &xv)
+    }
+
+    /// [`fit`] of `w · x` to the log-labels, validating on an `Eval`.
+    fn fit_weighted(
         store: &mut ParamStore,
-        loss: &Forward<'_, S>,
-        train: &[S],
-        val: &[S],
+        w: ParamId,
+        train: &[f32],
+        train_labels: &[f32],
+        val: &[f32],
+        val_increments: &[usize],
         opts: &TrainOpts,
-        hooks: TrainHooks<'_>,
-    ) -> Result<History, CascnError> {
-        let score = |store: &ParamStore, s: &S| predict_with(store, loss, s);
+    ) -> History {
+        let forward = |tape: &mut Tape, store: &ParamStore, x: &f32| weighted(tape, store, w, *x);
+        let predict = |store: &ParamStore, x: &f32| Eval::scalar(|ex| weighted(ex, store, w, *x));
+        let objective = Objective::Regression {
+            forward: &forward,
+            predict: &predict,
+            train_labels,
+            val_increments,
+        };
+        fit(store, &objective, train, val, opts)
+    }
+
+    /// `−log softmax(logits)[target]` for the `1 x c` parameter `logits`.
+    fn picked_loss<'s, E: Exec<'s>>(
+        ex: &mut E,
+        store: &'s ParamStore,
+        logits: ParamId,
+        target: usize,
+    ) -> E::Value {
+        let l = ex.param(store, logits);
+        let logp = ex.log_softmax_row(&l);
+        let picked = ex.pick(&logp, 0, target);
+        ex.scale(&picked, -1.0)
+    }
+
+    /// [`fit`] with the ranked objective [`picked_loss`].
+    fn fit_ranked(
+        store: &mut ParamStore,
+        logits: ParamId,
+        train: &[usize],
+        val: &[usize],
+        opts: &TrainOpts,
+    ) -> History {
+        let loss =
+            |tape: &mut Tape, store: &ParamStore, t: &usize| picked_loss(tape, store, logits, *t);
+        let score =
+            |store: &ParamStore, t: &usize| Eval::scalar(|ex| picked_loss(ex, store, logits, *t));
         let objective = Objective::Ranked {
-            loss,
+            loss: &loss,
             score: &score,
         };
-        run(store, &objective, train, val, opts, None, None, &mut |_, _| {}, hooks)
+        fit(store, &objective, train, val, opts)
     }
 
     /// Fits y = log-label through a single weight: the loop must drive the
@@ -577,11 +624,6 @@ mod tests {
     fn train_loop_reduces_loss() {
         let mut store = ParamStore::new();
         let w = store.register("w", Matrix::zeros(1, 1));
-        let forward = move |tape: &mut Tape, store: &ParamStore, x: &f32| {
-            let wv = tape.param(store, w);
-            let xv = tape.constant(Matrix::from_vec(1, 1, vec![*x]));
-            tape.hadamard(wv, xv)
-        };
         let train: Vec<f32> = vec![1.0; 64];
         let labels: Vec<f32> = vec![2.0; 64];
         let val: Vec<f32> = vec![1.0; 8];
@@ -592,7 +634,7 @@ mod tests {
             lr: 0.05,
             ..TrainOpts::default()
         };
-        let hist = train_loop(&mut store, &forward, &train, &labels, &val, &val_inc, &opts);
+        let hist = fit_weighted(&mut store, w, &train, &labels, &val, &val_inc, &opts);
         assert!(hist.records().len() > 5);
         let first = hist.records()[0].train_loss;
         let last = hist.records().last().unwrap().train_loss;
@@ -608,11 +650,6 @@ mod tests {
         // val MSLE after training must equal the recorded best.
         let mut store = ParamStore::new();
         let w = store.register("w", Matrix::zeros(1, 1));
-        let forward = move |tape: &mut Tape, store: &ParamStore, x: &f32| {
-            let wv = tape.param(store, w);
-            let xv = tape.constant(Matrix::from_vec(1, 1, vec![*x]));
-            tape.hadamard(wv, xv)
-        };
         let train: Vec<f32> = vec![1.0; 16];
         let labels: Vec<f32> = vec![1.0; 16];
         let val: Vec<f32> = vec![1.0; 4];
@@ -623,9 +660,12 @@ mod tests {
             lr: 0.3,
             ..TrainOpts::default()
         };
-        let hist = train_loop(&mut store, &forward, &train, &labels, &val, &val_inc, &opts);
+        let hist = fit_weighted(&mut store, w, &train, &labels, &val, &val_inc, &opts);
         let best = hist.best().unwrap().val_loss;
-        let preds: Vec<f32> = val.iter().map(|s| predict_with(&store, &forward, s)).collect();
+        let preds: Vec<f32> = val
+            .iter()
+            .map(|&x| Eval::scalar(|ex| weighted(ex, &store, w, x)))
+            .collect();
         let final_msle = cascn_nn::metrics::msle(&preds, &val_inc);
         assert!(
             (final_msle - best).abs() < 1e-5,
@@ -637,12 +677,6 @@ mod tests {
     fn train_loop_ranked_concentrates_mass_on_the_target() {
         let mut store = ParamStore::new();
         let w = store.register("logits", Matrix::zeros(1, 3));
-        let loss_forward = move |tape: &mut Tape, store: &ParamStore, target: &usize| {
-            let logits = tape.param(store, w);
-            let logp = tape.log_softmax_row(logits);
-            let picked = tape.pick(logp, 0, *target);
-            tape.scale(picked, -1.0)
-        };
         let train: Vec<usize> = vec![2; 48];
         let val: Vec<usize> = vec![2; 8];
         let opts = TrainOpts {
@@ -651,8 +685,7 @@ mod tests {
             lr: 0.1,
             ..TrainOpts::default()
         };
-        let hist = run_ranked(&mut store, &loss_forward, &train, &val, &opts, TrainHooks::default())
-            .unwrap();
+        let hist = fit_ranked(&mut store, w, &train, &val, &opts);
         let first = hist.records()[0].val_loss;
         let last = hist.records().last().unwrap().val_loss;
         assert!(last < first * 0.2, "cross-entropy should shrink: {first} → {last}");
@@ -669,12 +702,6 @@ mod tests {
         let run = |threads: usize| {
             let mut store = ParamStore::new();
             let w = store.register("logits", Matrix::zeros(1, 4));
-            let loss_forward = move |tape: &mut Tape, store: &ParamStore, target: &usize| {
-                let logits = tape.param(store, w);
-                let logp = tape.log_softmax_row(logits);
-                let picked = tape.pick(logp, 0, *target);
-                tape.scale(picked, -1.0)
-            };
             let train: Vec<usize> = (0..32).map(|i| 1 + i % 3).collect();
             let opts = TrainOpts {
                 epochs: 3,
@@ -682,8 +709,7 @@ mod tests {
                 threads,
                 ..TrainOpts::default()
             };
-            run_ranked(&mut store, &loss_forward, &train, &[], &opts, TrainHooks::default())
-                .unwrap();
+            fit_ranked(&mut store, w, &train, &[], &opts);
             store
                 .value(w)
                 .as_slice()
@@ -700,8 +726,8 @@ mod tests {
     #[should_panic(expected = "empty training set")]
     fn empty_training_set_is_rejected() {
         let mut store = ParamStore::new();
-        let forward = |_: &mut Tape, _: &ParamStore, _: &f32| unreachable!();
-        let _ = train_loop::<f32>(&mut store, &forward, &[], &[], &[], &[], &TrainOpts::default());
+        let w = store.register("w", Matrix::zeros(1, 1));
+        let _ = fit_weighted(&mut store, w, &[], &[], &[], &[], &TrainOpts::default());
     }
 
     #[test]

@@ -283,7 +283,6 @@ pub struct ChebConvLstmCell {
     peep_f: ParamId,
     peep_o: ParamId,
     k: usize,
-    d_in: usize,
     d_h: usize,
 }
 
@@ -307,24 +306,8 @@ impl ChebConvLstmCell {
             peep_f: store.register(format!("{name}.vf"), Matrix::zeros(1, d_h)),
             peep_o: store.register(format!("{name}.vo"), Matrix::zeros(1, d_h)),
             k,
-            d_in,
             d_h,
         }
-    }
-
-    /// Chebyshev order.
-    pub fn order(&self) -> usize {
-        self.k
-    }
-
-    /// Input feature dimension.
-    pub fn input_dim(&self) -> usize {
-        self.d_in
-    }
-
-    /// Hidden dimension.
-    pub fn hidden_dim(&self) -> usize {
-        self.d_h
     }
 
     /// Fresh zero `(h, c)` state over `n` nodes.
@@ -411,7 +394,6 @@ pub struct ChebConvGruCell {
     reset: ConvGate,
     candidate: ConvGate,
     k: usize,
-    d_in: usize,
     d_h: usize,
 }
 
@@ -430,24 +412,8 @@ impl ChebConvGruCell {
             reset: ConvGate::new(store, &format!("{name}.r"), k, d_in, d_h, rng),
             candidate: ConvGate::new(store, &format!("{name}.h"), k, d_in, d_h, rng),
             k,
-            d_in,
             d_h,
         }
-    }
-
-    /// Chebyshev order.
-    pub fn order(&self) -> usize {
-        self.k
-    }
-
-    /// Input feature dimension.
-    pub fn input_dim(&self) -> usize {
-        self.d_in
-    }
-
-    /// Hidden dimension.
-    pub fn hidden_dim(&self) -> usize {
-        self.d_h
     }
 
     /// Fresh zero hidden state over `n` nodes.

@@ -78,11 +78,6 @@ impl TimeDecay {
         let table = self.bind(ex, store);
         self.scale(ex, &table, h, t, window)
     }
-
-    /// Current values of the multipliers (for inspection/reports).
-    pub fn values(&self, store: &ParamStore) -> Vec<f32> {
-        store.value(self.lambdas).as_slice().to_vec()
-    }
 }
 
 #[cfg(test)]

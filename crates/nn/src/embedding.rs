@@ -3,7 +3,7 @@
 // lint: allow(nondeterminism) — Vocab's map is lookup-only; its iteration order is never observed
 use std::collections::HashMap;
 
-use cascn_autograd::{ParamId, ParamStore, Tape, Var};
+use cascn_autograd::{Exec, ParamId, ParamStore};
 use rand::rngs::StdRng;
 
 use crate::init;
@@ -80,10 +80,27 @@ impl Embedding {
     }
 
     /// Looks up a batch of row indices, producing an `indices.len() x dim`
-    /// variable with scatter-add gradients into the table.
-    pub fn forward(&self, tape: &mut Tape, store: &ParamStore, indices: Vec<usize>) -> Var {
-        let table = tape.param(store, self.table);
-        tape.gather(table, indices)
+    /// value (on a tape, with scatter-add gradients into the table).
+    pub fn forward<'s, E: Exec<'s>>(
+        &self,
+        ex: &mut E,
+        store: &'s ParamStore,
+        indices: Vec<usize>,
+    ) -> E::Value {
+        let table = ex.param(store, self.table);
+        ex.gather(&table, indices)
+    }
+
+    /// Looks up `indices` as a sequence of `1 x dim` steps, one per index,
+    /// for a recurrent cell to consume in order.
+    pub fn sequence<'s, E: Exec<'s>>(
+        &self,
+        ex: &mut E,
+        store: &'s ParamStore,
+        indices: &[usize],
+    ) -> Vec<E::Value> {
+        let rows = self.forward(ex, store, indices.to_vec());
+        (0..indices.len()).map(|i| ex.slice_rows(&rows, i, 1)).collect()
     }
 
     /// Raw parameter id (for weight inspection).
@@ -95,6 +112,7 @@ impl Embedding {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cascn_autograd::Tape;
     use rand::SeedableRng;
 
     #[test]

@@ -1,7 +1,7 @@
 //! Neural-network layers for the CasCN reproduction, built on
-//! [`cascn_autograd`]. The CasCN layers are generic over
-//! [`cascn_autograd::Exec`], so the same code trains on a tape and serves
-//! on the forward-only `Eval`.
+//! [`cascn_autograd`]. Every layer is generic over
+//! [`cascn_autograd::Exec`], so the same code trains on a tape and
+//! validates and serves on the forward-only `Eval`.
 //!
 //! The layer zoo covers everything Section IV of the paper and its baselines
 //! require:

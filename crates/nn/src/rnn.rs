@@ -1,9 +1,10 @@
-//! Dense recurrent cells (LSTM, GRU) used by the path-based models.
+//! Dense recurrent cells (LSTM, GRU) used by the path-based models,
+//! generic over [`Exec`] like every other layer.
 //!
 //! States are `m x d_h` matrices so a cell can process `m` independent
 //! sequences (e.g. all random-walk paths of one cascade) in lock-step.
 
-use cascn_autograd::{ParamId, ParamStore, Tape, Var};
+use cascn_autograd::{Exec, ParamId, ParamStore};
 use cascn_tensor::Matrix;
 use rand::rngs::StdRng;
 
@@ -27,14 +28,20 @@ impl Gate {
     }
 
     /// `x·W + h·U + b`.
-    fn pre_activation(&self, tape: &mut Tape, store: &ParamStore, x: Var, h: Var) -> Var {
-        let w = tape.param(store, self.w);
-        let u = tape.param(store, self.u);
-        let b = tape.param(store, self.b);
-        let xw = tape.matmul(x, w);
-        let hu = tape.matmul(h, u);
-        let sum = tape.add(xw, hu);
-        tape.add_bias(sum, b)
+    fn pre_activation<'s, E: Exec<'s>>(
+        &self,
+        ex: &mut E,
+        store: &'s ParamStore,
+        x: &E::Value,
+        h: &E::Value,
+    ) -> E::Value {
+        let w = ex.param(store, self.w);
+        let u = ex.param(store, self.u);
+        let b = ex.param(store, self.b);
+        let xw = ex.matmul(x, &w);
+        let hu = ex.matmul(h, &u);
+        let sum = ex.add(&xw, &hu);
+        ex.add_bias(&sum, &b)
     }
 }
 
@@ -45,7 +52,6 @@ pub struct LstmCell {
     forget: Gate,
     output: Gate,
     cell: Gate,
-    d_in: usize,
     d_h: usize,
 }
 
@@ -63,66 +69,55 @@ impl LstmCell {
             forget: Gate::new(store, &format!("{name}.f"), d_in, d_h, rng),
             output: Gate::new(store, &format!("{name}.o"), d_in, d_h, rng),
             cell: Gate::new(store, &format!("{name}.c"), d_in, d_h, rng),
-            d_in,
             d_h,
         }
     }
 
-    /// Input dimension.
-    pub fn input_dim(&self) -> usize {
-        self.d_in
-    }
-
-    /// Hidden dimension.
-    pub fn hidden_dim(&self) -> usize {
-        self.d_h
-    }
-
     /// Fresh zero `(h, c)` state for `m` parallel sequences.
-    pub fn zero_state(&self, tape: &mut Tape, m: usize) -> (Var, Var) {
-        let h = tape.constant(Matrix::zeros(m, self.d_h));
-        let c = tape.constant(Matrix::zeros(m, self.d_h));
+    pub fn zero_state<'s, E: Exec<'s>>(&self, ex: &mut E, m: usize) -> (E::Value, E::Value) {
+        let h = ex.constant(Matrix::zeros(m, self.d_h));
+        let c = ex.constant(Matrix::zeros(m, self.d_h));
         (h, c)
     }
 
     /// One timestep: consumes `x` (`m x d_in`) and state, returns the next
     /// `(h, c)`.
-    pub fn step(
+    pub fn step<'s, E: Exec<'s>>(
         &self,
-        tape: &mut Tape,
-        store: &ParamStore,
-        x: Var,
-        (h, c): (Var, Var),
-    ) -> (Var, Var) {
-        let i_pre = self.input.pre_activation(tape, store, x, h);
-        let i = tape.sigmoid(i_pre);
-        let f_pre = self.forget.pre_activation(tape, store, x, h);
-        let f = tape.sigmoid(f_pre);
-        let o_pre = self.output.pre_activation(tape, store, x, h);
-        let o = tape.sigmoid(o_pre);
-        let g_pre = self.cell.pre_activation(tape, store, x, h);
-        let g = tape.tanh(g_pre);
-        let fc = tape.hadamard(f, c);
-        let ig = tape.hadamard(i, g);
-        let c_next = tape.add(fc, ig);
-        let c_act = tape.tanh(c_next);
-        let h_next = tape.hadamard(o, c_act);
+        ex: &mut E,
+        store: &'s ParamStore,
+        x: &E::Value,
+        (h, c): &(E::Value, E::Value),
+    ) -> (E::Value, E::Value) {
+        let i_pre = self.input.pre_activation(ex, store, x, h);
+        let i = ex.sigmoid(&i_pre);
+        let f_pre = self.forget.pre_activation(ex, store, x, h);
+        let f = ex.sigmoid(&f_pre);
+        let o_pre = self.output.pre_activation(ex, store, x, h);
+        let o = ex.sigmoid(&o_pre);
+        let g_pre = self.cell.pre_activation(ex, store, x, h);
+        let g = ex.tanh(&g_pre);
+        let fc = ex.hadamard(&f, c);
+        let ig = ex.hadamard(&i, &g);
+        let c_next = ex.add(&fc, &ig);
+        let c_act = ex.tanh(&c_next);
+        let h_next = ex.hadamard(&o, &c_act);
         (h_next, c_next)
     }
 
     /// Runs a whole sequence, returning every hidden state.
-    pub fn run(
+    pub fn run<'s, E: Exec<'s>>(
         &self,
-        tape: &mut Tape,
-        store: &ParamStore,
-        inputs: &[Var],
+        ex: &mut E,
+        store: &'s ParamStore,
+        inputs: &[E::Value],
         m: usize,
-    ) -> Vec<Var> {
-        let mut state = self.zero_state(tape, m);
+    ) -> Vec<E::Value> {
+        let mut state = self.zero_state(ex, m);
         let mut hs = Vec::with_capacity(inputs.len());
-        for &x in inputs {
-            state = self.step(tape, store, x, state);
-            hs.push(state.0);
+        for x in inputs {
+            state = self.step(ex, store, x, &state);
+            hs.push(state.0.clone());
         }
         hs
     }
@@ -134,7 +129,6 @@ pub struct GruCell {
     update: Gate,
     reset: Gate,
     candidate: Gate,
-    d_in: usize,
     d_h: usize,
 }
 
@@ -151,50 +145,46 @@ impl GruCell {
             update: Gate::new(store, &format!("{name}.z"), d_in, d_h, rng),
             reset: Gate::new(store, &format!("{name}.r"), d_in, d_h, rng),
             candidate: Gate::new(store, &format!("{name}.h"), d_in, d_h, rng),
-            d_in,
             d_h,
         }
     }
 
-    /// Input dimension.
-    pub fn input_dim(&self) -> usize {
-        self.d_in
-    }
-
-    /// Hidden dimension.
-    pub fn hidden_dim(&self) -> usize {
-        self.d_h
-    }
-
-    /// Fresh zero hidden state for `m` parallel sequences.
-    pub fn zero_state(&self, tape: &mut Tape, m: usize) -> Var {
-        tape.constant(Matrix::zeros(m, self.d_h))
-    }
-
     /// One timestep: `h' = (1 − z)⊙h + z⊙h̃`.
-    pub fn step(&self, tape: &mut Tape, store: &ParamStore, x: Var, h: Var) -> Var {
-        let z_pre = self.update.pre_activation(tape, store, x, h);
-        let z = tape.sigmoid(z_pre);
-        let r_pre = self.reset.pre_activation(tape, store, x, h);
-        let r = tape.sigmoid(r_pre);
-        let rh = tape.hadamard(r, h);
-        let cand_pre = self.candidate.pre_activation(tape, store, x, rh);
-        let cand = tape.tanh(cand_pre);
-        let m = tape.value(h).rows();
-        let ones = tape.constant(Matrix::full(m, self.d_h, 1.0));
-        let one_minus_z = tape.sub(ones, z);
-        let keep = tape.hadamard(one_minus_z, h);
-        let update = tape.hadamard(z, cand);
-        tape.add(keep, update)
+    pub fn step<'s, E: Exec<'s>>(
+        &self,
+        ex: &mut E,
+        store: &'s ParamStore,
+        x: &E::Value,
+        h: &E::Value,
+    ) -> E::Value {
+        let z_pre = self.update.pre_activation(ex, store, x, h);
+        let z = ex.sigmoid(&z_pre);
+        let r_pre = self.reset.pre_activation(ex, store, x, h);
+        let r = ex.sigmoid(&r_pre);
+        let rh = ex.hadamard(&r, h);
+        let cand_pre = self.candidate.pre_activation(ex, store, x, &rh);
+        let cand = ex.tanh(&cand_pre);
+        let m = ex.value(h).rows();
+        let ones = ex.constant(Matrix::full(m, self.d_h, 1.0));
+        let one_minus_z = ex.sub(&ones, &z);
+        let keep = ex.hadamard(&one_minus_z, h);
+        let update = ex.hadamard(&z, &cand);
+        ex.add(&keep, &update)
     }
 
     /// Runs a whole sequence, returning every hidden state.
-    pub fn run(&self, tape: &mut Tape, store: &ParamStore, inputs: &[Var], m: usize) -> Vec<Var> {
-        let mut h = self.zero_state(tape, m);
+    pub fn run<'s, E: Exec<'s>>(
+        &self,
+        ex: &mut E,
+        store: &'s ParamStore,
+        inputs: &[E::Value],
+        m: usize,
+    ) -> Vec<E::Value> {
+        let mut h = ex.constant(Matrix::zeros(m, self.d_h));
         let mut hs = Vec::with_capacity(inputs.len());
-        for &x in inputs {
-            h = self.step(tape, store, x, h);
-            hs.push(h);
+        for x in inputs {
+            h = self.step(ex, store, x, &h);
+            hs.push(h.clone());
         }
         hs
     }
@@ -203,7 +193,7 @@ impl GruCell {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cascn_autograd::{Adam, Optimizer};
+    use cascn_autograd::{Adam, Optimizer, Tape, Var};
     use rand::SeedableRng;
 
     fn seq_to_inputs(tape: &mut Tape, seq: &[f32]) -> Vec<Var> {
@@ -220,7 +210,7 @@ mod tests {
         let mut tape = Tape::new();
         let x = tape.constant(Matrix::zeros(2, 3));
         let state = cell.zero_state(&mut tape, 2);
-        let (h, c) = cell.step(&mut tape, &store, x, state);
+        let (h, c) = cell.step(&mut tape, &store, &x, &state);
         assert_eq!(tape.value(h).shape(), (2, 4));
         assert_eq!(tape.value(c).shape(), (2, 4));
     }
