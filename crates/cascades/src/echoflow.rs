@@ -22,14 +22,17 @@
 //! assumes). The result round-trips through [`Cascade::try_new`], so every
 //! loaded cascade satisfies the validated-cascade invariants.
 //!
-//! Malformed data follows the same quarantine-on-malformed semantics as the
-//! native lenient loader ([`crate::io::dataset_from_str_lenient`]): a bad
-//! row poisons exactly its topic's cascade — recorded in the
-//! [`QuarantineReport`] with the offending line — and every other topic
-//! loads normally. The strict variant fails on the first bad row instead.
+//! The file is read through [`crate::Format::EchoFlow`], under the policy
+//! all three formats share ([`crate::format`]). A bad row poisons exactly
+//! its topic's cascade, reported at the row's line; a row whose topic id
+//! does not parse is reported alone. A topic whose reconstruction fails
+//! validation is reported at its first row. Topics interleave, so no
+//! cascade is complete before the end of input: every fault is reported
+//! then, in line order, and the strict read fails with the first.
 
-use crate::io::ReadError;
-use crate::validate::{QuarantineReport, QuarantinedCascade};
+use std::collections::HashMap;
+
+use crate::validate::QuarantinedCascade;
 use crate::{Cascade, Dataset, Event};
 
 /// Parses an id token: the concatenated ASCII digits of the token
@@ -44,7 +47,7 @@ fn parse_id(token: &str) -> Option<u64> {
 }
 
 /// Whether `line` is the conventional EchoFlow header row.
-fn is_header(line: &str) -> bool {
+pub(crate) fn is_header(line: &str) -> bool {
     let mut fields = line.split(',').map(str::trim);
     matches!(
         (fields.next(), fields.next(), fields.next()),
@@ -55,8 +58,8 @@ fn is_header(line: &str) -> bool {
     )
 }
 
-/// One parsed row: `(user, timestamp, 1-based line number)`.
-type Row = (u64, f64, usize);
+/// One parsed row: `(user, timestamp)`.
+type Row = (u64, f64);
 
 struct Topic {
     id: u64,
@@ -68,22 +71,84 @@ struct Topic {
     poisoned: Option<(usize, String)>,
 }
 
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Mode {
-    Strict,
-    Lenient,
+impl Topic {
+    /// The topic's cascade, or the fault that quarantines it.
+    fn build(mut self) -> Result<Cascade, QuarantinedCascade> {
+        let quarantine = |line, reason| QuarantinedCascade { id: Some(self.id), line, reason };
+        if let Some((line, reason)) = self.poisoned {
+            return Err(quarantine(line, reason));
+        }
+        // Stable sort by timestamp: equal times keep input order, so the
+        // reconstruction is deterministic.
+        self.rows.sort_by(|a, b| a.1.total_cmp(&b.1));
+        let mut seen_users = std::collections::HashSet::new();
+        self.rows.retain(|&(user, _)| seen_users.insert(user));
+
+        // An unpoisoned topic was opened by a row that parsed.
+        let t0 = self.rows[0].1;
+        let events: Vec<Event> = self
+            .rows
+            .iter()
+            .enumerate()
+            .map(|(i, &(user, ts))| Event {
+                user,
+                parent: if i == 0 { None } else { Some(0) },
+                time: ts - t0,
+            })
+            .collect();
+        Cascade::try_new(self.id, t0, events)
+            .map_err(|fault| quarantine(self.first_line, fault.to_string()))
+    }
 }
 
-fn parse(text: &str, name_hint: &str, mode: Mode) -> Result<(Dataset, QuarantineReport), ReadError> {
+/// Parses one data row into `(topic, user, timestamp)`. An error carries
+/// the topic id when it parsed, so the fault can poison that cascade
+/// instead of only the row.
+fn parse_row(line: &str) -> Result<(u64, u64, f64), (Option<u64>, String)> {
+    let fields: Vec<&str> = line.split(',').map(str::trim).collect();
+    if fields.len() != 3 {
+        let topic = fields.get(1).copied().and_then(parse_id);
+        return Err((
+            topic,
+            format!("expected `user_id,topic_id,timestamp`, got {} fields", fields.len()),
+        ));
+    }
+    let topic = parse_id(fields[1]).ok_or_else(|| format!("unparsable topic id `{}`", fields[1]));
+    let user = parse_id(fields[0]).ok_or_else(|| format!("unparsable user id `{}`", fields[0]));
+    let ts = fields[2]
+        .parse::<f64>()
+        .ok()
+        .filter(|t| t.is_finite())
+        .ok_or_else(|| format!("unparsable timestamp `{}`", fields[2]));
+    match (topic, user, ts) {
+        (Ok(topic), Ok(user), Ok(ts)) => Ok((topic, user, ts)),
+        (topic, user, ts) => {
+            let message = [user.err(), topic.clone().err(), ts.err()]
+                .into_iter()
+                .flatten()
+                .collect::<Vec<_>>()
+                .join("; ");
+            Err((topic.ok(), message))
+        }
+    }
+}
+
+/// The EchoFlow decoder: groups rows into topics, then hands every fault
+/// to `fault` in line order (see the module docs).
+pub(crate) fn decode<E>(
+    text: &str,
+    name_hint: &str,
+    mut fault: impl FnMut(QuarantinedCascade) -> Result<(), E>,
+) -> Result<Dataset, E> {
     let mut topics: Vec<Topic> = Vec::new();
     // Slot lookup by topic id; output order is first-seen order via `topics`,
     // so the map is never iterated and determinism is untouched.
-    let mut slots: std::collections::HashMap<u64, usize> = std::collections::HashMap::new();
-    let mut report = QuarantineReport::default();
+    let mut slots: HashMap<u64, usize> = HashMap::new();
+    let mut faults: Vec<QuarantinedCascade> = Vec::new();
     let mut seen_header = false;
 
     for (idx, raw) in text.lines().enumerate() {
-        let lineno = idx + 1;
+        let line_no = idx + 1;
         let line = raw.trim();
         if line.is_empty() || line.starts_with('#') {
             continue;
@@ -94,160 +159,46 @@ fn parse(text: &str, name_hint: &str, mode: Mode) -> Result<(Dataset, Quarantine
         }
         seen_header = true;
 
-        let fields: Vec<&str> = line.split(',').map(str::trim).collect();
-        // Errors carry the topic id when it parsed, so lenient mode can
-        // poison the right cascade instead of dropping just the row.
-        let parsed: Result<(u64, u64, f64), (Option<u64>, String)> = if fields.len() != 3 {
-            let topic = fields.get(1).copied().and_then(parse_id);
-            Err((
-                topic,
-                format!("expected `user_id,topic_id,timestamp`, got {} fields", fields.len()),
-            ))
-        } else {
-            let topic = parse_id(fields[1])
-                .ok_or_else(|| format!("unparsable topic id `{}`", fields[1]));
-            let user = parse_id(fields[0])
-                .ok_or_else(|| format!("unparsable user id `{}`", fields[0]));
-            let ts = fields[2]
-                .parse::<f64>()
-                .ok()
-                .filter(|t| t.is_finite())
-                .ok_or_else(|| format!("unparsable timestamp `{}`", fields[2]));
-            match (topic, user, ts) {
-                (Ok(topic), Ok(user), Ok(ts)) => Ok((topic, user, ts)),
-                (topic, user, ts) => {
-                    let message = [user.err(), topic.clone().err(), ts.err()]
-                        .into_iter()
-                        .flatten()
-                        .collect::<Vec<_>>()
-                        .join("; ");
-                    Err((topic.ok(), message))
-                }
+        let (topic_id, row) = match parse_row(line) {
+            Ok((topic, user, ts)) => (topic, Ok((user, ts))),
+            Err((Some(topic), reason)) => (topic, Err(reason)),
+            // Not even the topic parsed: quarantine the row alone.
+            Err((None, reason)) => {
+                faults.push(QuarantinedCascade { id: None, line: line_no, reason });
+                continue;
             }
         };
-
-        match parsed {
-            Ok((topic_id, user, ts)) => {
-                let slot = *slots.entry(topic_id).or_insert_with(|| {
-                    topics.push(Topic {
-                        id: topic_id,
-                        first_line: lineno,
-                        rows: Vec::new(),
-                        poisoned: None,
-                    });
-                    topics.len() - 1
-                });
-                topics[slot].rows.push((user, ts, lineno));
+        let slot = *slots.entry(topic_id).or_insert_with(|| {
+            topics.push(Topic {
+                id: topic_id,
+                first_line: line_no,
+                rows: Vec::new(),
+                poisoned: None,
+            });
+            topics.len() - 1
+        });
+        let topic = &mut topics[slot];
+        match row {
+            Ok(row) => topic.rows.push(row),
+            Err(reason) => {
+                topic.poisoned.get_or_insert((line_no, reason));
             }
-            Err((topic, message)) => match mode {
-                Mode::Strict => {
-                    return Err(ReadError::Parse { line: lineno, message });
-                }
-                Mode::Lenient => match topic.and_then(|t| slots.get(&t).copied()) {
-                    // The topic is identifiable: poison that cascade.
-                    Some(slot) => {
-                        let t = &mut topics[slot];
-                        if t.poisoned.is_none() {
-                            t.poisoned = Some((lineno, message));
-                        }
-                    }
-                    None => match topic {
-                        Some(topic_id) => {
-                            // First sighting of the topic is already bad.
-                            slots.insert(topic_id, topics.len());
-                            topics.push(Topic {
-                                id: topic_id,
-                                first_line: lineno,
-                                rows: Vec::new(),
-                                poisoned: Some((lineno, message)),
-                            });
-                        }
-                        // Not even the topic parsed: quarantine the row alone.
-                        None => report.quarantined.push(QuarantinedCascade {
-                            id: None,
-                            line: lineno,
-                            reason: message,
-                        }),
-                    },
-                },
-            },
         }
     }
 
     let mut cascades = Vec::new();
-    for mut topic in topics {
-        if let Some((line, reason)) = topic.poisoned {
-            report.quarantined.push(QuarantinedCascade {
-                id: Some(topic.id),
-                line,
-                reason,
-            });
-            continue;
-        }
-        // Stable sort by timestamp: equal times keep input order, so the
-        // reconstruction is deterministic.
-        topic.rows.sort_by(|a, b| a.1.total_cmp(&b.1));
-        let mut seen_users = std::collections::HashSet::new();
-        topic.rows.retain(|&(user, _, _)| seen_users.insert(user));
-
-        let t0 = topic.rows[0].1;
-        let events: Vec<Event> = topic
-            .rows
-            .iter()
-            .enumerate()
-            .map(|(i, &(user, ts, _))| Event {
-                user,
-                parent: if i == 0 { None } else { Some(0) },
-                time: ts - t0,
-            })
-            .collect();
-        match Cascade::try_new(topic.id, t0, events) {
-            Ok(c) => {
-                report.kept += 1;
-                cascades.push(c);
-            }
-            Err(fault) => match mode {
-                Mode::Strict => {
-                    return Err(ReadError::Parse {
-                        line: topic.first_line,
-                        message: fault.to_string(),
-                    });
-                }
-                Mode::Lenient => report.quarantined.push(QuarantinedCascade {
-                    id: Some(topic.id),
-                    line: topic.first_line,
-                    reason: fault.to_string(),
-                }),
-            },
+    for topic in topics {
+        match topic.build() {
+            Ok(c) => cascades.push(c),
+            Err(q) => faults.push(q),
         }
     }
-    Ok((Dataset::new(name_hint, cascades), report))
-}
-
-/// Strict EchoFlow load: the first malformed row or invalid cascade aborts
-/// with a [`ReadError::Parse`] carrying its line number.
-pub fn dataset_from_echoflow_str(text: &str, name_hint: &str) -> Result<Dataset, ReadError> {
-    parse(text, name_hint, Mode::Strict).map(|(d, _)| d)
-}
-
-/// Lenient EchoFlow load: malformed rows quarantine their topic's cascade
-/// (or just themselves, when not even the topic id parses) and everything
-/// else loads; see the module docs for the exact semantics.
-pub fn dataset_from_echoflow_str_lenient(text: &str, name_hint: &str) -> (Dataset, QuarantineReport) {
-    match parse(text, name_hint, Mode::Lenient) {
-        Ok(out) => out,
-        // Lenient parsing never returns Err; the arm exists for the shared
-        // signature only.
-        Err(e) => {
-            let mut report = QuarantineReport::default();
-            report.quarantined.push(QuarantinedCascade {
-                id: None,
-                line: 0,
-                reason: e.to_string(),
-            });
-            (Dataset::new(name_hint, Vec::new()), report)
-        }
+    // No two faults share a line: each names a different row.
+    faults.sort_by_key(|q| q.line);
+    for q in faults {
+        fault(q)?;
     }
+    Ok(Dataset::new(name_hint, cascades))
 }
 
 /// Serializes a dataset back to EchoFlow CSV (header included): each
@@ -265,19 +216,11 @@ pub fn echoflow_to_string(dataset: &Dataset) -> String {
     out
 }
 
-/// Whether `text` looks like EchoFlow CSV rather than the native or
-/// DeepHawkes formats: its first content line is the EchoFlow header or a
-/// comma-separated three-field row.
-pub fn looks_like_echoflow(text: &str) -> bool {
-    text.lines()
-        .map(str::trim)
-        .find(|l| !l.is_empty() && !l.starts_with('#'))
-        .is_some_and(|l| is_header(l) || (!l.contains('\t') && l.split(',').count() == 3))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::io::ReadError;
+    use crate::Format;
 
     const SAMPLE: &str = "\
 user_id,topic_id,timestamp
@@ -290,7 +233,7 @@ u_003,t_101,1692202300
 
     #[test]
     fn groups_interleaved_topics_into_cascades() {
-        let ds = dataset_from_echoflow_str(SAMPLE, "echo").expect("clean sample loads");
+        let ds = Format::EchoFlow.read(SAMPLE, "echo").expect("clean sample loads");
         assert_eq!(ds.cascades.len(), 2);
         let t78 = ds.cascades.iter().find(|c| c.id == 78).unwrap();
         assert_eq!(t78.events.len(), 3);
@@ -305,7 +248,7 @@ u_003,t_101,1692202300
     #[test]
     fn rows_out_of_time_order_are_sorted_not_rejected() {
         let text = "u_5,t_1,300\nu_6,t_1,100\nu_7,t_1,200\n";
-        let ds = dataset_from_echoflow_str(text, "echo").unwrap();
+        let ds = Format::EchoFlow.read(text, "echo").unwrap();
         let c = &ds.cascades[0];
         assert_eq!(c.events[0].user, 6, "earliest row becomes the root");
         assert_eq!(c.events[1].user, 7);
@@ -316,7 +259,7 @@ u_003,t_101,1692202300
     #[test]
     fn repeat_adoptions_keep_the_first() {
         let text = "u_1,t_1,0\nu_2,t_1,10\nu_1,t_1,20\n";
-        let ds = dataset_from_echoflow_str(text, "echo").unwrap();
+        let ds = Format::EchoFlow.read(text, "echo").unwrap();
         assert_eq!(ds.cascades[0].events.len(), 2);
     }
 
@@ -328,7 +271,7 @@ u_2,t_1,oops
 u_1,t_2,0
 u_3,t_2,50
 ";
-        let (ds, report) = dataset_from_echoflow_str_lenient(text, "echo");
+        let (ds, report) = Format::EchoFlow.read_lenient(text, "echo");
         assert_eq!(ds.cascades.len(), 1);
         assert_eq!(ds.cascades[0].id, 2);
         assert_eq!(report.kept, 1);
@@ -342,7 +285,7 @@ u_3,t_2,50
     #[test]
     fn row_without_topic_is_quarantined_alone() {
         let text = "u_1,t_1,0\nu_2,???,5\nu_2,t_1,9\n";
-        let (ds, report) = dataset_from_echoflow_str_lenient(text, "echo");
+        let (ds, report) = Format::EchoFlow.read_lenient(text, "echo");
         assert_eq!(ds.cascades.len(), 1);
         assert_eq!(ds.cascades[0].events.len(), 2);
         assert_eq!(report.quarantined.len(), 1);
@@ -353,7 +296,7 @@ u_3,t_2,50
     #[test]
     fn strict_mode_fails_on_first_bad_row() {
         let text = "u_1,t_1,0\nnot-a-row\n";
-        let err = dataset_from_echoflow_str(text, "echo").unwrap_err();
+        let err = Format::EchoFlow.read(text, "echo").unwrap_err();
         match err {
             ReadError::Parse { line, .. } => assert_eq!(line, 2),
             other => panic!("expected parse error, got {other:?}"),
@@ -363,7 +306,7 @@ u_3,t_2,50
     #[test]
     fn wrong_field_count_reports_the_line() {
         let text = "u_1,t_1,0\nu_2,t_1\n";
-        let (ds, report) = dataset_from_echoflow_str_lenient(text, "echo");
+        let (ds, report) = Format::EchoFlow.read_lenient(text, "echo");
         // The bad row has no third field; its topic field still parses, so
         // topic 1 is poisoned.
         assert!(ds.cascades.is_empty());
@@ -373,9 +316,9 @@ u_3,t_2,50
 
     #[test]
     fn round_trips_through_csv() {
-        let ds = dataset_from_echoflow_str(SAMPLE, "echo").unwrap();
+        let ds = Format::EchoFlow.read(SAMPLE, "echo").unwrap();
         let text = echoflow_to_string(&ds);
-        let back = dataset_from_echoflow_str(&text, "echo").unwrap();
+        let back = Format::EchoFlow.read(&text, "echo").unwrap();
         assert_eq!(ds.cascades.len(), back.cascades.len());
         for (a, b) in ds.cascades.iter().zip(&back.cascades) {
             assert_eq!(a.id, b.id);
@@ -384,11 +327,52 @@ u_3,t_2,50
         }
     }
 
+    /// The (id, line) of every quarantine entry of a lenient read, and the
+    /// line of the strict read's error.
+    fn faults(text: &str) -> (Vec<(Option<u64>, usize)>, usize) {
+        let (_, report) = Format::EchoFlow.read_lenient(text, "echo");
+        let entries = report.quarantined.iter().map(|q| (q.id, q.line)).collect();
+        match Format::EchoFlow.read(text, "echo") {
+            Err(ReadError::Parse { line, .. }) => (entries, line),
+            other => panic!("expected a parse error, got {other:?}"),
+        }
+    }
+
+    /// Regression: the strict read failed at the first bad row (line 2,
+    /// topic 2) while the lenient report listed topics in first-seen order,
+    /// putting topic 1's line 3 first.
+    #[test]
+    fn interleaved_bad_topics_are_reported_in_line_order() {
+        let text = "u_1,t_1,0\nu_2,t_2,oops\nu_3,t_1,oops\n";
+        assert_eq!(faults(text), (vec![(Some(2), 2), (Some(1), 3)], 2));
+    }
+
+    /// Regression: a row with no topic was reported as it was read and
+    /// poisoned topics only at the end, so line 3 came before line 2.
+    #[test]
+    fn a_row_without_topic_is_reported_in_line_order() {
+        let text = "u_1,t_1,0\nu_2,t_1,bad\nu_3,???,5\n";
+        assert_eq!(faults(text), (vec![(Some(1), 2), (None, 3)], 2));
+    }
+
+    /// A topic whose span overflows `f64` fails validation at its first
+    /// row, after every row parsed.
+    #[test]
+    fn an_unrepresentable_span_quarantines_its_topic_at_its_first_row() {
+        let text = "u_1,t_1,-1e308\nu_2,t_2,0\nu_3,t_1,1e308\n";
+        let (ds, report) = Format::EchoFlow.read_lenient(text, "echo");
+        assert_eq!(ds.cascades.iter().map(|c| c.id).collect::<Vec<_>>(), [2]);
+        assert_eq!(report.quarantined.len(), 1);
+        let q = &report.quarantined[0];
+        assert_eq!((q.id, q.line), (Some(1), 1));
+        assert!(q.reason.contains("non-finite time"), "{}", q.reason);
+    }
+
     #[test]
     fn detects_the_format() {
-        assert!(looks_like_echoflow(SAMPLE));
-        assert!(looks_like_echoflow("u_9,t_9,12.5\n"));
-        assert!(!looks_like_echoflow("cascade 1 0.0 2\nevent 0 - 0.0\n"));
-        assert!(!looks_like_echoflow("1\t2\t0 1:0.0 2:1.0\n"));
+        assert_eq!(Format::sniff(SAMPLE), Format::EchoFlow);
+        assert_eq!(Format::sniff("u_9,t_9,12.5\n"), Format::EchoFlow);
+        assert_ne!(Format::sniff("cascade 1 0.0 2\nevent 0 - 0.0\n"), Format::EchoFlow);
+        assert_ne!(Format::sniff("1\t2\t0 1:0.0 2:1.0\n"), Format::EchoFlow);
     }
 }

@@ -13,19 +13,21 @@
 //!
 //! Both file loaders read it through the parser the serving layer uses,
 //! [`crate::stream::CascadeStream`], with no limits; this module adds only
-//! the `# dataset` name. The strict loader stops at the first error; the
+//! the `# dataset` name. They are [`Format::Native`]'s strict and lenient
+//! reads, under the policy all three file formats share
+//! ([`crate::format`]): the strict loader stops at the first error; the
 //! lenient one records it, drops the cascade it belongs to and reads on from
 //! the next `cascade` header. Both therefore accept the same cascades and
-//! report the same first error, by construction.
+//! report the same first error, by construction. Neither sniffs: a file in
+//! another format goes through [`Format::sniff`] first.
 
-use std::convert::Infallible;
 use std::fmt::Write as _;
 use std::fs;
 use std::io;
 use std::path::Path;
 
 use crate::stream::{CascadeStream, StreamLimits};
-use crate::{CascadeFault, Dataset, QuarantineReport};
+use crate::{CascadeFault, Dataset, Format, QuarantineReport, QuarantinedCascade};
 
 /// Errors arising while reading a cascade file.
 #[derive(Debug)]
@@ -98,7 +100,7 @@ pub fn write_dataset(path: impl AsRef<Path>, dataset: &Dataset) -> io::Result<()
 /// parents) is validated *as lines are read*, so errors carry the line number
 /// of the offending record rather than a summary at the end of its cascade.
 pub fn dataset_from_str(text: &str, name_hint: &str) -> Result<Dataset, ReadError> {
-    read_lines(text, name_hint, |stream, message| Err(stream.error(message)))
+    Format::Native.read(text, name_hint)
 }
 
 /// Lenient counterpart of [`dataset_from_str`]: malformed cascades are
@@ -107,23 +109,18 @@ pub fn dataset_from_str(text: &str, name_hint: &str) -> Result<Dataset, ReadErro
 /// It reads exactly what the strict loader reads; at each error it records
 /// the cascade it belongs to and skips to the next `cascade` header.
 pub fn dataset_from_str_lenient(text: &str, name_hint: &str) -> (Dataset, QuarantineReport) {
-    let mut report = QuarantineReport::default();
-    let Ok(dataset) = read_lines(text, name_hint, |stream, reason| {
-        report.quarantined.push(stream.quarantine(reason));
-        Ok::<(), Infallible>(())
-    });
-    report.kept = dataset.cascades.len();
-    (dataset, report)
+    Format::Native.read_lenient(text, name_hint)
 }
 
-/// Feeds every line of `text` to one unbounded [`CascadeStream`], taking the
-/// dataset name from a `# dataset` comment. `fault` gets each error with the
-/// stream that raised it, and either ends the load with it or lets the
-/// stream read on.
-fn read_lines<E>(
+/// The native format's decoder: feeds every line of `text` to one unbounded
+/// [`CascadeStream`], taking the dataset name from a `# dataset` comment.
+/// `fault` gets each error as the stream's quarantine entry for it, and
+/// either ends the load with it or lets the stream read on from the next
+/// `cascade` header.
+pub(crate) fn read_lines<E>(
     text: &str,
     name_hint: &str,
-    mut fault: impl FnMut(&mut CascadeStream, String) -> Result<(), E>,
+    mut fault: impl FnMut(QuarantinedCascade) -> Result<(), E>,
 ) -> Result<Dataset, E> {
     let mut name = name_hint.to_string();
     let mut cascades = Vec::new();
@@ -138,12 +135,12 @@ fn read_lines<E>(
         match stream.read_line(raw) {
             Ok(None) => {}
             Ok(Some(done)) => cascades.push(done),
-            Err(message) => fault(&mut stream, message)?,
+            Err(message) => fault(stream.quarantine(message))?,
         }
     }
     match stream.end() {
         Ok(done) => cascades.extend(done),
-        Err(message) => fault(&mut stream, message)?,
+        Err(message) => fault(stream.quarantine(message))?,
     }
     Ok(Dataset::new(name, cascades))
 }

@@ -32,6 +32,7 @@ mod dataset;
 pub mod echoflow;
 pub mod features;
 pub mod deephawkes_format;
+pub mod format;
 pub mod io;
 pub mod stats;
 pub mod stream;
@@ -40,9 +41,7 @@ pub mod validate;
 
 pub use cascade::{Cascade, Event, ObservedCascade};
 pub use dataset::{Dataset, Split, SplitStats};
-pub use echoflow::{
-    dataset_from_echoflow_str, dataset_from_echoflow_str_lenient, echoflow_to_string,
-    looks_like_echoflow,
-};
+pub use echoflow::echoflow_to_string;
+pub use format::Format;
 pub use stream::{parse_observe_body, CascadeStream, ObserveBody, StreamLimits};
 pub use validate::{validate_events, CascadeFault, QuarantineReport, QuarantinedCascade};

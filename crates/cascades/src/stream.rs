@@ -160,15 +160,15 @@ impl CascadeStream {
     }
 
     /// `message` as the error of the last line read.
-    pub(crate) fn error(&self, message: String) -> ReadError {
+    fn error(&self, message: String) -> ReadError {
         ReadError::Parse { line: self.lineno, message }
     }
 
     /// Records `reason`, the error of the last line read, against the
     /// cascade it belongs to, which is dropped with the rest of its body:
-    /// lines are skipped up to the next header. The lenient loader's
-    /// recovery; the strict loader and the request parsers stop at the
-    /// first error instead.
+    /// lines are skipped up to the next header. The file loaders report
+    /// every error through it; the lenient one reads on, while the strict
+    /// one stops there, as the request parsers do.
     pub(crate) fn quarantine(&mut self, reason: String) -> QuarantinedCascade {
         // A failing header has already closed or dropped the cascade before
         // it and opened (or skips) its own, so only a body line's cascade is

@@ -16,32 +16,13 @@ use cascn_cascades::stream::{parse_cascades, parse_observe_body, StreamLimits};
 use cascn_cascades::{validate_events, Cascade, Dataset, Event, ObserveBody};
 use proptest::prelude::*;
 
+mod common;
+use common::{copy_line, drop_line, flip_byte, pick, truncate, BAD_NUMBERS};
+
 const LIMITS: StreamLimits = StreamLimits { max_cascades: 4, max_events: 24 };
 
 /// The limits under which `parse_cascades` reads what the file loaders read.
 const UNBOUNDED: StreamLimits = StreamLimits { max_cascades: usize::MAX, max_events: usize::MAX };
-
-/// Tokens a corrupted numeric field is replaced with: overflowing and
-/// giant counts, non-finite and negative floats, and garbage.
-const BAD_NUMBERS: &[&str] = &[
-    "18446744073709551616",
-    "99999999999999999999999",
-    "1e308",
-    "1e400",
-    "NaN",
-    "nan",
-    "inf",
-    "-inf",
-    "-1",
-    "-0",
-    "0x10",
-    "",
-    "-",
-];
-
-/// Bytes a flipped position is overwritten with: the grammar's own
-/// delimiters and keywords' letters, digits, and float syntax.
-const FLIP_BYTES: &[u8] = b"0123456789-.+eE \n\t#acdentvNIinf";
 
 /// Strategy: a valid event list of `1..=max` events (root first, parents
 /// earlier, times non-decreasing and sometimes tied).
@@ -123,15 +104,14 @@ fn resident() -> Cascade {
     )
 }
 
-/// One corruption of a valid body, chosen and placed by `pick` and `at`
+/// One corruption of a valid body, chosen and placed by `choice` and `at`
 /// (both uniform in `[0, 1)`).
-fn mutate(text: &str, pick: f64, at: f64, byte: usize) -> String {
-    let pos = |len: usize| ((at * len as f64) as usize).min(len.saturating_sub(1));
+fn mutate(text: &str, choice: f64, at: f64, byte: usize) -> String {
     let lines: Vec<&str> = text.lines().collect();
     let event_lines: Vec<usize> =
         (0..lines.len()).filter(|&i| lines[i].starts_with("event")).collect();
     let with_field = |field: usize, value: &dyn Fn(&str) -> String| -> String {
-        let Some(&line) = event_lines.get(pos(event_lines.len())) else {
+        let Some(&line) = event_lines.get(pick(at, event_lines.len())) else {
             return text.to_string();
         };
         let mut out: Vec<String> = lines.iter().map(|l| l.to_string()).collect();
@@ -142,18 +122,11 @@ fn mutate(text: &str, pick: f64, at: f64, byte: usize) -> String {
         out[line] = toks.join(" ");
         out.join("\n")
     };
-    match (pick * 7.0) as usize {
+    match (choice * 7.0) as usize {
         // Truncation anywhere, mid-token included.
-        0 => text[..pos(text.len() + 1).min(text.len())].to_string(),
+        0 => truncate(text, at),
         // One flipped byte.
-        1 => {
-            let mut bytes = text.as_bytes().to_vec();
-            if !bytes.is_empty() {
-                let i = pos(bytes.len());
-                bytes[i] = FLIP_BYTES[byte % FLIP_BYTES.len()];
-            }
-            String::from_utf8(bytes).expect("ASCII in, ASCII out")
-        }
+        1 => flip_byte(text, at, byte),
         // A giant, non-finite or garbage number in a user/parent/time
         // field, or in the header's id/start.
         2 => with_field(1 + byte % 3, &|_| BAD_NUMBERS[byte / 3 % BAD_NUMBERS.len()].to_string()),
@@ -186,23 +159,21 @@ fn mutate(text: &str, pick: f64, at: f64, byte: usize) -> String {
 
 /// A corruption of a dataset file: one of [`mutate`]'s, or a `cascade`
 /// header dropped or copied to another line.
-fn corrupt_dataset(text: &str, pick: f64, at: f64, byte: usize) -> String {
-    if pick < 7.0 / 9.0 {
-        return mutate(text, pick * 9.0 / 7.0, at, byte);
+fn corrupt_dataset(text: &str, choice: f64, at: f64, byte: usize) -> String {
+    if choice < 7.0 / 9.0 {
+        return mutate(text, choice * 9.0 / 7.0, at, byte);
     }
-    let mut lines: Vec<&str> = text.lines().collect();
+    let lines: Vec<&str> = text.lines().collect();
     let headers: Vec<usize> =
         (0..lines.len()).filter(|&i| lines[i].starts_with("cascade")).collect();
-    let Some(&h) = headers.get(((at * headers.len() as f64) as usize).min(headers.len() - 1))
-    else {
+    let Some(&h) = headers.get(pick(at, headers.len())) else {
         return text.to_string();
     };
-    if pick < 8.0 / 9.0 {
-        lines.remove(h);
+    if choice < 8.0 / 9.0 {
+        drop_line(text, h)
     } else {
-        lines.insert(byte % (lines.len() + 1), lines[h]);
+        copy_line(text, h, byte)
     }
-    lines.join("\n")
 }
 
 /// The line and message of a loader's error.

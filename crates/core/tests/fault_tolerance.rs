@@ -376,3 +376,95 @@ fn cli_resume_and_error_paths() {
 
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// A small dataset of `n` cascades written in `format` ("native",
+/// "echoflow" or "deephawkes"), all well-formed but the one at `bad`, whose
+/// last adoption time is `oops`. Returns the text and the 1-based line of
+/// the bad record.
+fn small_dataset(format: &str, n: u64, bad: u64) -> (String, usize) {
+    let mut lines: Vec<String> = Vec::new();
+    let mut bad_line = 0;
+    if format == "echoflow" {
+        lines.push("user_id,topic_id,timestamp".into());
+    }
+    for id in 1..=n {
+        let start = 1000 * id;
+        let root = 100 * id;
+        // Five adoptions inside a one-hour window, three after it.
+        let times: Vec<String> = [60, 120, 300, 900, 1800, 4000, 5000, 6000]
+            .iter()
+            .enumerate()
+            .map(|(j, t)| if id == bad && j == 7 { "oops".into() } else { t.to_string() })
+            .collect();
+        match format {
+            "native" => {
+                lines.push(format!("cascade {id} {start}"));
+                lines.push(format!("event {root} - 0"));
+                for (j, t) in times.iter().enumerate() {
+                    lines.push(format!("event {} {} {t}", root + 1 + j as u64, j / 2));
+                }
+            }
+            "echoflow" => {
+                lines.push(format!("u_{root},t_{id},{start}"));
+                for (j, t) in times.iter().enumerate() {
+                    let at = t.parse::<u64>().map_or(t.clone(), |t| (start + t).to_string());
+                    lines.push(format!("u_{},t_{id},{at}", root + 1 + j as u64));
+                }
+            }
+            _ => {
+                let paths: Vec<String> = times
+                    .iter()
+                    .enumerate()
+                    .map(|(j, t)| format!("{root}/{}:{t}", root + 1 + j as u64))
+                    .collect();
+                lines.push(format!("{id}\t{root}\t{start}\t8\t{root}:0 {}", paths.join(" ")));
+            }
+        }
+        if id == bad {
+            bad_line = lines.len();
+        }
+    }
+    (lines.join("\n") + "\n", bad_line)
+}
+
+/// The CLI reads every format through one sniff and one policy: `stats`
+/// (strict) fails naming the corrupt record's line, and `train` (lenient)
+/// quarantines that one cascade, says so, and trains on the rest. A native
+/// file whose fields are tab-separated still reads as native.
+#[test]
+fn cli_reads_every_format_strictly_for_stats_and_leniently_for_train() {
+    let dir = temp_dir("formats");
+    let bin = env!("CARGO_BIN_EXE_cascn");
+    let run = |args: &[&str]| Command::new(bin).args(args).output().expect("cascn binary runs");
+    for format in ["native", "echoflow", "deephawkes"] {
+        let (text, bad_line) = small_dataset(format, 40, 7);
+        let path = dir.join(format!("{format}.txt"));
+        std::fs::write(&path, text).unwrap();
+        let path = path.to_str().unwrap();
+
+        let out = run(&["stats", path, "--window", "3600"]);
+        assert_eq!(out.status.code(), Some(1), "{format}: stats must fail");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(&format!("line {bad_line}")), "{format}: {stderr}");
+
+        let out = run(&[
+            "train", "--data", path, "--window", "3600", "--hidden", "4", "--max-nodes", "10",
+            "--max-steps", "5", "--min-size", "3", "--epochs", "2", "--patience", "2",
+        ]);
+        let (stdout, stderr) =
+            (String::from_utf8_lossy(&out.stdout), String::from_utf8_lossy(&out.stderr));
+        assert!(out.status.success(), "{format}: {stderr}");
+        assert!(stderr.contains("39 cascades loaded, 1 quarantined"), "{format}: {stderr}");
+        assert!(stderr.contains(&format!("cascade 7 (line {bad_line})")), "{format}: {stderr}");
+        assert!(stdout.contains("test MSLE"), "{format}: {stdout}");
+    }
+
+    let (text, _) = small_dataset("native", 40, 0);
+    let path = dir.join("tabs.txt");
+    std::fs::write(&path, text.replace(' ', "\t")).unwrap();
+    let out = run(&["stats", path.to_str().unwrap(), "--window", "3600"]);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(stdout.contains("(40 cascades)"), "{stdout}");
+    std::fs::remove_dir_all(&dir).ok();
+}
